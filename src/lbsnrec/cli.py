@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data as lbsn_data
 from . import evaluation, gradcheck, synth, training
-from .model import VariantMask, load_checkpoint
+from .model import CheckpointError, VariantMask, load_checkpoint
 
 TRAIN_CONFIG_KEYS = {
     "d", "learning_rate", "n1_per_user", "n2", "max_iterations", "batch_users",
@@ -340,7 +340,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
         return 2
-    except lbsn_data.ParseError as exc:
+    except (lbsn_data.ParseError, lbsn_data.FormatError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

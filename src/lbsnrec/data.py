@@ -499,7 +499,11 @@ def load_dataset(path):
             raise FormatError(f"{path}: vocab sizes disagree with header")
         trajectories = []
         for u in range(num_users):
-            locs = _read_array(handle, "<u8").astype(np.int64)
+            locs = _read_array(handle, "<u8")
+            if len(locs) and locs.max() >= num_locations:
+                raise FormatError(f"{path}: user {u} has location id "
+                                  f"{int(locs.max())} outside [0, {num_locations})")
+            locs = locs.astype(np.int64)
             ts = _read_array(handle, "<i8")
             trajectories.append(Trajectory(
                 user_index=u, locations=locs, timestamps=ts,
@@ -508,7 +512,10 @@ def load_dataset(path):
         directed = set()
         for _ in range(edge_count):
             i, j = struct.unpack("<QQ", handle.read(16))
-            directed.add((int(i), int(j)))
+            if max(i, j) >= num_users:
+                raise FormatError(f"{path}: edge ({i}, {j}) has an endpoint "
+                                  f"outside [0, {num_users})")
+            directed.add((i, j))
     graph = build_graph(num_users, directed)
     user_vocab = Vocab(ids=user_ids, index={s: i for i, s in enumerate(user_ids)})
     location_vocab = Vocab(ids=location_ids,

@@ -80,10 +80,7 @@ class Gradients:
         return getattr(self, name)
 
     def touch(self, name, rows):
-        self.touched[name].update(int(r) for r in np.atleast_1d(rows))
-
-    def touched_rows(self, name):
-        return np.array(sorted(self.touched[name]), dtype=np.int64)
+        self.touched[name].update(np.unique(rows).tolist())
 
 
 class OptimizerState:
@@ -160,7 +157,8 @@ class NetworkBatch:
 class TrajectoryBatch:
     users: np.ndarray
     views: list         # per user, (locations, bounds) restricted to train range
-    negatives: list     # per user, list of per-position negative arrays
+    negatives: list     # per user, list of per-position negative arrays,
+                        # all of one length (sample_negative_locations)
 
 
 def draw_network_batch(graph, users, n1, rng):
@@ -245,15 +243,110 @@ def sampled_location_loss(params, context, target, negatives):
     return loss, grad_context, cands, grad_scores
 
 
+# Candidate entries (positions x candidates per position) per
+# block_location_loss call, at least one position. When few candidates repeat
+# (|L| >> n2), a block's distinct candidates grow with its length and so does
+# its GEMM cost per position, so long subtrajectories are split.
+BLOCK_CANDIDATES = 512
+
+
+def block_location_loss(params, contexts, cands):
+    """Candidate-softmax loss of a block of positions, all at once.
+
+    Row i of cands is position i's target followed by its frozen negatives
+    (distinct within a row; rows may share candidates), scored against
+    contexts[i]. The block's distinct candidates are gathered once, so scores,
+    context gradients and the U_out gradient are three small GEMMs over them.
+    Returns (loss summed over the block, grad wrt each context, the distinct
+    candidate rows, grad wrt U_out[rows]); it equals summing
+    sampled_location_loss over the positions.
+    """
+    rows, inv = np.unique(cands, return_inverse=True)
+    inv = inv.reshape(cands.shape)
+    u_rows = params.U_out[rows]
+    at = np.arange(len(cands))[:, None]
+    scores = (contexts @ u_rows.T)[at, inv]
+    m = scores.max(axis=1, keepdims=True)
+    exps = np.exp(scores - m)
+    z = exps.sum(axis=1, keepdims=True)
+    loss = float((np.log(z) + m - scores[:, :1]).sum())
+    grad_scores = exps / z
+    grad_scores[:, 0] -= 1.0
+    dense = np.zeros((len(cands), len(rows)))
+    dense[at, inv] = grad_scores
+    return loss, dense @ u_rows, rows, dense.T @ contexts
+
+
+def _short_term_backward(params, bounds, d_short, states):
+    """BPTT inside each subtrajectory of the short-term recurrence.
+
+    d_short[p] is the gradient reaching the state consulted at position p.
+    Returns (per-position pre-activation gradients, zero at subtrajectory
+    starts, whose row p belongs to the step over location p-1; the S0
+    gradient).
+    """
+    d_pre = np.zeros_like(d_short)
+    d_s0 = np.zeros(params.dim)
+    tanh_grad = 1.0 - states ** 2
+    for b, e in bounds:
+        d_s = d_short[e - 1]
+        for p in range(e - 1, b, -1):
+            d_pre[p] = d_s * tanh_grad[p]
+            d_s = d_short[p - 1] + d_pre[p] @ params.W
+        d_s0 += d_s
+    return d_pre, d_s0
+
+
+def _long_term_backward(params, trace, d_hidden, steps):
+    """BPTT through the first `steps` gated long-term steps, newest first.
+
+    d_hidden[t] is the gradient injected at h_t (modified in place). Returns
+    (pre-activation gradients [i | f | c] of each step, steps x 3d; the C0
+    gradient).
+    """
+    d = params.dim
+    h = trace.long_hidden[:steps + 1]
+    i_gate = trace.input_gates[:steps]
+    f_gate = trace.forget_gates[:steps]
+    cand = trace.candidate_states[:steps]
+    # d_pre[t-1] = d_cell_t * local[t-1], d_cell_t tiled over the three gates.
+    local = np.hstack((cand * i_gate * (1.0 - i_gate),
+                       trace.long_cells[:steps] * f_gate * (1.0 - f_gate),
+                       i_gate * (1.0 - cand ** 2))).reshape(steps, 3, d)
+    tanh_grad = 1.0 - h ** 2
+    recur = np.vstack((params.W_i2, params.W_f2, params.W_c2))
+    d_pre = np.zeros((steps, 3, d))
+    d_cell = np.zeros(d)
+    for t in range(steps, 0, -1):
+        d_cell = d_cell + d_hidden[t] * tanh_grad[t]
+        g = d_pre[t - 1]
+        np.multiply(local[t - 1], d_cell, out=g)
+        d_hidden[t - 1] += g.ravel() @ recur
+        d_cell = d_cell * f_gate[t - 1]
+    return d_pre.reshape(steps, 3 * d), d_cell + d_hidden[0] * tanh_grad[0]
+
+
 def trajectory_loss_and_grads(params, mask, batch, grads=None):
     """Sampled next-location loss over a frozen batch, with full BPTT gradients.
 
-    Backward pass per user: the context gradient at each position feeds
-    P[v], F[v], the short-term state consulted there, and the long-term
-    hidden state frozen at that position's subtrajectory boundary. Short-term
-    gradients run backward inside each subtrajectory to S0, U and W;
-    boundary-hidden gradients run backward through every gated step to C0,
-    the gate matrices and biases, accumulating U rows on the way.
+    Per user, after the forward recurrences:
+
+    - Softmax: each subtrajectory is one block_location_loss call (long ones
+      are split into blocks of at most BLOCK_CANDIDATES candidate entries),
+      which gives the block's losses, context gradients and U_out gradient
+      at once.
+    - Context: the F and P blocks of the context gradients sum into F[v] and
+      P[v]; the short-term block reaches the state consulted at each
+      position; the long-term block reaches the hidden state frozen at the
+      position's subtrajectory start.
+    - Short-term BPTT runs backward inside each subtrajectory to S0. The
+      per-step pre-activation gradients give W as one GEMM.
+    - Long-term BPTT runs backward through every gated step up to the last
+      consulted boundary, to C0. The per-step gate pre-activation gradients
+      give the six gate matrices as one GEMM and the biases as one sum.
+    - U rows of both recurrences are summed per position and scattered once.
+
+    Only the recursions themselves loop over positions.
     """
     if grads is None:
         grads = Gradients.like(params)
@@ -265,70 +358,65 @@ def trajectory_loss_and_grads(params, mask, batch, grads=None):
         if n == 0:
             continue
         trace = forward_trajectory(params, mask, user, locs, bounds)
-        d_context = np.zeros((n, 4 * d))
-        for p in range(n):
-            loss, d_ctx, cands, d_scores = sampled_location_loss(
-                params, trace.contexts[p], locs[p], negs[p])
-            total += loss
-            d_context[p] = d_ctx
-            grads.U_out[cands] += np.outer(d_scores, trace.contexts[p])
-            grads.touch("U_out", cands)
+        contexts = trace.contexts
+        cands = np.column_stack((locs, np.stack(negs)))
+        d_context = np.empty((n, 4 * d))
+        block = max(1, BLOCK_CANDIDATES // cands.shape[1])
+        for b, e in bounds:
+            for s in range(b, e, block):
+                t = min(s + block, e)
+                loss, d_context[s:t], rows, d_rows = block_location_loss(
+                    params, contexts[s:t], cands[s:t])
+                total += loss
+                grads.U_out[rows] += d_rows
+        grads.touch("U_out", cands)
         grads.F[user] += d_context[:, 0:d].sum(axis=0)
         grads.P[user] += d_context[:, d:2 * d].sum(axis=0)
         grads.touch("F", user)
         grads.touch("P", user)
 
+        # d_u[p] collects the gradient of U[locs[p]] from both recurrences;
+        # stepped[p] marks positions whose location some recurrence consumed.
+        d_u = np.zeros((n, d))
+        stepped = np.zeros(n, dtype=bool)
         if mask.use_short:
-            s_used = trace.short_states
+            states = trace.short_states
+            d_pre, d_s0 = _short_term_backward(
+                params, bounds, d_context[:, 2 * d:3 * d], states)
+            grads.S0 += d_s0
+            grads.W += d_pre[1:].T @ states[:-1]
+            d_u[:-1] += d_pre[1:]
             for b, e in bounds:
-                d_s = d_context[b:e, 2 * d:3 * d].copy()
-                for i in range(e - b - 1, 0, -1):
-                    p = b + i
-                    d_pre = d_s[i] * (1.0 - s_used[p] ** 2)
-                    grads.U[locs[p - 1]] += d_pre
-                    grads.touch("U", locs[p - 1])
-                    grads.W += np.outer(d_pre, s_used[p - 1])
-                    d_s[i - 1] += params.W.T @ d_pre
-                grads.S0 += d_s[0]
+                stepped[b:e - 1] = True
 
         if mask.use_long:
-            # d_hidden[t] collects gradient reaching h_t; boundary injections
-            # land at the subtrajectory start indices.
             d_hidden = np.zeros((n + 1, d))
             for b, e in bounds:
                 d_hidden[b] += d_context[b:e, 3 * d:4 * d].sum(axis=0)
-            last_consulted = bounds[-1][0]
-            d_cell = np.zeros(d)
-            for t in range(last_consulted, 0, -1):
-                h_t = trace.long_hidden[t]
-                d_cell = d_cell + d_hidden[t] * (1.0 - h_t ** 2)
-                i_gate = trace.input_gates[t - 1]
-                f_gate = trace.forget_gates[t - 1]
-                cand = trace.candidate_states[t - 1]
-                d_i_pre = d_cell * cand * i_gate * (1.0 - i_gate)
-                d_f_pre = d_cell * trace.long_cells[t - 1] * f_gate * (1.0 - f_gate)
-                d_c_pre = d_cell * i_gate * (1.0 - cand ** 2)
-                x = params.U[locs[t - 1]]
-                h_prev = trace.long_hidden[t - 1]
-                grads.W_i1 += np.outer(d_i_pre, x)
-                grads.W_i2 += np.outer(d_i_pre, h_prev)
-                grads.b_i += d_i_pre
-                grads.W_f1 += np.outer(d_f_pre, x)
-                grads.W_f2 += np.outer(d_f_pre, h_prev)
-                grads.b_f += d_f_pre
-                grads.W_c1 += np.outer(d_c_pre, x)
-                grads.W_c2 += np.outer(d_c_pre, h_prev)
-                grads.b_c += d_c_pre
-                grads.U[locs[t - 1]] += (params.W_i1.T @ d_i_pre
-                                         + params.W_f1.T @ d_f_pre
-                                         + params.W_c1.T @ d_c_pre)
-                grads.touch("U", locs[t - 1])
-                d_hidden[t - 1] += (params.W_i2.T @ d_i_pre
-                                    + params.W_f2.T @ d_f_pre
-                                    + params.W_c2.T @ d_c_pre)
-                d_cell = d_cell * f_gate
-            h0 = trace.long_hidden[0]
-            grads.C0 += d_cell + d_hidden[0] * (1.0 - h0 ** 2)
+            steps = bounds[-1][0]
+            d_pre, d_c0 = _long_term_backward(params, trace, d_hidden, steps)
+            grads.C0 += d_c0
+            w = d_pre.T @ np.hstack((params.U[locs[:steps]],
+                                     trace.long_hidden[:steps]))
+            bias = d_pre.sum(axis=0)
+            for k, (w1, w2, b_gate) in enumerate(
+                    ((grads.W_i1, grads.W_i2, grads.b_i),
+                     (grads.W_f1, grads.W_f2, grads.b_f),
+                     (grads.W_c1, grads.W_c2, grads.b_c))):
+                gate = slice(k * d, (k + 1) * d)
+                w1 += w[gate, :d]
+                w2 += w[gate, d:]
+                b_gate += bias[gate]
+            d_u[:steps] += d_pre @ np.vstack((params.W_i1, params.W_f1,
+                                              params.W_c1))
+            stepped[:steps] = True
+
+        if stepped.any():
+            rows, inv = np.unique(locs[stepped], return_inverse=True)
+            onehot = np.zeros((len(rows), len(inv)))
+            onehot[inv, np.arange(len(inv))] = 1.0
+            grads.U[rows] += onehot @ d_u[stepped]
+            grads.touch("U", rows)
     return float(total), grads
 
 
@@ -354,25 +442,29 @@ def trajectory_iteration(params, dataset, splits, config, rng, users=None):
 
 
 def adagrad_update(params, grads, optimizer_state, learning_rate, epsilon):
-    """In-place AdaGrad step; embedding tensors update touched rows only."""
+    """In-place AdaGrad step over every tensor with a gradient.
+
+    Embedding tensors without touched rows are skipped. The others update as
+    whole tensors: their gradient rows outside the touched sets are exactly
+    zero, which leaves those rows and accumulators bit-for-bit unchanged, so
+    this equals the lazy row update while allocating two temporaries instead
+    of fancy-indexed copies.
+    """
     for name in TENSOR_NAMES:
+        if name in EMBEDDING_NAMES and not grads.touched[name]:
+            continue
         acc = optimizer_state.accumulators[name]
+        g = grads.tensor(name)
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient in tensor {name}")
+        denom = np.multiply(g, g)
+        acc += denom
+        np.sqrt(acc, out=denom)
+        denom += epsilon
+        step = np.multiply(learning_rate, g)
+        step /= denom
         target = params.tensor(name)
-        if name in EMBEDDING_NAMES:
-            rows = grads.touched_rows(name)
-            if len(rows) == 0:
-                continue
-            g = grads.tensor(name)[rows]
-            if not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient in tensor {name}")
-            acc[rows] += g * g
-            target[rows] -= learning_rate * g / (np.sqrt(acc[rows]) + epsilon)
-        else:
-            g = grads.tensor(name)
-            if not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient in tensor {name}")
-            acc += g * g
-            target -= learning_rate * g / (np.sqrt(acc) + epsilon)
+        target -= step
 
 
 @dataclass

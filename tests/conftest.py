@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -20,6 +21,19 @@ def make_checkins(layout, start=1_000_000, intra_gap=3600, inter_gap=30000):
                 t += intra_gap
             t += inter_gap - intra_gap
     return checkins
+
+
+def corrupt_cache(dataset, path, location=None, edge=None):
+    """Save `dataset` as a cache with its first location id replaced and/or
+    one extra directed edge; ids may lie outside the vocabularies."""
+    if location is not None:
+        locs = dataset.trajectories[0].locations.astype(np.uint64)
+        locs[0] = location
+        dataset.trajectories[0].locations = locs
+    if edge is not None:
+        dataset.graph.directed_edges.add(edge)
+    lbsn_data.save_dataset(dataset, path)
+    return path
 
 
 @pytest.fixture

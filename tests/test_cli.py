@@ -8,7 +8,7 @@ import pytest
 from lbsnrec import cli
 from lbsnrec import data as lbsn_data
 
-from conftest import make_checkins
+from conftest import corrupt_cache, make_checkins
 
 
 def run_cli(args):
@@ -105,6 +105,30 @@ def test_train_then_eval_pipeline(tmp_path, synth_cache):
     log_lines = log.read_text().strip().split("\n")
     assert log_lines[0] == "epoch,net_loss,traj_loss,val_recall5,seconds"
     assert len(log_lines) == 3
+
+
+@pytest.mark.parametrize("bad", [{"location": 2}, {"location": 2**64 - 1},
+                                 {"edge": (0, 2)}],
+                         ids=["location_num_locations", "location_u64_max",
+                              "edge_endpoint"])
+def test_train_rejects_out_of_range_ids(tmp_path, two_user_dataset, capsys, bad):
+    path = corrupt_cache(two_user_dataset, tmp_path / "bad.bin", **bad)
+    code = run_cli(["train", "--data", path, "--out", tmp_path / "m.jntm",
+                    "--d", 2, "--max-iterations", 1])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not (tmp_path / "m.jntm").exists()
+
+
+def test_eval_rejects_corrupt_checkpoint(tmp_path, synth_cache, capsys):
+    model = tmp_path / "m.jntm"
+    model.write_bytes(b"NOPE" + b"\x00" * 40)
+    code = run_cli(["eval", "--model", model, "--data", synth_cache,
+                    "--out", tmp_path / "r.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad magic" in err
 
 
 def test_stats_command(tmp_path, synth_cache, capsys):

@@ -10,7 +10,7 @@ from lbsnrec.data import (CheckIn, ParseError, build_dataset, filter_dataset,
                           split_into_subtrajectories, correlation_report,
                           full_train_splits)
 
-from conftest import make_checkins
+from conftest import corrupt_cache, make_checkins
 
 
 def test_parse_checkins_epoch_conversion(tmp_path):
@@ -275,6 +275,21 @@ def test_dataset_cache_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(lbsn_data.FormatError):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("location", [2, 2**64 - 1], ids=["num_locations", "u64_max"])
+def test_dataset_cache_rejects_location_id_out_of_range(tmp_path, two_user_dataset,
+                                                        location):
+    # |L| = 2; 2**64-1 would wrap to -1 once cast to an int64 index
+    path = corrupt_cache(two_user_dataset, tmp_path / "bad.bin", location=location)
+    with pytest.raises(lbsn_data.FormatError, match="location id"):
+        load_dataset(path)
+
+
+def test_dataset_cache_rejects_edge_endpoint_out_of_range(tmp_path, two_user_dataset):
+    path = corrupt_cache(two_user_dataset, tmp_path / "bad.bin", edge=(0, 2))
+    with pytest.raises(lbsn_data.FormatError, match="edge"):
         load_dataset(path)
 
 

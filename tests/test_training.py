@@ -9,7 +9,8 @@ from lbsnrec.model import (BASE_VARIANT, FULL_VARIANT, ModelParams,
                            TENSOR_NAMES, load_checkpoint,
                            location_log_prob_full)
 from lbsnrec.training import (Gradients, OptimizerState, TrainConfig,
-                              adagrad_update, draw_network_batch,
+                              adagrad_update, block_location_loss,
+                              draw_network_batch,
                               draw_trajectory_batch, init_params,
                               network_iteration, network_loss_and_grads,
                               rng_streams, sample_negative_links,
@@ -227,6 +228,40 @@ def test_sampled_location_loss_grads_match_finite_differences():
             assert analytic == pytest.approx(numeric, rel=1e-6, abs=1e-10)
 
 
+@pytest.mark.parametrize("num_locations,n2", [(12, 4), (9, 8), (40, 0)],
+                         ids=["sampled", "enumerated", "no_negatives"])
+def test_block_location_loss_matches_per_position_oracle(num_locations, n2):
+    rng = np.random.default_rng(14)
+    params = random_params(rng, 2, num_locations, 3, scale=0.5)
+    for m in (1, 2, 5, 9):
+        contexts = rng.normal(size=(m, 12))
+        targets = rng.integers(num_locations, size=m)
+        targets[-1] = targets[0]    # one target at two positions when m > 1
+        negs = [sample_negative_locations(num_locations, int(t), n2, rng)
+                for t in targets]
+        cands = np.column_stack((targets, np.stack(negs)))
+        loss, d_contexts, rows, d_rows = block_location_loss(params, contexts,
+                                                             cands)
+        want_loss = 0.0
+        want_contexts = np.zeros_like(contexts)
+        want_u_out = np.zeros_like(params.U_out)
+        for i in range(m):
+            l, d_ctx, c, d_scores = sampled_location_loss(
+                params, contexts[i], targets[i], negs[i])
+            want_loss += l
+            want_contexts[i] = d_ctx
+            want_u_out[c] += np.outer(d_scores, contexts[i])
+        assert np.all(np.diff(rows) > 0)
+        assert set(rows.tolist()) == set(cands.ravel().tolist())
+        if m > 1:
+            assert len(rows) < cands.size   # candidates repeat across positions
+        got_u_out = np.zeros_like(params.U_out)
+        got_u_out[rows] = d_rows
+        assert abs(loss - want_loss) <= 1e-12
+        np.testing.assert_allclose(d_contexts, want_contexts, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_u_out, want_u_out, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # trajectory iteration / BPTT structure
 # ---------------------------------------------------------------------------
@@ -268,8 +303,10 @@ def test_base_variant_recurrent_grads_exactly_zero():
         assert np.all(grads.tensor(name) == 0.0), name
 
 
-def test_trajectory_grads_match_finite_differences_all_tensors():
-    # |V|=4, |L|=8, 2 users with 2 subtrajectories of <= 4 locations
+@pytest.mark.parametrize("n2", [3, 7, 0], ids=["n2_3", "n2_all", "n2_0"])
+def test_trajectory_grads_match_finite_differences_all_tensors(n2):
+    # |V|=4, |L|=8, 2 users with 2 subtrajectories of <= 4 locations; n2=7
+    # enumerates every other location, n2=0 leaves the target alone
     layout = {"u0": [["l0", "l1", "l2", "l3"], ["l4", "l5"]],
             "u1": [["l6", "l7", "l0"], ["l1", "l2", "l3", "l4"]],
             "u2": [["l5"]], "u3": [["l6"]]}
@@ -278,7 +315,7 @@ def test_trajectory_grads_match_finite_differences_all_tensors():
     rng = np.random.default_rng(12)
     params = random_params(rng, 4, 8, 3, scale=0.5)
     splits = lbsn_data.full_train_splits(ds)
-    batch = draw_trajectory_batch(ds, splits, np.arange(4), 3, rng)
+    batch = draw_trajectory_batch(ds, splits, np.arange(4), n2, rng)
     _, grads = trajectory_loss_and_grads(params, FULL_VARIANT, batch)
 
     def loss_fn(p):
