@@ -448,12 +448,32 @@ def _write_string_table(handle, strings):
         handle.write(raw)
 
 
-def _read_string_table(handle):
-    (count,) = struct.unpack("<Q", handle.read(8))
+def _read_exact(handle, size, what, error=FormatError):
+    """Read exactly `size` bytes or raise `error` naming the file and field."""
+    buf = handle.read(size)
+    if len(buf) != size:
+        raise error(f"{handle.name}: truncated {what}")
+    return buf
+
+
+def _read_string_table(handle, error=FormatError):
+    (count,) = struct.unpack("<Q", _read_exact(handle, 8, "vocabulary", error))
+    # Inlined reads: this loop runs once per location and dominates loading.
+    read = handle.read
+    unpack_length = struct.Struct("<I").unpack
     out = []
-    for _ in range(count):
-        (length,) = struct.unpack("<I", handle.read(4))
-        out.append(handle.read(length).decode("utf-8"))
+    try:
+        for _ in range(count):
+            head = read(4)
+            if len(head) != 4:
+                raise error(f"{handle.name}: truncated vocabulary")
+            (length,) = unpack_length(head)
+            raw = read(length)
+            if len(raw) != length:
+                raise error(f"{handle.name}: truncated vocabulary")
+            out.append(raw.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise error(f"{handle.name}: vocabulary entry is not UTF-8") from None
     return out
 
 
@@ -462,10 +482,11 @@ def _write_array(handle, arr, dtype):
     handle.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
 
-def _read_array(handle, dtype):
-    (count,) = struct.unpack("<Q", handle.read(8))
+def _read_array(handle, dtype, what):
+    (count,) = struct.unpack("<Q", _read_exact(handle, 8, what))
     itemsize = np.dtype(dtype).itemsize
-    return np.frombuffer(handle.read(count * itemsize), dtype=dtype).copy()
+    return np.frombuffer(_read_exact(handle, count * itemsize, what),
+                         dtype=dtype).copy()
 
 
 def save_dataset(dataset, path):
@@ -489,33 +510,33 @@ def load_dataset(path):
         magic = handle.read(4)
         if magic != DATASET_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", handle.read(4))
+        version, num_users, num_locations = struct.unpack(
+            "<IQQ", _read_exact(handle, 20, "header"))
         if version != DATASET_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        num_users, num_locations = struct.unpack("<QQ", handle.read(16))
         user_ids = _read_string_table(handle)
         location_ids = _read_string_table(handle)
         if len(user_ids) != num_users or len(location_ids) != num_locations:
             raise FormatError(f"{path}: vocab sizes disagree with header")
         trajectories = []
         for u in range(num_users):
-            locs = _read_array(handle, "<u8")
+            locs = _read_array(handle, "<u8", "locations")
             if len(locs) and locs.max() >= num_locations:
                 raise FormatError(f"{path}: user {u} has location id "
                                   f"{int(locs.max())} outside [0, {num_locations})")
             locs = locs.astype(np.int64)
-            ts = _read_array(handle, "<i8")
+            ts = _read_array(handle, "<i8", "timestamps")
             trajectories.append(Trajectory(
                 user_index=u, locations=locs, timestamps=ts,
                 subtrajectory_bounds=split_into_subtrajectories(ts)))
-        (edge_count,) = struct.unpack("<Q", handle.read(8))
-        directed = set()
-        for _ in range(edge_count):
-            i, j = struct.unpack("<QQ", handle.read(16))
-            if max(i, j) >= num_users:
-                raise FormatError(f"{path}: edge ({i}, {j}) has an endpoint "
-                                  f"outside [0, {num_users})")
-            directed.add((i, j))
+        (edge_count,) = struct.unpack("<Q", _read_exact(handle, 8, "edges"))
+        edges = np.frombuffer(_read_exact(handle, edge_count * 16, "edges"),
+                              dtype="<u8").reshape(-1, 2)
+        if len(edges) and edges.max() >= num_users:
+            i, j = edges[np.flatnonzero(edges.max(axis=1) >= num_users)[0]]
+            raise FormatError(f"{path}: edge ({i}, {j}) has an endpoint "
+                              f"outside [0, {num_users})")
+        directed = set(map(tuple, edges.tolist()))
     graph = build_graph(num_users, directed)
     user_vocab = Vocab(ids=user_ids, index={s: i for i, s in enumerate(user_ids)})
     location_vocab = Vocab(ids=location_ids,

@@ -10,15 +10,18 @@ break by ascending index.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import gru_initial, gru_step, log_sigmoid, rnn_step
+from .data import build_graph
+from .model import forward_trajectory, log_sigmoid
 
 COLD_START_MAX_SUBTRAJECTORIES = 5
 LOW_DEGREE_MAX_FRIENDS = 5
+# Next-location scores are computed in blocks of whole rows, at most this
+# many entries (8 MB of float64) per block unless one row is longer.
+SCORE_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -63,27 +66,15 @@ def _part_range(splits, user, part):
     raise ValueError(f"unknown part {part!r}")
 
 
-def eval_next_location(params, mask, dataset, splits, ks=(1, 5, 10),
-                       mode="general", user_slice="all", part="test",
-                       consumed_log=None, per_user_out=None):
-    """Micro-averaged Recall@K for next-location prediction.
+def _evaluated_rows(params, mask, dataset, splits, mode, user_slice, part):
+    """Yield (user, contexts, targets, ex_rows, ex_cols) per user with events.
 
-    mode "general" scores every location at every evaluated position; mode
-    "new-only" restricts candidates to locations the user has never visited
-    before that position and skips positions whose true location is old.
-    user_slice "cold-start" keeps users with at most five subtrajectories.
-    part selects which subtrajectory range is scored; earlier history always
-    warms the recurrent states with ground-truth inputs. per_user_out, when a
-    dict, receives {user: {"events": n, "hits": {k: n}}} for debugging.
+    The contexts are those of one forward_trajectory call over the user's
+    history up to the end of the part, taken at the positions the mode
+    counts. (ex_rows, ex_cols) pairs each row with the locations that are not
+    its candidates: none in general mode, and in new-only mode every location
+    visited before the row's position.
     """
-    if mode not in ("general", "new-only"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if user_slice not in ("all", "cold-start"):
-        raise ValueError(f"unknown slice {user_slice!r}")
-    ks = tuple(sorted(ks))
-    hits = {k: 0 for k in ks}
-    events = 0
-    d = params.dim
     for user in range(dataset.num_users):
         traj = dataset.trajectories[user]
         bounds = traj.subtrajectory_bounds
@@ -95,58 +86,123 @@ def eval_next_location(params, mask, dataset, splits, ks=(1, 5, 10),
             hi = m
         if lo >= hi:
             continue
-        locs = traj.locations
-        unvisited = np.ones(params.num_locations, dtype=bool)
-        cell, hidden = (None, None)
-        if mask.use_long:
-            cell, hidden = gru_initial(params)
-        context = np.zeros(4 * d)
-        context[0:d] = params.F[user]
-        context[d:2 * d] = params.P[user]
-        user_hits = {k: 0 for k in ks}
-        user_events = 0
-        for j in range(hi):
-            b, e = bounds[j]
-            if mask.use_long:
-                context[3 * d:4 * d] = hidden
-            state = params.S0
-            for p in range(b, e):
-                target = int(locs[p])
-                if lo <= j:
-                    counted = mode == "general" or unvisited[target]
-                    if counted:
-                        if mask.use_short:
-                            context[2 * d:3 * d] = state
-                        scores = params.U_out @ context
-                        cand = None if mode == "general" else unvisited
-                        rank = _rank_among(scores, target, cand)
-                        user_events += 1
-                        for k in ks:
-                            if rank <= k:
-                                user_hits[k] += 1
-                if consumed_log is not None:
-                    consumed_log.append(target)
-                if mask.use_short and p + 1 < e:
-                    state = rnn_step(params, state, target)
-                if mask.use_long:
-                    cell, hidden, _, _, _ = gru_step(params, cell, hidden, target)
-                unvisited[target] = False
-        events += user_events
-        for k in ks:
-            hits[k] += user_hits[k]
-        if per_user_out is not None and user_events:
-            per_user_out[user] = {"events": user_events, "hits": user_hits}
-    recall = {k: hits[k] / events for k in ks} if events else {}
+        start, end = bounds[lo][0], bounds[hi - 1][1]
+        locs = traj.locations[:end]
+        trace = forward_trajectory(params, mask, user, locs, bounds[:hi])
+        positions = np.arange(start, end)
+        ex_rows = ex_cols = np.empty(0, dtype=np.int64)
+        if mode == "new-only":
+            # Position p counts iff it is the first visit of its location;
+            # its candidates are the locations first visited at p or later.
+            visited, first, inverse = np.unique(locs, return_index=True,
+                                                return_inverse=True)
+            positions = positions[first[inverse[start:]] == positions]
+            if len(positions) == 0:
+                continue
+            order = np.argsort(first)
+            counts = np.searchsorted(first[order], positions)
+            ex_rows = np.repeat(np.arange(len(positions)), counts)
+            ex_cols = visited[order][np.arange(len(ex_rows)) - np.repeat(
+                np.cumsum(counts) - counts, counts)]
+        yield (user, trace.contexts[positions], locs[positions],
+               ex_rows, ex_cols)
+
+
+def _rank_block(params, contexts, targets, ex_rows, ex_cols):
+    """1-based rank of each row's target among its candidate locations.
+
+    A location outranks the target iff it scores higher, or scores the same
+    with a smaller index (ties break by ascending index). The pairs
+    (ex_rows, ex_cols) are not candidates.
+    """
+    scores = contexts @ params.U_out.T
+    target_scores = scores[np.arange(len(targets)), targets][:, None]
+    beats = scores > target_scores
+    ties = scores == target_scores
+    ties &= np.arange(scores.shape[1]) < targets[:, None]
+    beats |= ties
+    ranks = 1 + np.count_nonzero(beats, axis=1)
+    ranks -= np.bincount(ex_rows[beats[ex_rows, ex_cols]],
+                         minlength=len(targets))
+    return ranks
+
+
+def _rank_rows(params, chunks, num_rows, width):
+    """Rank the first num_rows rows of chunks, `width` rows per score block.
+
+    Returns (ranks, the remaining rows as one chunk).
+    """
+    contexts = np.concatenate([c[0] for c in chunks])
+    targets = np.concatenate([c[1] for c in chunks])
+    offsets = np.cumsum([0] + [len(c[1]) for c in chunks[:-1]])
+    ex_rows = np.concatenate([c[2] + o for c, o in zip(chunks, offsets)])
+    ex_cols = np.concatenate([c[3] for c in chunks])
+    ranks = np.empty(num_rows, dtype=np.int64)
+    for a in range(0, num_rows, width):
+        b = min(a + width, num_rows)
+        lo, hi = np.searchsorted(ex_rows, (a, b))
+        ranks[a:b] = _rank_block(params, contexts[a:b], targets[a:b],
+                                 ex_rows[lo:hi] - a, ex_cols[lo:hi])
+    lo = np.searchsorted(ex_rows, num_rows)
+    rest = (contexts[num_rows:], targets[num_rows:], ex_rows[lo:] - num_rows,
+            ex_cols[lo:])
+    return ranks, rest
+
+
+def eval_next_location(params, mask, dataset, splits, ks=(1, 5, 10),
+                       mode="general", user_slice="all", part="test",
+                       per_user_out=None):
+    """Micro-averaged Recall@K for next-location prediction.
+
+    mode "general" scores every location at every evaluated position; mode
+    "new-only" restricts candidates to locations the user has never visited
+    before that position and skips positions whose true location is old.
+    user_slice "cold-start" keeps users with at most five subtrajectories.
+    part selects which subtrajectory range is scored; earlier history always
+    warms the recurrent states with ground-truth inputs. per_user_out, when a
+    dict, receives {user: {"events": n, "hits": {k: n}}} for debugging.
+
+    Each user's contexts come from one forward_trajectory call; the rows of
+    all users are scored together in blocks of at most SCORE_BLOCK_ENTRIES
+    scores, one GEMM against U_out and one vectorised comparison per block.
+    """
+    if mode not in ("general", "new-only"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if user_slice not in ("all", "cold-start"):
+        raise ValueError(f"unknown slice {user_slice!r}")
+    ks = tuple(sorted(ks))
+    width = max(1, SCORE_BLOCK_ENTRIES // max(1, params.num_locations))
+    owners, ranks = [], []
+    chunks, pending = [], 0
+    for user, *chunk in _evaluated_rows(params, mask, dataset, splits, mode,
+                                        user_slice, part):
+        owners.append(np.full(len(chunk[1]), user))
+        chunks.append(chunk)
+        pending += len(chunk[1])
+        if pending >= width:
+            full = pending - pending % width
+            block_ranks, rest = _rank_rows(params, chunks, full, width)
+            ranks.append(block_ranks)
+            chunks, pending = [rest], pending - full
+    if pending:
+        ranks.append(_rank_rows(params, chunks, pending, width)[0])
+    events = sum(len(r) for r in ranks)
+    if not events:
+        return EvalReport(task="next-location", mode=mode, user_slice=user_slice,
+                          recall_at={}, num_events=0)
+    ranks = np.concatenate(ranks)
+    owners = np.concatenate(owners)
+    hits = {k: ranks <= k for k in ks}
+    recall = {k: int(np.count_nonzero(hits[k])) / events for k in ks}
+    if per_user_out is not None:
+        counts = np.bincount(owners)
+        user_hits = {k: np.bincount(owners[hits[k]], minlength=len(counts))
+                     for k in ks}
+        for user in np.flatnonzero(counts).tolist():
+            per_user_out[user] = {"events": int(counts[user]),
+                                  "hits": {k: int(user_hits[k][user]) for k in ks}}
     return EvalReport(task="next-location", mode=mode, user_slice=user_slice,
                       recall_at=recall, num_events=events)
-
-
-def _adjacency_from_edges(edges, num_users):
-    neighbors = defaultdict(list)
-    for i, j in edges:
-        neighbors[i].append(j)
-    return [np.array(sorted(neighbors[u]), dtype=np.int64)
-            for u in range(num_users)]
 
 
 def eval_friend_rec(params, dataset, splits, ks=(5, 10), user_slice="all",
@@ -161,8 +217,8 @@ def eval_friend_rec(params, dataset, splits, ks=(5, 10), user_slice="all",
         raise ValueError(f"unknown slice {user_slice!r}")
     ks = tuple(sorted(ks))
     num_users = dataset.num_users
-    train_adj = _adjacency_from_edges(splits.train_edges, num_users)
-    test_adj = _adjacency_from_edges(splits.test_edges, num_users)
+    train_adj = build_graph(num_users, splits.train_edges).adjacency
+    test_adj = build_graph(num_users, splits.test_edges).adjacency
     hits = {k: 0 for k in ks}
     events = 0
     for v in range(num_users):

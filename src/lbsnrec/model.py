@@ -11,6 +11,8 @@ oracles for the negative-sampled training objectives.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -121,10 +123,6 @@ class ForwardTrace:
     candidate_states: np.ndarray | None
 
 
-def sigmoid(s):
-    return expit(s)
-
-
 def log_sigmoid(s):
     """log(sigmoid(s)), overflow-safe for large |s|."""
     return -np.logaddexp(0.0, -np.asarray(s, dtype=np.float64))
@@ -133,11 +131,6 @@ def log_sigmoid(s):
 def link_logit(params, i, j):
     """Inner product of i's network embedding with j's context embedding."""
     return float(np.dot(params.F[i], params.F_ctx[j]))
-
-
-def link_prob(s):
-    """Probability that a directed link exists, given its logit."""
-    return float(expit(s))
 
 
 def network_log_likelihood_full(params, graph):
@@ -154,7 +147,11 @@ def network_log_likelihood_full(params, graph):
 
 
 def rnn_step(params, s_prev, loc):
-    """Advance the short-term state over one just-visited location."""
+    """Advance the short-term state over one just-visited location.
+
+    This and gru_step define one step of each recurrence; forward_trajectory
+    runs the same steps over a whole trajectory.
+    """
     return np.tanh(params.U[loc] + params.W @ s_prev)
 
 
@@ -178,19 +175,6 @@ def gru_step(params, c_prev, h_prev, loc):
     return cell, hidden, i_gate, f_gate, candidate
 
 
-def build_context(params, mask, user, s_state, h_state):
-    """Concatenate [F_u; P_u; short block; long block] into a 4d vector."""
-    d = params.dim
-    out = np.zeros(4 * d)
-    out[0:d] = params.F[user]
-    out[d:2 * d] = params.P[user]
-    if mask.use_short:
-        out[2 * d:3 * d] = s_state
-    if mask.use_long:
-        out[3 * d:4 * d] = h_state
-    return out
-
-
 def location_log_prob_full(params, context, target):
     """Log softmax over all locations of context . U_out[l], at target (oracle)."""
     scores = params.U_out @ context
@@ -201,10 +185,15 @@ def location_log_prob_full(params, context, target):
 def forward_trajectory(params, mask, user, locations, bounds):
     """Run the recurrent forward pass and build one context per position.
 
-    The short-term state resets to S0 at each subtrajectory and advances by
-    rnn_step inside it. The long-term chain advances by gru_step over every
+    The short-term state resets to S0 at each subtrajectory and advances as
+    rnn_step inside it. The long-term chain advances as gru_step over every
     location in order; predictions inside subtrajectory j consult the hidden
     state reached after subtrajectory j-1 (the initial tanh(C0) for j=0).
+    The gates' input projections U[loc] @ [W_i1; W_f1; W_c1].T plus biases
+    are one GEMM over all positions, so each long step is one stacked
+    [W_i2; W_f2; W_c2] matvec with the gates, cell and hidden state written
+    in place; the three gate arrays are views of one n x 3d array. The
+    per-step matvecs use np.dot, which costs less per call than @ at this size.
     """
     n = len(locations)
     d = params.dim
@@ -213,33 +202,39 @@ def forward_trajectory(params, mask, user, locations, bounds):
         return ForwardTrace(contexts=contexts, short_states=None, long_cells=None,
                             long_hidden=None, input_gates=None, forget_gates=None,
                             candidate_states=None)
+    x = params.U[locations]
 
     short_states = None
     if mask.use_short:
-        short_states = np.zeros((n, d))
+        short_states = np.empty((n, d))
         for b, e in bounds:
-            state = params.S0
-            for p in range(b, e):
-                short_states[p] = state
-                if p + 1 < e:
-                    state = rnn_step(params, state, locations[p])
+            short_states[b] = params.S0
+            for p in range(b + 1, e):
+                np.tanh(x[p - 1] + np.dot(params.W, short_states[p - 1]),
+                        out=short_states[p])
 
     long_cells = long_hidden = input_gates = forget_gates = candidate_states = None
     if mask.use_long:
-        long_cells = np.zeros((n + 1, d))
-        long_hidden = np.zeros((n + 1, d))
-        input_gates = np.zeros((n, d))
-        forget_gates = np.zeros((n, d))
-        candidate_states = np.zeros((n, d))
+        long_cells = np.empty((n + 1, d))
+        long_hidden = np.empty((n + 1, d))
+        gates = x @ np.vstack((params.W_i1, params.W_f1, params.W_c1)).T
+        gates += np.concatenate((params.b_i, params.b_f, params.b_c))
+        recur = np.vstack((params.W_i2, params.W_f2, params.W_c2))
         long_cells[0], long_hidden[0] = gru_initial(params)
-        for t in range(1, n + 1):
-            cell, hidden, i_gate, f_gate, cand = gru_step(
-                params, long_cells[t - 1], long_hidden[t - 1], locations[t - 1])
-            long_cells[t] = cell
-            long_hidden[t] = hidden
-            input_gates[t - 1] = i_gate
-            forget_gates[t - 1] = f_gate
-            candidate_states[t - 1] = cand
+        carry = np.empty(d)
+        for t in range(n):
+            g = gates[t]
+            g += np.dot(recur, long_hidden[t])
+            expit(g[:2 * d], out=g[:2 * d])
+            np.tanh(g[2 * d:], out=g[2 * d:])
+            cell = long_cells[t + 1]
+            np.multiply(g[:d], g[2 * d:], out=cell)
+            np.multiply(g[d:2 * d], long_cells[t], out=carry)
+            cell += carry
+            np.tanh(cell, out=long_hidden[t + 1])
+        input_gates = gates[:, :d]
+        forget_gates = gates[:, d:2 * d]
+        candidate_states = gates[:, 2 * d:]
 
     contexts[:, 0:d] = params.F[user]
     contexts[:, d:2 * d] = params.P[user]
@@ -284,43 +279,56 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, params, mask, user_ids, location_ids):
+    """Write a checkpoint atomically.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces `path`; if writing fails, the temporary file is removed and any
+    previous checkpoint at `path` is left as it was.
+    """
     from .data import _write_string_table
 
-    with open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
-        handle.write(struct.pack("<I", CHECKPOINT_VERSION))
-        handle.write(struct.pack("<QQQ", params.num_users, params.num_locations,
-                                 params.dim))
-        handle.write(struct.pack("BB", int(mask.use_short), int(mask.use_long)))
-        for name in TENSOR_NAMES:
-            handle.write(np.ascontiguousarray(params.tensor(name),
-                                              dtype="<f8").tobytes())
-        _write_string_table(handle, user_ids)
-        _write_string_table(handle, location_ids)
+    path = os.fspath(path)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(CHECKPOINT_MAGIC)
+            handle.write(struct.pack("<I", CHECKPOINT_VERSION))
+            handle.write(struct.pack("<QQQ", params.num_users,
+                                     params.num_locations, params.dim))
+            handle.write(struct.pack("BB", int(mask.use_short),
+                                     int(mask.use_long)))
+            for name in TENSOR_NAMES:
+                handle.write(np.ascontiguousarray(params.tensor(name),
+                                                  dtype="<f8").tobytes())
+            _write_string_table(handle, user_ids)
+            _write_string_table(handle, location_ids)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
-    from .data import _read_string_table
+    from .data import _read_exact, _read_string_table
 
     with open(path, "rb") as handle:
         magic = handle.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", handle.read(4))
+        header = _read_exact(handle, 30, "header", CheckpointError)
+        version, num_users, num_locations, dim, use_short, use_long = \
+            struct.unpack("<IQQQBB", header)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
-        num_users, num_locations, dim = struct.unpack("<QQQ", handle.read(24))
-        use_short, use_long = struct.unpack("BB", handle.read(2))
         mask = VariantMask(use_short=bool(use_short), use_long=bool(use_long))
         tensors = {}
         for name, shape in tensor_shapes(num_users, num_locations, dim).items():
-            count = int(np.prod(shape))
-            buf = handle.read(count * 8)
-            if len(buf) != count * 8:
-                raise CheckpointError(f"{path}: truncated tensor {name}")
+            buf = _read_exact(handle, int(np.prod(shape)) * 8, f"tensor {name}",
+                              CheckpointError)
             tensors[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        user_ids = _read_string_table(handle)
-        location_ids = _read_string_table(handle)
+        user_ids = _read_string_table(handle, CheckpointError)
+        location_ids = _read_string_table(handle, CheckpointError)
     if len(user_ids) != num_users or len(location_ids) != num_locations:
         raise CheckpointError(f"{path}: vocab sizes disagree with header")
     return ModelParams(**tensors), mask, user_ids, location_ids

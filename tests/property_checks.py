@@ -57,6 +57,74 @@ def community_oracle_recall(config, splits, k):
     return hits / events
 
 
+def reference_eval_next_location(params, mask, dataset, splits, ks=(1, 5, 10),
+                                 mode="general", user_slice="all", part="test",
+                                 per_user_out=None):
+    """Per-position reference for evaluation.eval_next_location.
+
+    Walks each user's history one check-in at a time with rnn_step and
+    gru_step, scores every location with one U_out GEMV per evaluated
+    position, and ranks the target by an explicit candidate mask: the
+    straightforward reading of the protocol that the batched eval must match.
+    """
+    ks = tuple(sorted(ks))
+    hits = {k: 0 for k in ks}
+    events = 0
+    d = params.dim
+    for user in range(dataset.num_users):
+        traj = dataset.trajectories[user]
+        bounds = traj.subtrajectory_bounds
+        m = len(bounds)
+        if (user_slice == "cold-start"
+                and m > evaluation.COLD_START_MAX_SUBTRAJECTORIES):
+            continue
+        lo, hi = evaluation._part_range(splits, user, part)
+        if hi is None:
+            hi = m
+        if lo >= hi:
+            continue
+        locs = traj.locations
+        unvisited = np.ones(params.num_locations, dtype=bool)
+        cell, hidden = gru_initial(params)
+        context = np.zeros(4 * d)
+        context[0:d] = params.F[user]
+        context[d:2 * d] = params.P[user]
+        user_hits = {k: 0 for k in ks}
+        user_events = 0
+        for j in range(hi):
+            b, e = bounds[j]
+            if mask.use_long:
+                context[3 * d:4 * d] = hidden
+            state = params.S0
+            for p in range(b, e):
+                target = int(locs[p])
+                if lo <= j and (mode == "general" or unvisited[target]):
+                    if mask.use_short:
+                        context[2 * d:3 * d] = state
+                    scores = params.U_out @ context
+                    cand = (np.ones(params.num_locations, dtype=bool)
+                            if mode == "general" else unvisited)
+                    s_t = scores[target]
+                    rank = 1 + int(np.count_nonzero((scores > s_t) & cand))
+                    rank += int(np.count_nonzero((scores[:target] == s_t)
+                                                 & cand[:target]))
+                    user_events += 1
+                    for k in ks:
+                        user_hits[k] += rank <= k
+                state = rnn_step(params, state, target)
+                cell, hidden, _, _, _ = gru_step(params, cell, hidden, target)
+                unvisited[target] = False
+        events += user_events
+        for k in ks:
+            hits[k] += user_hits[k]
+        if per_user_out is not None and user_events:
+            per_user_out[user] = {"events": user_events, "hits": user_hits}
+    recall = {k: hits[k] / events for k in ks} if events else {}
+    return evaluation.EvalReport(task="next-location", mode=mode,
+                                 user_slice=user_slice, recall_at=recall,
+                                 num_events=events)
+
+
 def check_splitting_round_trip(cases=100, seed=0):
     """Subtrajectory bounds partition the sequence and respect the gap rule."""
     rng = np.random.default_rng(seed)

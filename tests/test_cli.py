@@ -131,6 +131,74 @@ def test_eval_rejects_corrupt_checkpoint(tmp_path, synth_cache, capsys):
     assert err.count("\n") == 1 and "bad magic" in err
 
 
+def _string_table_size(strings):
+    return 8 + sum(4 + len(s.encode("utf-8")) for s in strings)
+
+
+def _cache_cuts(path):
+    """Byte offsets inside each section of a dataset cache."""
+    ds = lbsn_data.load_dataset(path)
+    vocab_start = 4 + 4 + 16
+    arrays_start = (vocab_start + _string_table_size(ds.user_vocab.ids)
+                    + _string_table_size(ds.location_vocab.ids))
+    edges_start = path.stat().st_size - 8 - 16 * ds.graph.num_directed_edges
+    return {"header": 12, "vocab": vocab_start + 8 + 2,
+            "location_vocab": arrays_start - 1, "arrays": arrays_start + 8 + 3,
+            "timestamps": arrays_start + 8 + 8 * len(ds.trajectories[0]) + 4,
+            "edge_count": edges_start + 4,
+            "edges": path.stat().st_size - 5, "300_bytes": 300}
+
+
+def _checkpoint_cuts(path, dim):
+    tensors_start = 4 + 4 + 24 + 2
+    return {"20_bytes": 20, "flags": tensors_start - 1,
+            "tensor": tensors_start + 8 * dim + 3,
+            "vocab_tail": path.stat().st_size - 50,
+            "last_byte": path.stat().st_size - 1}
+
+
+def _truncated_copy(path, size, out):
+    out.write_bytes(path.read_bytes()[:size])
+    return out
+
+
+@pytest.mark.parametrize("section", ["header", "vocab", "location_vocab",
+                                     "arrays", "timestamps", "edge_count",
+                                     "edges", "300_bytes"])
+def test_train_rejects_truncated_cache(tmp_path, synth_cache, capsys, section):
+    cut = _truncated_copy(synth_cache, _cache_cuts(synth_cache)[section],
+                          tmp_path / "cut.bin")
+    code = run_cli(["train", "--data", cut, "--out", tmp_path / "m.jntm",
+                    "--d", 2, "--max-iterations", 1])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "truncated" in err
+    assert not (tmp_path / "m.jntm").exists()
+
+
+@pytest.mark.parametrize("section", ["20_bytes", "flags", "tensor",
+                                     "vocab_tail", "last_byte"])
+def test_eval_rejects_truncated_checkpoint(tmp_path, synth_cache, capsys,
+                                           section):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"d": 4, "max_iterations": 1, "seed": 5,
+                               "n1_per_user": 4, "n2": 4}))
+    model = tmp_path / "m.jntm"
+    assert run_cli(["train", "--data", synth_cache, "--config", cfg,
+                    "--out", model]) == 0
+    cut = _truncated_copy(model, _checkpoint_cuts(model, 4)[section],
+                          tmp_path / "cut.jntm")
+    capsys.readouterr()
+    code = run_cli(["eval", "--model", cut, "--data", synth_cache,
+                    "--config", cfg, "--out", tmp_path / "r.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "truncated" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_stats_command(tmp_path, synth_cache, capsys):
     out = tmp_path / "stats.json"
     assert run_cli(["stats", "--data", synth_cache, "--out", out,

@@ -293,6 +293,17 @@ def test_dataset_cache_rejects_edge_endpoint_out_of_range(tmp_path, two_user_dat
         load_dataset(path)
 
 
+def test_dataset_cache_rejects_non_utf8_vocabulary(tmp_path, two_user_dataset):
+    path = tmp_path / "bad.bin"
+    save_dataset(two_user_dataset, path)
+    raw = bytearray(path.read_bytes())
+    # header (24 bytes), user count (8), first entry's length (4), its byte
+    raw[24 + 8 + 4] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(lbsn_data.FormatError, match="UTF-8"):
+        load_dataset(path)
+
+
 def test_tsv_round_trip(tmp_path, two_user_dataset):
     checkins = make_checkins({"a": [["x", "y"], ["y"]], "b": [["y", "x", "x"]]})
     cpath, epath = tmp_path / "c.tsv", tmp_path / "e.tsv"

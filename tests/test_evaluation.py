@@ -5,10 +5,10 @@ from lbsnrec import data as lbsn_data
 from lbsnrec import evaluation
 from lbsnrec.evaluation import (eval_friend_rec, eval_next_location,
                                 recall_at_k, write_reports_csv)
-from lbsnrec.model import FULL_VARIANT, BASE_VARIANT, ModelParams
+from lbsnrec.model import FULL_VARIANT, BASE_VARIANT, ModelParams, VariantMask
 
 from conftest import make_checkins
-from property_checks import random_params
+from property_checks import random_params, reference_eval_next_location
 
 
 def test_recall_at_k_examples():
@@ -122,14 +122,24 @@ def test_cold_start_slice_filters_users():
     assert cold.num_events == 1     # only u1 qualifies (4 <= 5)
 
 
-def test_teacher_forcing_consumes_ground_truth():
+def test_teacher_forcing_consumes_ground_truth(monkeypatch):
     ds = _dataset_with_test_events(num_users=2)
     splits = lbsn_data.make_splits(ds, link_train_ratio=0.5, seed=1)
     rng = np.random.default_rng(3)
     params = random_params(rng, ds.num_users, ds.num_locations, 3, scale=0.3)
     consumed = []
-    eval_next_location(params, FULL_VARIANT, ds, splits, part="test",
-                       consumed_log=consumed)
+    forward = evaluation.forward_trajectory
+
+    def recording_forward(params, mask, user, locations, bounds):
+        trace = forward(params, mask, user, locations, bounds)
+        consumed.extend(locations.tolist())
+        # every consumed location advances the recurrences in the trace
+        assert bounds[-1][1] == len(locations) == len(trace.contexts)
+        assert len(trace.long_hidden) == len(locations) + 1
+        return trace
+
+    monkeypatch.setattr(evaluation, "forward_trajectory", recording_forward)
+    eval_next_location(params, FULL_VARIANT, ds, splits, part="test")
     expected = []
     for u, traj in enumerate(ds.trajectories):
         hi = len(traj.subtrajectory_bounds)
@@ -146,6 +156,89 @@ def test_variant_masks_change_scores_not_protocol():
     full = eval_next_location(params, FULL_VARIANT, ds, splits, part="test")
     base = eval_next_location(params, BASE_VARIANT, ds, splits, part="test")
     assert full.num_events == base.num_events
+
+
+# ---------------------------------------------------------------------------
+# batched eval against the per-position reference
+# ---------------------------------------------------------------------------
+
+ALL_VARIANTS = [VariantMask(s, g) for s in (True, False) for g in (True, False)]
+
+
+def _revisiting_dataset(seed, num_users=7, num_locations=15):
+    """Users with 2-9 subtrajectories of 1-4 check-ins drawn with revisits."""
+    rng = np.random.default_rng(seed)
+    layout = {}
+    for u in range(num_users):
+        layout[f"u{u}"] = [
+            [f"l{int(x):02d}" for x in rng.integers(0, num_locations,
+                                                    size=int(rng.integers(1, 5)))]
+            for _ in range(int(rng.integers(2, 10)))]
+    ds = lbsn_data.build_dataset(make_checkins(layout), [])
+    # large held-out shares give cold-start users test and validation events
+    splits = lbsn_data.make_splits(ds, trajectory_train_frac=0.6,
+                                   validation_frac_of_train=0.3, seed=seed)
+    return ds, splits
+
+
+def _assert_matches_reference(params, mask, ds, splits, **kwargs):
+    batched_users, reference_users = {}, {}
+    batched = eval_next_location(params, mask, ds, splits, ks=(1, 3, 5),
+                                 per_user_out=batched_users, **kwargs)
+    reference = reference_eval_next_location(params, mask, ds, splits,
+                                             ks=(1, 3, 5),
+                                             per_user_out=reference_users,
+                                             **kwargs)
+    assert batched.num_events == reference.num_events
+    assert batched.recall_at == reference.recall_at
+    assert batched_users == reference_users
+    return batched
+
+
+@pytest.mark.parametrize("mask", ALL_VARIANTS,
+                         ids=["full", "short_only", "long_only", "base"])
+@pytest.mark.parametrize("part", ["validation", "test"])
+@pytest.mark.parametrize("user_slice", ["all", "cold-start"])
+@pytest.mark.parametrize("mode", ["general", "new-only"])
+def test_batched_eval_matches_reference(mode, user_slice, part, mask):
+    events = 0
+    for seed in range(3):
+        ds, splits = _revisiting_dataset(seed)
+        params = random_params(np.random.default_rng(seed), ds.num_users,
+                               ds.num_locations, 3, scale=0.8)
+        report = _assert_matches_reference(params, mask, ds, splits, mode=mode,
+                                           user_slice=user_slice, part=part)
+        events += report.num_events
+    assert events > 0
+
+
+@pytest.mark.parametrize("mode", ["general", "new-only"])
+def test_batched_eval_matches_reference_all_ties(mode):
+    # zero parameters: every score ties, so ranks are pure index order
+    ds, splits = _revisiting_dataset(4)
+    params = ModelParams.zeros(ds.num_users, ds.num_locations, 3)
+    for part in ("validation", "test"):
+        report = _assert_matches_reference(params, FULL_VARIANT, ds, splits,
+                                           mode=mode, part=part)
+        assert report.num_events > 0
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["general", "new-only"])
+def test_batched_eval_rows_straddle_score_blocks(monkeypatch, mode,
+                                                 rows_per_block):
+    ds, splits = _revisiting_dataset(5, num_users=9)
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES",
+                        rows_per_block * ds.num_locations)
+    params = random_params(np.random.default_rng(5), ds.num_users,
+                           ds.num_locations, 3, scale=0.8)
+    per_user = {}
+    eval_next_location(params, FULL_VARIANT, ds, splits, mode=mode,
+                       part="test", per_user_out=per_user)
+    # some user's positions fall into more than one block
+    assert max(r["events"] for r in per_user.values()) > rows_per_block
+    _assert_matches_reference(params, FULL_VARIANT, ds, splits, mode=mode,
+                              part="test")
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from lbsnrec import data as lbsn_data
 from lbsnrec.model import (BASE_VARIANT, FULL_VARIANT, ModelParams, VariantMask,
-                           build_context, forward_trajectory, gru_initial,
-                           gru_step, joint_log_likelihood_full, link_logit,
-                           link_prob, load_checkpoint, location_log_prob_full,
+                           forward_trajectory, gru_initial, gru_step,
+                           joint_log_likelihood_full, link_logit,
+                           load_checkpoint, location_log_prob_full,
                            log_sigmoid, network_log_likelihood_full, rnn_step,
-                           save_checkpoint, sigmoid, tensor_shapes)
+                           save_checkpoint, tensor_shapes)
 
 from conftest import make_checkins
 from property_checks import random_params
@@ -22,20 +23,22 @@ def params_with(rng=None, num_users=3, num_locations=5, dim=2, scale=0.0):
 
 
 def test_sigmoid_closed_forms():
-    assert link_prob(0.0) == 0.5
-    assert link_prob(math.log(3)) == pytest.approx(0.75, abs=1e-15)
-    assert link_prob(-math.log(3)) == pytest.approx(0.25, abs=1e-15)
+    assert expit(0.0) == 0.5
+    assert expit(math.log(3)) == pytest.approx(0.75, abs=1e-15)
+    assert expit(-math.log(3)) == pytest.approx(0.25, abs=1e-15)
+    assert log_sigmoid(math.log(3)) == pytest.approx(math.log(0.75), abs=1e-15)
 
 
 def test_sigmoid_complement_identity():
     rng = np.random.default_rng(0)
     s = rng.uniform(-30, 30, size=1000)
-    np.testing.assert_allclose(sigmoid(s) + sigmoid(-s), 1.0, atol=1e-15)
+    np.testing.assert_allclose(expit(s) + expit(-s), 1.0, atol=1e-15)
+    np.testing.assert_allclose(np.exp(log_sigmoid(s)), expit(s), rtol=1e-14)
 
 
 def test_sigmoid_overflow_safe():
-    assert link_prob(700.0) == 1.0
-    assert link_prob(-700.0) == pytest.approx(0.0, abs=1e-300)
+    assert expit(700.0) == 1.0
+    assert expit(-700.0) == pytest.approx(0.0, abs=1e-300)
     assert np.isfinite(log_sigmoid(np.array([-700.0, 700.0]))).all()
 
 
@@ -142,21 +145,23 @@ def test_gru_initial_pair():
 
 
 def test_build_context_order_and_ablation():
+    # contexts are [F_u; P_u; short block; long block], masked blocks zero
     rng = np.random.default_rng(1)
     p = params_with(rng, dim=2, scale=0.5)
-    s = np.array([0.1, 0.2])
-    h = np.array([-0.3, 0.4])
-    full = build_context(p, FULL_VARIANT, 1, s, h)
-    assert full.shape == (8,)
-    np.testing.assert_array_equal(full[:2], p.F[1])
-    np.testing.assert_array_equal(full[2:4], p.P[1])
-    np.testing.assert_array_equal(full[4:6], s)
-    np.testing.assert_array_equal(full[6:8], h)
-    none = build_context(p, BASE_VARIANT, 1, s, h)
-    np.testing.assert_array_equal(none[4:], 0.0)
-    np.testing.assert_array_equal(none[:4], full[:4])
-    zero = build_context(params_with(dim=2), FULL_VARIANT, 0, np.zeros(2), np.zeros(2))
-    np.testing.assert_array_equal(zero, 0.0)
+    locs = np.array([0, 3, 1, 4])
+    bounds = [(0, 2), (2, 4)]
+    full = forward_trajectory(p, FULL_VARIANT, 1, locs, bounds)
+    assert full.contexts.shape == (4, 8)
+    np.testing.assert_array_equal(full.contexts[:, :2], np.tile(p.F[1], (4, 1)))
+    np.testing.assert_array_equal(full.contexts[:, 2:4], np.tile(p.P[1], (4, 1)))
+    np.testing.assert_array_equal(full.contexts[:, 4:6], full.short_states)
+    np.testing.assert_array_equal(full.contexts[:, 6:8],
+                                  full.long_hidden[[0, 0, 2, 2]])
+    none = forward_trajectory(p, BASE_VARIANT, 1, locs, bounds)
+    np.testing.assert_array_equal(none.contexts[:, 4:], 0.0)
+    np.testing.assert_array_equal(none.contexts[:, :4], full.contexts[:, :4])
+    zero = forward_trajectory(params_with(dim=2), FULL_VARIANT, 0, locs, bounds)
+    np.testing.assert_array_equal(zero.contexts, 0.0)
 
 
 def test_location_log_prob_uniform():
@@ -213,6 +218,35 @@ def test_forward_second_subtrajectory_uses_h_after_first():
     # replay the short-term chain of subtrajectory 2
     np.testing.assert_allclose(trace.contexts[3][6:9], p.S0)
     np.testing.assert_allclose(trace.contexts[4][6:9], rnn_step(p, p.S0, locs[3]))
+
+
+def test_forward_chains_match_step_functions():
+    # the fused long-term recurrence rounds differently from gru_step (one
+    # GEMM for the input projections), the short-term one reuses rnn_step's ops
+    rng = np.random.default_rng(10)
+    p = params_with(rng, num_users=1, num_locations=30, dim=8, scale=0.6)
+    locs = rng.integers(0, 30, size=400)
+    bounds = [(b, b + 8) for b in range(0, 400, 8)]
+    trace = forward_trajectory(p, FULL_VARIANT, 0, locs, bounds)
+    cell, hidden = gru_initial(p)
+    cells, hiddens, gates = [cell], [hidden], []
+    for loc in locs:
+        cell, hidden, i_gate, f_gate, cand = gru_step(p, cell, hidden, loc)
+        cells.append(cell)
+        hiddens.append(hidden)
+        gates.append(np.concatenate((i_gate, f_gate, cand)))
+    fused_gates = np.hstack((trace.input_gates, trace.forget_gates,
+                             trace.candidate_states))
+    for fused, stepped in ((trace.long_cells, cells),
+                           (trace.long_hidden, hiddens), (fused_gates, gates)):
+        # relative to the chain's scale: single entries may cancel to ~0
+        stepped = np.asarray(stepped)
+        assert np.abs(fused - stepped).max() <= 1e-12 * np.abs(stepped).max()
+    for b, e in bounds:
+        state = p.S0
+        for q in range(b, e):
+            np.testing.assert_array_equal(trace.short_states[q], state)
+            state = rnn_step(p, state, locs[q])
 
 
 def test_forward_base_variant_ignores_history():
@@ -291,6 +325,28 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(path2, params, mask, ["a", "b", "c"], ["w", "x", "y", "z"])
     assert path.read_bytes() == path2.read_bytes()
     assert path.read_bytes()[:4] == b"JNTM"
+
+
+def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
+    rng = np.random.default_rng(10)
+    params = params_with(rng, num_users=3, num_locations=4, dim=2, scale=0.3)
+    path = tmp_path / "model.jntm"
+    vocab = (["a", "b", "c"], ["w", "x", "y", "z"])
+    save_checkpoint(path, params, FULL_VARIANT, *vocab)
+    before = path.read_bytes()
+    write_table = lbsn_data._write_string_table
+
+    def failing_write(handle, strings):
+        write_table(handle, strings[:1])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(lbsn_data, "_write_string_table", failing_write)
+    changed = params.copy()
+    changed.U += 1.0
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, changed, FULL_VARIANT, *vocab)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.jntm"]
 
 
 def test_checkpoint_bad_magic(tmp_path):
