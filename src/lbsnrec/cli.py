@@ -340,7 +340,8 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
         return 2
-    except (lbsn_data.ParseError, lbsn_data.FormatError, CheckpointError) as exc:
+    except (lbsn_data.ParseError, lbsn_data.FormatError, CheckpointError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import calendar
 import math
+import os
 import struct
 import time
 from collections import defaultdict
@@ -441,15 +442,38 @@ class FormatError(ValueError):
 
 
 def _write_string_table(handle, strings):
-    handle.write(struct.pack("<Q", len(strings)))
+    pack_length = struct.Struct("<I").pack
+    parts = [struct.pack("<Q", len(strings))]
     for s in strings:
         raw = s.encode("utf-8")
-        handle.write(struct.pack("<I", len(raw)))
-        handle.write(raw)
+        parts.append(pack_length(len(raw)))
+        parts.append(raw)
+    handle.write(b"".join(parts))
+
+
+# Reads larger than this are first checked against the bytes left in the
+# file, so a corrupt count never asks read for more than the file holds;
+# smaller ones go straight to read, whose short result is caught after it.
+# (The check costs two system calls, about 15% of loading a small cache if
+# made for every read.)
+CHECKED_READ_BYTES = 1 << 16
+
+
+def _bytes_left(handle):
+    return os.fstat(handle.fileno()).st_size - handle.tell()
 
 
 def _read_exact(handle, size, what, error=FormatError):
-    """Read exactly `size` bytes or raise `error` naming the file and field."""
+    """Read exactly `size` bytes or raise `error` naming the file and field.
+
+    A size beyond CHECKED_READ_BYTES and the bytes left in the file (a cut
+    file or a corrupt count) raises before anything is read.
+    """
+    if size > CHECKED_READ_BYTES:
+        left = _bytes_left(handle)
+        if size > left:
+            raise error(f"{handle.name}: truncated {what} ({size} bytes "
+                        f"wanted, {left} left)")
     buf = handle.read(size)
     if len(buf) != size:
         raise error(f"{handle.name}: truncated {what}")
@@ -458,9 +482,15 @@ def _read_exact(handle, size, what, error=FormatError):
 
 def _read_string_table(handle, error=FormatError):
     (count,) = struct.unpack("<Q", _read_exact(handle, 8, "vocabulary", error))
+    # Every entry needs at least its 4-byte length.
+    left = _bytes_left(handle)
+    if 4 * count > left:
+        raise error(f"{handle.name}: truncated vocabulary ({count} entries, "
+                    f"{left} bytes left)")
     # Inlined reads: this loop runs once per location and dominates loading.
     read = handle.read
     unpack_length = struct.Struct("<I").unpack
+    checked = CHECKED_READ_BYTES
     out = []
     try:
         for _ in range(count):
@@ -468,6 +498,9 @@ def _read_string_table(handle, error=FormatError):
             if len(head) != 4:
                 raise error(f"{handle.name}: truncated vocabulary")
             (length,) = unpack_length(head)
+            if length > checked and length > _bytes_left(handle):
+                raise error(f"{handle.name}: truncated vocabulary (entry of "
+                            f"{length} bytes)")
             raw = read(length)
             if len(raw) != length:
                 raise error(f"{handle.name}: truncated vocabulary")

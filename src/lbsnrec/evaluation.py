@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import build_graph
-from .model import forward_trajectory, log_sigmoid
+from .model import forward_groups, forward_trajectory, log_sigmoid
 
 COLD_START_MAX_SUBTRAJECTORIES = 5
 LOW_DEGREE_MAX_FRIENDS = 5
@@ -66,14 +66,10 @@ def _part_range(splits, user, part):
     raise ValueError(f"unknown part {part!r}")
 
 
-def _evaluated_rows(params, mask, dataset, splits, mode, user_slice, part):
-    """Yield (user, contexts, targets, ex_rows, ex_cols) per user with events.
+def _evaluated_users(dataset, splits, user_slice, part):
+    """Yield (user, locations, bounds, first evaluated position) per user.
 
-    The contexts are those of one forward_trajectory call over the user's
-    history up to the end of the part, taken at the positions the mode
-    counts. (ex_rows, ex_cols) pairs each row with the locations that are not
-    its candidates: none in general mode, and in new-only mode every location
-    visited before the row's position.
+    locations and bounds cover the user's history up to the end of the part.
     """
     for user in range(dataset.num_users):
         traj = dataset.trajectories[user]
@@ -86,26 +82,42 @@ def _evaluated_rows(params, mask, dataset, splits, mode, user_slice, part):
             hi = m
         if lo >= hi:
             continue
-        start, end = bounds[lo][0], bounds[hi - 1][1]
-        locs = traj.locations[:end]
-        trace = forward_trajectory(params, mask, user, locs, bounds[:hi])
-        positions = np.arange(start, end)
-        ex_rows = ex_cols = np.empty(0, dtype=np.int64)
-        if mode == "new-only":
-            # Position p counts iff it is the first visit of its location;
-            # its candidates are the locations first visited at p or later.
-            visited, first, inverse = np.unique(locs, return_index=True,
-                                                return_inverse=True)
-            positions = positions[first[inverse[start:]] == positions]
-            if len(positions) == 0:
-                continue
-            order = np.argsort(first)
-            counts = np.searchsorted(first[order], positions)
-            ex_rows = np.repeat(np.arange(len(positions)), counts)
-            ex_cols = visited[order][np.arange(len(ex_rows)) - np.repeat(
-                np.cumsum(counts) - counts, counts)]
-        yield (user, trace.contexts[positions], locs[positions],
-               ex_rows, ex_cols)
+        end = bounds[hi - 1][1]
+        yield user, traj.locations[:end], bounds[:hi], bounds[lo][0]
+
+
+def _evaluated_rows(params, mask, dataset, splits, mode, user_slice, part):
+    """Yield (user, contexts, targets, ex_rows, ex_cols) per user with events.
+
+    The contexts are those of the forward pass over the user's history up to
+    the end of the part, taken at the positions the mode counts. (ex_rows,
+    ex_cols) pairs each row with the locations that are not its candidates:
+    none in general mode, and in new-only mode every location visited before
+    the row's position.
+    """
+    evaluated = list(_evaluated_users(dataset, splits, user_slice, part))
+    for lo, hi in forward_groups([len(item[1]) for item in evaluated]):
+        group = evaluated[lo:hi]
+        trace = forward_trajectory(params, mask, [item[0] for item in group],
+                                   [item[1:3] for item in group])
+        for (user, locs, _, start), contexts in zip(group, trace.contexts):
+            positions = np.arange(start, len(locs))
+            ex_rows = ex_cols = np.empty(0, dtype=np.int64)
+            if mode == "new-only":
+                # Position p counts iff it is the first visit of its location;
+                # its candidates are the locations first visited at p or later.
+                visited, first, inverse = np.unique(locs, return_index=True,
+                                                    return_inverse=True)
+                positions = positions[first[inverse[start:]] == positions]
+                if len(positions) == 0:
+                    continue
+                order = np.argsort(first)
+                counts = np.searchsorted(first[order], positions)
+                ex_rows = np.repeat(np.arange(len(positions)), counts)
+                ex_cols = visited[order][np.arange(len(ex_rows)) - np.repeat(
+                    np.cumsum(counts) - counts, counts)]
+            yield (user, contexts[positions], locs[positions], ex_rows,
+                   ex_cols)
 
 
 def _rank_block(params, contexts, targets, ex_rows, ex_cols):
@@ -162,9 +174,10 @@ def eval_next_location(params, mask, dataset, splits, ks=(1, 5, 10),
     warms the recurrent states with ground-truth inputs. per_user_out, when a
     dict, receives {user: {"events": n, "hits": {k: n}}} for debugging.
 
-    Each user's contexts come from one forward_trajectory call; the rows of
-    all users are scored together in blocks of at most SCORE_BLOCK_ENTRIES
-    scores, one GEMM against U_out and one vectorised comparison per block.
+    Contexts come from one forward_trajectory call per group of users (see
+    model.forward_groups); the rows of all users are scored together in
+    blocks of at most SCORE_BLOCK_ENTRIES scores, one GEMM against U_out and
+    one vectorised comparison per block.
     """
     if mode not in ("general", "new-only"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -12,6 +12,7 @@ oracles for the negative-sampled training objectives.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -103,24 +104,93 @@ def tensor_shapes(num_users, num_locations, dim):
     }
 
 
-@dataclass
-class ForwardTrace:
-    """Per-step activations cached by forward_trajectory for BPTT.
+@dataclass(frozen=True)
+class Lockstep:
+    """A batch of sequences advanced together, one step at a time.
 
-    short_states[p] is the short-term state consulted at position p (the
-    subtrajectory-initial state for the first position of each subtrajectory).
-    long_cells/long_hidden have N+1 rows: row t is the state after t
-    locations, row 0 the initial state. Gate rows t-1 belong to step t.
-    Components disabled by the variant mask are None.
+    Sequence s occupies padded flat indices starts[s] .. starts[s] +
+    lengths[s] - 1 (batch order, starts ascending). Step j advances the
+    first live[j] sequences in order of descending length (ties in batch
+    order), a prefix of the sequences step j-1 advanced. Per-step state is
+    packed with step j at rows offsets[j] .. offsets[j + 1] - 1, so a step
+    reads its predecessors from a prefix of the previous step's rows; rows[r]
+    is the padded flat index of packed row r.
     """
 
+    starts: np.ndarray
+    lengths: np.ndarray
+    live: list
+    offsets: list
+    rows: np.ndarray
+
+
+def lockstep(starts, lengths):
+    """Lockstep schedule of sequences at padded flat offsets `starts`."""
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    steps = int(lengths.max(initial=0))
+    live = len(lengths) - np.cumsum(np.bincount(lengths, minlength=steps)[:steps])
+    offsets = np.concatenate(([0], np.cumsum(live)))
+    step = np.repeat(np.arange(steps), live)
+    rank = np.arange(offsets[-1]) - offsets[step]
+    return Lockstep(starts=starts, lengths=lengths, live=live.tolist(),
+                    offsets=offsets.tolist(), rows=starts[order][rank] + step)
+
+
+# Callers run forward_trajectory over groups of users of at most this many
+# padded positions (users x longest history), or one user whose history is
+# longer. A group's trace and BPTT temporaries take a few hundred floats per
+# padded position at d=16, so this bounds the lockstep working set.
+FORWARD_GROUP_POSITIONS = 512
+
+
+def forward_groups(lengths):
+    """Split a batch of users with these history lengths into consecutive
+    (start, stop) groups of at most FORWARD_GROUP_POSITIONS padded positions
+    each, or one user."""
+    start = width = 0
+    for i, n in enumerate(lengths):
+        grown = max(width, n)
+        if i > start and (i - start + 1) * grown > FORWARD_GROUP_POSITIONS:
+            yield start, i
+            start, grown = i, n
+        width = grown
+    if len(lengths) > start:
+        yield start, len(lengths)
+
+
+def state_index(index, width):
+    """Flat index into (B, width + 1) long-term state arrays of the state
+    before the position at flat index `index` into (B, width) arrays."""
+    return index + index // max(width, 1)
+
+
+@dataclass
+class ForwardTrace:
+    """Activations of a batch of users, cached by forward_trajectory for BPTT.
+
+    Arrays are padded over the batch: row b holds user b's first lengths[b]
+    positions and is zero past them. locations[b, p] is the location visited
+    at position p and short_states[b, p] the short-term state consulted there
+    (S0 at each subtrajectory start). long_cells/long_hidden have T+1
+    columns: column t is the state after t locations, column 0 the initial
+    state. Gate column t-1 belongs to step t and holds the input, forget and
+    candidate gates side by side. Components disabled by the variant mask are
+    None. `subtrajectories` schedules the short-term chain and `positions`
+    (users stepped over their positions) the long-term one, over padded flat
+    indices b * T + p.
+    """
+
+    lengths: np.ndarray
+    locations: np.ndarray
     contexts: np.ndarray
     short_states: np.ndarray | None
     long_cells: np.ndarray | None
     long_hidden: np.ndarray | None
-    input_gates: np.ndarray | None
-    forget_gates: np.ndarray | None
-    candidate_states: np.ndarray | None
+    gates: np.ndarray | None
+    subtrajectories: Lockstep
+    positions: Lockstep
 
 
 def log_sigmoid(s):
@@ -182,71 +252,109 @@ def location_log_prob_full(params, context, target):
     return float(scores[target] - m - np.log(np.exp(scores - m).sum()))
 
 
-def forward_trajectory(params, mask, user, locations, bounds):
-    """Run the recurrent forward pass and build one context per position.
+def forward_trajectory(params, mask, users, views):
+    """Run the recurrent forward pass of a batch of users in lockstep.
 
-    The short-term state resets to S0 at each subtrajectory and advances as
-    rnn_step inside it. The long-term chain advances as gru_step over every
-    location in order; predictions inside subtrajectory j consult the hidden
-    state reached after subtrajectory j-1 (the initial tanh(C0) for j=0).
-    The gates' input projections U[loc] @ [W_i1; W_f1; W_c1].T plus biases
-    are one GEMM over all positions, so each long step is one stacked
-    [W_i2; W_f2; W_c2] matvec with the gates, cell and hidden state written
-    in place; the three gate arrays are views of one n x 3d array. The
-    per-step matvecs use np.dot, which costs less per call than @ at this size.
+    views[b] = (locations, bounds) of users[b]; the bounds partition the
+    locations into non-empty subtrajectories, in order. The short-term state
+    resets to S0 at each subtrajectory and advances as rnn_step inside it;
+    the long-term chain advances as gru_step over every location in order,
+    and predictions inside subtrajectory j consult the hidden state reached
+    after subtrajectory j-1 (the initial tanh(C0) for j=0). Returns a padded
+    ForwardTrace with one context per position.
+
+    Each chain steps all of its sequences together, longest first (see
+    Lockstep): the short-term one every subtrajectory of the batch by
+    in-subtrajectory position, one (live x d) GEMM per position; the
+    long-term one every user by position, one stacked [W_i2; W_f2; W_c2] GEMM
+    per step, with the input projections U[loc] @ [W_i1; W_f1; W_c1].T plus
+    biases formed for all positions at once and gates, cell and hidden state
+    written in place.
     """
-    n = len(locations)
+    users = np.asarray(users, dtype=np.int64)
     d = params.dim
-    contexts = np.zeros((n, 4 * d))
-    if n == 0:
-        return ForwardTrace(contexts=contexts, short_states=None, long_cells=None,
-                            long_hidden=None, input_gates=None, forget_gates=None,
-                            candidate_states=None)
-    x = params.U[locations]
+    lengths = np.array([len(locs) for locs, _ in views], dtype=np.int64)
+    num = len(lengths)
+    width = int(lengths.max(initial=0))
+    valid = np.flatnonzero(np.arange(width) < lengths[:, None])
+    locations = np.zeros((num, width), dtype=np.int64)
+    flat_locations = locations.reshape(-1)
+    if len(valid):
+        flat_locations[valid] = np.concatenate([locs for locs, _ in views])
+    spans = [np.asarray(bounds, dtype=np.int64).reshape(-1, 2) + b * width
+             for b, (_, bounds) in enumerate(views)]
+    spans = np.concatenate(spans) if spans else np.zeros((0, 2), dtype=np.int64)
+    subtrajectories = lockstep(spans[:, 0], spans[:, 1] - spans[:, 0])
+    positions = lockstep(np.arange(num) * width, lengths)
+
+    contexts = np.zeros((num, width, 4 * d))
+    flat = contexts.reshape(-1, 4 * d)
+    owner = users[valid // max(width, 1)]
+    flat[valid, 0:d] = params.F[owner]
+    flat[valid, d:2 * d] = params.P[owner]
 
     short_states = None
     if mask.use_short:
-        short_states = np.empty((n, d))
-        for b, e in bounds:
-            short_states[b] = params.S0
-            for p in range(b + 1, e):
-                np.tanh(x[p - 1] + np.dot(params.W, short_states[p - 1]),
-                        out=short_states[p])
+        steps = subtrajectories
+        states = np.empty((len(steps.rows), d))
+        first = steps.live[0] if steps.live else 0
+        states[:first] = params.S0
+        inputs = params.U[flat_locations[steps.rows[first:] - 1]]
+        w_t = params.W.T
+        for j in range(1, len(steps.live)):
+            a, p, k = steps.offsets[j], steps.offsets[j - 1], steps.live[j]
+            state = states[a:a + k]
+            np.matmul(states[p:p + k], w_t, out=state)
+            state += inputs[a - first:a - first + k]
+            np.tanh(state, out=state)
+        flat[steps.rows, 2 * d:3 * d] = states
+        short_states = contexts[:, :, 2 * d:3 * d]
 
-    long_cells = long_hidden = input_gates = forget_gates = candidate_states = None
+    long_cells = long_hidden = gates = None
     if mask.use_long:
-        long_cells = np.empty((n + 1, d))
-        long_hidden = np.empty((n + 1, d))
-        gates = x @ np.vstack((params.W_i1, params.W_f1, params.W_c1)).T
-        gates += np.concatenate((params.b_i, params.b_f, params.b_c))
-        recur = np.vstack((params.W_i2, params.W_f2, params.W_c2))
-        long_cells[0], long_hidden[0] = gru_initial(params)
-        carry = np.empty(d)
-        for t in range(n):
-            g = gates[t]
-            g += np.dot(recur, long_hidden[t])
-            expit(g[:2 * d], out=g[:2 * d])
-            np.tanh(g[2 * d:], out=g[2 * d:])
-            cell = long_cells[t + 1]
-            np.multiply(g[:d], g[2 * d:], out=cell)
-            np.multiply(g[d:2 * d], long_cells[t], out=carry)
-            cell += carry
-            np.tanh(cell, out=long_hidden[t + 1])
-        input_gates = gates[:, :d]
-        forget_gates = gates[:, d:2 * d]
-        candidate_states = gates[:, 2 * d:]
-
-    contexts[:, 0:d] = params.F[user]
-    contexts[:, d:2 * d] = params.P[user]
-    for b, e in bounds:
-        if mask.use_short:
-            contexts[b:e, 2 * d:3 * d] = short_states[b:e]
-        if mask.use_long:
-            contexts[b:e, 3 * d:4 * d] = long_hidden[b]
-    return ForwardTrace(contexts=contexts, short_states=short_states,
-                        long_cells=long_cells, long_hidden=long_hidden,
-                        input_gates=input_gates, forget_gates=forget_gates,
-                        candidate_states=candidate_states)
+        steps = positions
+        packed = params.U[flat_locations[steps.rows]] @ np.vstack(
+            (params.W_i1, params.W_f1, params.W_c1)).T
+        packed += np.concatenate((params.b_i, params.b_f, params.b_c))
+        recur_t = np.vstack((params.W_i2, params.W_f2, params.W_c2)).T
+        cells = np.empty((len(steps.rows), d))
+        hidden = np.empty((len(steps.rows), d))
+        c0, h0 = gru_initial(params)
+        carry = np.empty((num, d))
+        recurrent = np.empty((num, 3 * d))
+        for t, k in enumerate(steps.live):
+            a = steps.offsets[t]
+            if t:
+                p = steps.offsets[t - 1]
+                c_prev, h_prev = cells[p:p + k], hidden[p:p + k]
+            else:
+                c_prev, h_prev = c0, h0[None]
+            g = packed[a:a + k]
+            np.matmul(h_prev, recur_t, out=recurrent[:len(h_prev)])
+            g += recurrent[:len(h_prev)]
+            expit(g[:, :2 * d], out=g[:, :2 * d])
+            np.tanh(g[:, 2 * d:], out=g[:, 2 * d:])
+            cell = cells[a:a + k]
+            np.multiply(g[:, :d], g[:, 2 * d:], out=cell)
+            np.multiply(g[:, d:2 * d], c_prev, out=carry[:k])
+            cell += carry[:k]
+            np.tanh(cell, out=hidden[a:a + k])
+        after = state_index(steps.rows, width) + 1
+        long_cells = np.zeros((num, width + 1, d))
+        long_hidden = np.zeros((num, width + 1, d))
+        long_cells[:, 0] = c0
+        long_hidden[:, 0] = h0
+        long_cells.reshape(-1, d)[after] = cells
+        long_hidden.reshape(-1, d)[after] = hidden
+        gates = np.zeros((num, width, 3 * d))
+        gates.reshape(-1, 3 * d)[steps.rows] = packed
+        start = np.repeat(subtrajectories.starts, subtrajectories.lengths)
+        flat[valid, 3 * d:4 * d] = long_hidden.reshape(-1, d)[
+            state_index(start, width)]
+    return ForwardTrace(lengths=lengths, locations=locations, contexts=contexts,
+                        short_states=short_states, long_cells=long_cells,
+                        long_hidden=long_hidden, gates=gates,
+                        subtrajectories=subtrajectories, positions=positions)
 
 
 def joint_log_likelihood_full(params, mask, dataset):
@@ -255,10 +363,10 @@ def joint_log_likelihood_full(params, mask, dataset):
     for traj in dataset.trajectories:
         if len(traj) == 0:
             continue
-        trace = forward_trajectory(params, mask, traj.user_index,
-                                   traj.locations, traj.subtrajectory_bounds)
+        trace = forward_trajectory(params, mask, [traj.user_index],
+                                   [(traj.locations, traj.subtrajectory_bounds)])
         for p in range(len(traj)):
-            total += location_log_prob_full(params, trace.contexts[p],
+            total += location_log_prob_full(params, trace.contexts[0, p],
                                             traj.locations[p])
     return float(total)
 
@@ -324,7 +432,7 @@ def load_checkpoint(path):
         mask = VariantMask(use_short=bool(use_short), use_long=bool(use_long))
         tensors = {}
         for name, shape in tensor_shapes(num_users, num_locations, dim).items():
-            buf = _read_exact(handle, int(np.prod(shape)) * 8, f"tensor {name}",
+            buf = _read_exact(handle, math.prod(shape) * 8, f"tensor {name}",
                               CheckpointError)
             tensors[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         user_ids = _read_string_table(handle, CheckpointError)

@@ -10,6 +10,7 @@ of users. All randomness flows from one seed split into per-purpose streams.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -17,7 +18,8 @@ import numpy as np
 from scipy.special import expit
 
 from .model import (EMBEDDING_NAMES, TENSOR_NAMES, ModelParams, VariantMask,
-                    forward_trajectory, tensor_shapes)
+                    forward_groups, forward_trajectory, state_index,
+                    tensor_shapes)
 
 
 @dataclass
@@ -83,12 +85,22 @@ class Gradients:
         self.touched[name].update(np.unique(rows).tolist())
 
 
+# adagrad_update walks each tensor in chunks of whole rows, about this many
+# entries (128 KB of float64) per chunk, so its temporaries stay in cache.
+ADAGRAD_CHUNK_ENTRIES = 1 << 14
+
+
 class OptimizerState:
-    """Per-entry sums of squared gradients for AdaGrad."""
+    """Per-entry sums of squared gradients for AdaGrad, plus its scratch."""
 
     def __init__(self, params):
         self.accumulators = {name: np.zeros_like(params.tensor(name))
                              for name in TENSOR_NAMES}
+        size = max(ADAGRAD_CHUNK_ENTRIES,
+                   *(math.prod(params.tensor(name).shape[1:])
+                     for name in TENSOR_NAMES))
+        self.scratch = (np.empty(size), np.empty(size),
+                        np.empty(size, dtype=bool))
 
 
 def init_params(config, num_users, num_locations):
@@ -277,147 +289,205 @@ def block_location_loss(params, contexts, cands):
     return loss, dense @ u_rows, rows, dense.T @ contexts
 
 
-def _short_term_backward(params, bounds, d_short, states):
-    """BPTT inside each subtrajectory of the short-term recurrence.
+def _short_term_backward(params, steps, d_states, states):
+    """Lockstep BPTT of the short-term chain, newest in-subtrajectory step first.
 
-    d_short[p] is the gradient reaching the state consulted at position p.
-    Returns (per-position pre-activation gradients, zero at subtrajectory
-    starts, whose row p belongs to the step over location p-1; the S0
-    gradient).
+    d_states holds the gradient reaching each packed state of the schedule
+    `steps` (modified in place); states the packed states. Returns the
+    pre-activation gradients of the steps past each subtrajectory's first
+    position (row r belongs to packed row first + r, the step over the
+    location one position earlier) and the S0 gradient.
     """
-    d_pre = np.zeros_like(d_short)
-    d_s0 = np.zeros(params.dim)
+    first = steps.live[0] if steps.live else 0
+    d_pre = np.empty((len(states) - first, params.dim))
     tanh_grad = 1.0 - states ** 2
-    for b, e in bounds:
-        d_s = d_short[e - 1]
-        for p in range(e - 1, b, -1):
-            d_pre[p] = d_s * tanh_grad[p]
-            d_s = d_short[p - 1] + d_pre[p] @ params.W
-        d_s0 += d_s
-    return d_pre, d_s0
+    for j in range(len(steps.live) - 1, 0, -1):
+        a, p, k = steps.offsets[j], steps.offsets[j - 1], steps.live[j]
+        g = d_pre[a - first:a - first + k]
+        np.multiply(d_states[a:a + k], tanh_grad[a:a + k], out=g)
+        d_states[p:p + k] += g @ params.W
+    return d_pre, d_states[:first].sum(axis=0)
 
 
-def _long_term_backward(params, trace, d_hidden, steps):
-    """BPTT through the first `steps` gated long-term steps, newest first.
+def _long_term_backward(params, steps, gates, cells_before, hidden, d_hidden,
+                        d_initial):
+    """Lockstep BPTT of the gated long-term chain, newest step first.
 
-    d_hidden[t] is the gradient injected at h_t (modified in place). Returns
-    (pre-activation gradients [i | f | c] of each step, steps x 3d; the C0
-    gradient).
+    Packed row r of the schedule `steps` holds one step: its gates [i | f | c],
+    the cell before it and the hidden state after it. d_hidden[r] is the
+    gradient injected at that hidden state (modified in place) and d_initial
+    the total injected at the initial one. Returns (pre-activation gradients
+    [i | f | c] per packed row, the C0 gradient).
     """
     d = params.dim
-    h = trace.long_hidden[:steps + 1]
-    i_gate = trace.input_gates[:steps]
-    f_gate = trace.forget_gates[:steps]
-    cand = trace.candidate_states[:steps]
-    # d_pre[t-1] = d_cell_t * local[t-1], d_cell_t tiled over the three gates.
-    local = np.hstack((cand * i_gate * (1.0 - i_gate),
-                       trace.long_cells[:steps] * f_gate * (1.0 - f_gate),
-                       i_gate * (1.0 - cand ** 2))).reshape(steps, 3, d)
-    tanh_grad = 1.0 - h ** 2
+    i_gate, f_gate, cand = gates[:, :d], gates[:, d:2 * d], gates[:, 2 * d:]
+    # d_pre[r] = d_cell * local[r], d_cell tiled over the three gates:
+    # local = [cand * i * (1 - i) | c_prev * f * (1 - f) | i * (1 - cand^2)].
+    local = np.empty((len(gates), 3, d))
+    np.multiply(cand, i_gate, out=local[:, 0])
+    local[:, 0] *= 1.0 - i_gate
+    np.multiply(cells_before, f_gate, out=local[:, 1])
+    local[:, 1] *= 1.0 - f_gate
+    np.square(cand, out=local[:, 2])
+    np.subtract(1.0, local[:, 2], out=local[:, 2])
+    local[:, 2] *= i_gate
+    tanh_grad = 1.0 - hidden ** 2
     recur = np.vstack((params.W_i2, params.W_f2, params.W_c2))
-    d_pre = np.zeros((steps, 3, d))
-    d_cell = np.zeros(d)
-    for t in range(steps, 0, -1):
-        d_cell = d_cell + d_hidden[t] * tanh_grad[t]
-        g = d_pre[t - 1]
-        np.multiply(local[t - 1], d_cell, out=g)
-        d_hidden[t - 1] += g.ravel() @ recur
-        d_cell = d_cell * f_gate[t - 1]
-    return d_pre.reshape(steps, 3 * d), d_cell + d_hidden[0] * tanh_grad[0]
+    d_pre = np.empty((len(gates), 3, d))
+    d_cell = np.zeros((steps.live[0] if steps.live else 0, d))
+    d_h0 = d_initial
+    for t in range(len(steps.live) - 1, -1, -1):
+        a, k = steps.offsets[t], steps.live[t]
+        dc = d_cell[:k]
+        dc += d_hidden[a:a + k] * tanh_grad[a:a + k]
+        g = d_pre[a:a + k]
+        np.multiply(local[a:a + k], dc[:, None, :], out=g)
+        back = g.reshape(k, 3 * d) @ recur
+        if t:
+            p = steps.offsets[t - 1]
+            d_hidden[p:p + k] += back
+        else:
+            d_h0 = d_h0 + back.sum(axis=0)
+        dc *= f_gate[a:a + k]
+    return (d_pre.reshape(-1, 3 * d),
+            d_cell.sum(axis=0) + d_h0 * (1.0 - np.tanh(params.C0) ** 2))
 
 
 def trajectory_loss_and_grads(params, mask, batch, grads=None):
     """Sampled next-location loss over a frozen batch, with full BPTT gradients.
 
-    Per user, after the forward recurrences:
+    The batch runs in consecutive groups of users (model.forward_groups, which
+    bounds the working set); each group is one _lockstep_loss_and_grads call.
+    """
+    if grads is None:
+        grads = Gradients.like(params)
+    users = np.asarray(batch.users, dtype=np.int64)
+    total = 0.0
+    for lo, hi in forward_groups([len(locs) for locs, _ in batch.views]):
+        total += _lockstep_loss_and_grads(params, mask, users[lo:hi],
+                                          batch.views[lo:hi],
+                                          batch.negatives[lo:hi], grads)
+    return float(total), grads
+
+
+def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
+    """Loss and gradients of a group of users, accumulated into grads.
+
+    One forward_trajectory call runs the group's recurrences in lockstep;
+    then, over all positions of the group at once:
 
     - Softmax: each subtrajectory is one block_location_loss call (long ones
       are split into blocks of at most BLOCK_CANDIDATES candidate entries),
-      which gives the block's losses, context gradients and U_out gradient
-      at once.
+      which gives the block's losses, context gradients and U_out gradient.
     - Context: the F and P blocks of the context gradients sum into F[v] and
       P[v]; the short-term block reaches the state consulted at each
       position; the long-term block reaches the hidden state frozen at the
       position's subtrajectory start.
-    - Short-term BPTT runs backward inside each subtrajectory to S0. The
-      per-step pre-activation gradients give W as one GEMM.
-    - Long-term BPTT runs backward through every gated step up to the last
-      consulted boundary, to C0. The per-step gate pre-activation gradients
+    - Short-term BPTT runs backward over every subtrajectory in lockstep, by
+      in-subtrajectory position, to S0. The per-step pre-activation gradients
+      give W as one GEMM.
+    - Long-term BPTT runs backward over every user in lockstep, by position,
+      to C0. Steps past a user's last consulted boundary receive no gradient
+      and contribute exact zeros. The per-step gate pre-activation gradients
       give the six gate matrices as one GEMM and the biases as one sum.
-    - U rows of both recurrences are summed per position and scattered once.
+    - U rows of both recurrences are summed per position and reduced per
+      location once.
 
-    Only the recursions themselves loop over positions.
+    Only the recursions themselves loop, over steps.
     """
-    if grads is None:
-        grads = Gradients.like(params)
     d = params.dim
+    trace = forward_trajectory(params, mask, users, views)
+    lengths = trace.lengths
+    num, width = trace.locations.shape
+    valid = np.flatnonzero(np.arange(width) < lengths[:, None])
+    if not len(valid):
+        return 0.0
+    flat_locations = trace.locations.reshape(-1)
+    contexts = trace.contexts.reshape(-1, 4 * d)
+    drawn = np.concatenate([neg for negs in negatives for neg in negs]).reshape(
+        len(valid), -1)
+    d_context = np.zeros((num * width, 4 * d))
     total = 0.0
-    for user, (locs, bounds), negs in zip(batch.users, batch.views, batch.negatives):
-        user = int(user)
-        n = len(locs)
-        if n == 0:
-            continue
-        trace = forward_trajectory(params, mask, user, locs, bounds)
-        contexts = trace.contexts
-        cands = np.column_stack((locs, np.stack(negs)))
-        d_context = np.empty((n, 4 * d))
-        block = max(1, BLOCK_CANDIDATES // cands.shape[1])
-        for b, e in bounds:
-            for s in range(b, e, block):
-                t = min(s + block, e)
-                loss, d_context[s:t], rows, d_rows = block_location_loss(
-                    params, contexts[s:t], cands[s:t])
-                total += loss
-                grads.U_out[rows] += d_rows
-        grads.touch("U_out", cands)
-        grads.F[user] += d_context[:, 0:d].sum(axis=0)
-        grads.P[user] += d_context[:, d:2 * d].sum(axis=0)
-        grads.touch("F", user)
-        grads.touch("P", user)
+    out_rows = []
+    block = max(1, BLOCK_CANDIDATES // (1 + drawn.shape[1]))
+    sub = trace.subtrajectories
+    ends = np.cumsum(sub.lengths).tolist()
+    for first, end in zip([0] + ends[:-1], ends):
+        for s in range(first, end, block):
+            t = min(s + block, end)
+            at = valid[s:t]
+            loss, d_context[at], rows, d_rows = block_location_loss(
+                params, contexts[at],
+                np.column_stack((flat_locations[at], drawn[s:t])))
+            total += loss
+            grads.U_out[rows] += d_rows
+            out_rows.append(rows)
+    grads.touch("U_out", np.concatenate(out_rows))
 
-        # d_u[p] collects the gradient of U[locs[p]] from both recurrences;
-        # stepped[p] marks positions whose location some recurrence consumed.
-        d_u = np.zeros((n, d))
-        stepped = np.zeros(n, dtype=bool)
-        if mask.use_short:
-            states = trace.short_states
-            d_pre, d_s0 = _short_term_backward(
-                params, bounds, d_context[:, 2 * d:3 * d], states)
-            grads.S0 += d_s0
-            grads.W += d_pre[1:].T @ states[:-1]
-            d_u[:-1] += d_pre[1:]
-            for b, e in bounds:
-                stepped[b:e - 1] = True
+    seen = lengths > 0
+    per_user = d_context.reshape(num, width, 4 * d)[:, :, :2 * d].sum(axis=1)
+    np.add.at(grads.F, users[seen], per_user[seen, :d])
+    np.add.at(grads.P, users[seen], per_user[seen, d:])
+    grads.touch("F", users[seen])
+    grads.touch("P", users[seen])
 
-        if mask.use_long:
-            d_hidden = np.zeros((n + 1, d))
-            for b, e in bounds:
-                d_hidden[b] += d_context[b:e, 3 * d:4 * d].sum(axis=0)
-            steps = bounds[-1][0]
-            d_pre, d_c0 = _long_term_backward(params, trace, d_hidden, steps)
-            grads.C0 += d_c0
-            w = d_pre.T @ np.hstack((params.U[locs[:steps]],
-                                     trace.long_hidden[:steps]))
-            bias = d_pre.sum(axis=0)
-            for k, (w1, w2, b_gate) in enumerate(
-                    ((grads.W_i1, grads.W_i2, grads.b_i),
-                     (grads.W_f1, grads.W_f2, grads.b_f),
-                     (grads.W_c1, grads.W_c2, grads.b_c))):
-                gate = slice(k * d, (k + 1) * d)
-                w1 += w[gate, :d]
-                w2 += w[gate, d:]
-                b_gate += bias[gate]
-            d_u[:steps] += d_pre @ np.vstack((params.W_i1, params.W_f1,
+    # d_u[i] collects the gradient of U[locations at padded index i] from both
+    # recurrences; stepped marks positions whose location a recurrence
+    # consumed toward a consulted state.
+    d_u = np.zeros((num * width, d))
+    stepped = np.zeros(num * width, dtype=bool)
+    if mask.use_short:
+        steps = trace.subtrajectories
+        states = contexts[:, 2 * d:3 * d]
+        d_pre, d_s0 = _short_term_backward(
+            params, steps, d_context[steps.rows, 2 * d:3 * d],
+            states[steps.rows])
+        grads.S0 += d_s0
+        before = steps.rows[len(steps.rows) - len(d_pre):] - 1
+        grads.W += d_pre.T @ states[before]
+        d_u[before] += d_pre
+        stepped[before] = True
+
+    if mask.use_long:
+        steps = trace.positions
+        d_hidden = np.zeros((num * (width + 1), d))
+        d_hidden[state_index(sub.starts, width)] = np.add.reduceat(
+            d_context[:, 3 * d:], sub.starts, axis=0)
+        before = state_index(steps.rows, width)
+        cells = trace.long_cells.reshape(-1, d)
+        hidden = trace.long_hidden.reshape(-1, d)
+        gates = trace.gates.reshape(-1, 3 * d)[steps.rows]
+        d_initial = d_hidden[::width + 1].sum(axis=0)
+        d_pre, d_c0 = _long_term_backward(
+            params, steps, gates, cells[before], hidden[before + 1],
+            d_hidden[before + 1], d_initial)
+        grads.C0 += d_c0
+        w1 = d_pre.T @ params.U[flat_locations[steps.rows]]
+        w2 = d_pre.T @ hidden[before]
+        bias = d_pre.sum(axis=0)
+        for k, (g1, g2, b_gate) in enumerate(
+                ((grads.W_i1, grads.W_i2, grads.b_i),
+                 (grads.W_f1, grads.W_f2, grads.b_f),
+                 (grads.W_c1, grads.W_c2, grads.b_c))):
+            gate = slice(k * d, (k + 1) * d)
+            g1 += w1[gate]
+            g2 += w2[gate]
+            b_gate += bias[gate]
+        d_u[steps.rows] += d_pre @ np.vstack((params.W_i1, params.W_f1,
                                               params.W_c1))
-            stepped[:steps] = True
+        last_start = np.array([bounds[-1][0] if bounds else 0
+                               for _, bounds in views], dtype=np.int64)
+        owner = steps.rows // width
+        stepped[steps.rows[steps.rows - owner * width < last_start[owner]]] = True
 
-        if stepped.any():
-            rows, inv = np.unique(locs[stepped], return_inverse=True)
-            onehot = np.zeros((len(rows), len(inv)))
-            onehot[inv, np.arange(len(inv))] = 1.0
-            grads.U[rows] += onehot @ d_u[stepped]
-            grads.touch("U", rows)
-    return float(total), grads
+    if stepped.any():
+        at = np.flatnonzero(stepped)
+        order = np.argsort(flat_locations[at], kind="stable")
+        at = at[order]
+        rows, first = np.unique(flat_locations[at], return_index=True)
+        grads.U[rows] += np.add.reduceat(d_u[at], first, axis=0)
+        grads.touch("U", rows)
+    return total
 
 
 def sampled_network_loss_and_grads(params, graph, config, rng, users=None):
@@ -447,24 +517,32 @@ def adagrad_update(params, grads, optimizer_state, learning_rate, epsilon):
     Embedding tensors without touched rows are skipped. The others update as
     whole tensors: their gradient rows outside the touched sets are exactly
     zero, which leaves those rows and accumulators bit-for-bit unchanged, so
-    this equals the lazy row update while allocating two temporaries instead
-    of fancy-indexed copies.
+    this equals the lazy row update. Each tensor is walked in chunks of
+    whole rows (ADAGRAD_CHUNK_ENTRIES) through the optimizer's scratch
+    buffers, checking each chunk for non-finite gradients before using it.
     """
+    denom_buf, step_buf, finite_buf = optimizer_state.scratch
     for name in TENSOR_NAMES:
         if name in EMBEDDING_NAMES and not grads.touched[name]:
             continue
         acc = optimizer_state.accumulators[name]
         g = grads.tensor(name)
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient in tensor {name}")
-        denom = np.multiply(g, g)
-        acc += denom
-        np.sqrt(acc, out=denom)
-        denom += epsilon
-        step = np.multiply(learning_rate, g)
-        step /= denom
         target = params.tensor(name)
-        target -= step
+        rows = max(1, ADAGRAD_CHUNK_ENTRIES // math.prod(g.shape[1:]))
+        for s in range(0, len(g), rows):
+            gc = g[s:s + rows]
+            shape, n = gc.shape, gc.size
+            finite = finite_buf[:n].reshape(shape)
+            if not np.isfinite(gc, out=finite).all():
+                raise FloatingPointError(f"non-finite gradient in tensor {name}")
+            denom = np.multiply(gc, gc, out=denom_buf[:n].reshape(shape))
+            chunk = acc[s:s + rows]
+            chunk += denom
+            np.sqrt(chunk, out=denom)
+            denom += epsilon
+            step = np.multiply(learning_rate, gc, out=step_buf[:n].reshape(shape))
+            step /= denom
+            target[s:s + rows] -= step
 
 
 @dataclass

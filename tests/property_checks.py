@@ -5,6 +5,7 @@ failing trials (0 expected).
 """
 
 from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,6 +21,24 @@ def random_params(rng, num_users, num_locations, dim, scale=0.5):
                for name, shape in tensor_shapes(num_users, num_locations,
                                                 dim).items()}
     return ModelParams(**tensors)
+
+
+def forward_one(params, mask, user, locations, bounds):
+    """forward_trajectory over a one-user batch, unpadded.
+
+    Returns the trace's arrays for row 0 (contexts, short_states, long_cells,
+    long_hidden, input_gates, forget_gates, candidate_states), None where the
+    mask disables a chain.
+    """
+    trace = forward_trajectory(params, mask, [user], [(locations, bounds)])
+    rows = {name: None if getattr(trace, name) is None else getattr(trace, name)[0]
+            for name in ("contexts", "short_states", "long_cells",
+                         "long_hidden", "gates")}
+    gates, d = rows.pop("gates"), params.dim
+    for k, name in enumerate(("input_gates", "forget_gates",
+                              "candidate_states")):
+        rows[name] = None if gates is None else gates[:, k * d:(k + 1) * d]
+    return SimpleNamespace(**rows)
 
 
 def community_oracle_recall(config, splits, k):
@@ -217,7 +236,7 @@ def check_gate_and_tanh_ranges(cases=100, seed=3):
         ok &= np.all((f_gate > 0) & (f_gate < 1))
         ok &= np.all(np.abs(cand) <= 1.0) and np.all(np.abs(hidden) <= 1.0)
         locs = rng.integers(0, 5, size=6).astype(np.int64)
-        trace = forward_trajectory(params, VariantMask(), 0, locs, [(0, 3), (3, 6)])
+        trace = forward_one(params, VariantMask(), 0, locs, [(0, 3), (3, 6)])
         # positions 0 and 3 hold the raw initial state S0, not a tanh output
         ok &= np.all(np.abs(trace.short_states[[1, 2, 4, 5]]) <= 1.0)
         ok &= np.all(np.abs(trace.long_hidden) <= 1.0)

@@ -1,4 +1,6 @@
 import json
+import math
+import struct
 import subprocess
 import sys
 
@@ -7,6 +9,7 @@ import pytest
 
 from lbsnrec import cli
 from lbsnrec import data as lbsn_data
+from lbsnrec.model import ModelParams, VariantMask, save_checkpoint, tensor_shapes
 
 from conftest import corrupt_cache, make_checkins
 
@@ -197,6 +200,80 @@ def test_eval_rejects_truncated_checkpoint(tmp_path, synth_cache, capsys,
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "truncated" in err
     assert not (tmp_path / "r.csv").exists()
+
+
+def _patched_copy(path, offset, fmt, value, out):
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, offset, value)
+    out.write_bytes(bytes(raw))
+    return out
+
+
+def _cache_counts(path):
+    """(byte offset, format, true value) of count fields of a dataset cache."""
+    ds = lbsn_data.load_dataset(path)
+    arrays_start = (4 + 4 + 16 + _string_table_size(ds.user_vocab.ids)
+                    + _string_table_size(ds.location_vocab.ids))
+    edges_start = path.stat().st_size - 8 - 16 * ds.graph.num_directed_edges
+    return {"locations": (arrays_start, "<Q", len(ds.trajectories[0])),
+            "user_vocabulary": (24, "<Q", ds.num_users),
+            "string_length": (32, "<I", len(ds.user_vocab.ids[0])),
+            "edges": (edges_start, "<Q", ds.graph.num_directed_edges)}
+
+
+@pytest.mark.parametrize("value", ["huge", "one_more"])
+@pytest.mark.parametrize("field", ["locations", "user_vocabulary",
+                                   "string_length", "edges"])
+def test_train_rejects_corrupt_cache_count(tmp_path, synth_cache, capsys, field,
+                                           value):
+    offset, fmt, count = _cache_counts(synth_cache)[field]
+    huge = 2**61 if fmt == "<Q" else 2**32 - 1
+    bad = _patched_copy(synth_cache, offset, fmt,
+                        huge if value == "huge" else count + 1,
+                        tmp_path / "bad.bin")
+    code = run_cli(["train", "--data", bad, "--out", tmp_path / "m.jntm",
+                    "--d", 2, "--max-iterations", 1])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not (tmp_path / "m.jntm").exists()
+
+
+@pytest.mark.parametrize("value", ["huge", "one_more"])
+@pytest.mark.parametrize("field", ["num_locations", "user_vocabulary"])
+def test_eval_rejects_corrupt_checkpoint_count(tmp_path, synth_cache, capsys,
+                                               field, value):
+    ds = lbsn_data.load_dataset(synth_cache)
+    model = tmp_path / "m.jntm"
+    save_checkpoint(model, ModelParams.zeros(ds.num_users, ds.num_locations, 2),
+                    VariantMask(), ds.user_vocab.ids, ds.location_vocab.ids)
+    tensors_end = 4 + 4 + 24 + 2 + 8 * sum(
+        math.prod(shape) for shape in tensor_shapes(ds.num_users,
+                                                     ds.num_locations, 2).values())
+    offset, count = {"num_locations": (16, ds.num_locations),
+                     "user_vocabulary": (tensors_end, ds.num_users)}[field]
+    bad = _patched_copy(model, offset, "<Q",
+                        2**61 if value == "huge" else count + 1,
+                        tmp_path / "bad.jntm")
+    code = run_cli(["eval", "--model", bad, "--data", synth_cache,
+                    "--out", tmp_path / "r.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_train_non_finite_gradients_exit_2(tmp_path, synth_cache, capsys):
+    # a learning rate of 1e300 sends the parameters to about +-1e300 in one
+    # step, after which scores overflow and the gradients turn non-finite
+    with np.errstate(all="ignore"):
+        code = run_cli(["train", "--data", synth_cache, "--out",
+                        tmp_path / "m.jntm", "--d", 2, "--max-iterations", 3,
+                        "--learning-rate", 1e300])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: non-finite gradient in tensor ")
 
 
 def test_stats_command(tmp_path, synth_cache, capsys):

@@ -1,3 +1,5 @@
+import io
+import struct
 from datetime import datetime, timezone
 
 import numpy as np
@@ -291,6 +293,15 @@ def test_dataset_cache_rejects_edge_endpoint_out_of_range(tmp_path, two_user_dat
     path = corrupt_cache(two_user_dataset, tmp_path / "bad.bin", edge=(0, 2))
     with pytest.raises(lbsn_data.FormatError, match="edge"):
         load_dataset(path)
+
+
+def test_string_table_layout():
+    # u64 entry count, then per entry a u32 byte length and the UTF-8 bytes
+    buf = io.BytesIO()
+    lbsn_data._write_string_table(buf, ["a", "", "\u00fc\u00df"])
+    assert buf.getvalue() == (struct.pack("<Q", 3) + struct.pack("<I", 1) + b"a"
+                              + struct.pack("<I", 0) + struct.pack("<I", 4)
+                              + "\u00fc\u00df".encode("utf-8"))
 
 
 def test_dataset_cache_rejects_non_utf8_vocabulary(tmp_path, two_user_dataset):

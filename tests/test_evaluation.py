@@ -3,6 +3,7 @@ import pytest
 
 from lbsnrec import data as lbsn_data
 from lbsnrec import evaluation
+from lbsnrec import model as lbsn_model
 from lbsnrec.evaluation import (eval_friend_rec, eval_next_location,
                                 recall_at_k, write_reports_csv)
 from lbsnrec.model import FULL_VARIANT, BASE_VARIANT, ModelParams, VariantMask
@@ -130,12 +131,14 @@ def test_teacher_forcing_consumes_ground_truth(monkeypatch):
     consumed = []
     forward = evaluation.forward_trajectory
 
-    def recording_forward(params, mask, user, locations, bounds):
-        trace = forward(params, mask, user, locations, bounds)
-        consumed.extend(locations.tolist())
-        # every consumed location advances the recurrences in the trace
-        assert bounds[-1][1] == len(locations) == len(trace.contexts)
-        assert len(trace.long_hidden) == len(locations) + 1
+    def recording_forward(params, mask, users, views):
+        trace = forward(params, mask, users, views)
+        for b, (locations, bounds) in enumerate(views):
+            consumed.extend(locations.tolist())
+            # every consumed location advances the recurrences in the trace
+            assert bounds[-1][1] == len(locations) == trace.lengths[b]
+            assert np.all(trace.long_hidden[b, len(locations) + 1:] == 0.0)
+            assert np.any(trace.long_hidden[b, len(locations)] != 0.0)
         return trace
 
     monkeypatch.setattr(evaluation, "forward_trajectory", recording_forward)
@@ -239,6 +242,36 @@ def test_batched_eval_rows_straddle_score_blocks(monkeypatch, mode,
     assert max(r["events"] for r in per_user.values()) > rows_per_block
     _assert_matches_reference(params, FULL_VARIANT, ds, splits, mode=mode,
                               part="test")
+
+
+@pytest.mark.parametrize("users_per_group", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["general", "new-only"])
+def test_batched_eval_forward_groups_straddle_score_blocks(monkeypatch, mode,
+                                                           users_per_group):
+    ds, splits = _revisiting_dataset(6, num_users=9)
+    bound = users_per_group * max(len(t) for t in ds.trajectories)
+    monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", bound)
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES", 2 * ds.num_locations)
+    groups = []
+    forward = evaluation.forward_trajectory
+
+    def recording_forward(params, mask, users, views):
+        groups.append((list(users), [len(locs) for locs, _ in views]))
+        return forward(params, mask, users, views)
+
+    monkeypatch.setattr(evaluation, "forward_trajectory", recording_forward)
+    params = random_params(np.random.default_rng(6), ds.num_users,
+                           ds.num_locations, 3, scale=0.8)
+    for mask in ALL_VARIANTS:
+        groups.clear()
+        _assert_matches_reference(params, mask, ds, splits, mode=mode,
+                                  part="test")
+        # groups follow user order; each fits the bound or is one user
+        order = [u for users, _ in groups for u in users]
+        assert order == sorted(order) and len(groups) > 1
+        for users, lengths in groups:
+            assert len(users) == 1 or len(users) * max(lengths) <= bound
+        assert max(len(users) for users, _ in groups) >= users_per_group
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from lbsnrec.model import (BASE_VARIANT, FULL_VARIANT, ModelParams, VariantMask,
                            save_checkpoint, tensor_shapes)
 
 from conftest import make_checkins
-from property_checks import random_params
+from property_checks import forward_one, random_params
 
 
 def params_with(rng=None, num_users=3, num_locations=5, dim=2, scale=0.0):
@@ -150,17 +150,17 @@ def test_build_context_order_and_ablation():
     p = params_with(rng, dim=2, scale=0.5)
     locs = np.array([0, 3, 1, 4])
     bounds = [(0, 2), (2, 4)]
-    full = forward_trajectory(p, FULL_VARIANT, 1, locs, bounds)
+    full = forward_one(p, FULL_VARIANT, 1, locs, bounds)
     assert full.contexts.shape == (4, 8)
     np.testing.assert_array_equal(full.contexts[:, :2], np.tile(p.F[1], (4, 1)))
     np.testing.assert_array_equal(full.contexts[:, 2:4], np.tile(p.P[1], (4, 1)))
     np.testing.assert_array_equal(full.contexts[:, 4:6], full.short_states)
     np.testing.assert_array_equal(full.contexts[:, 6:8],
                                   full.long_hidden[[0, 0, 2, 2]])
-    none = forward_trajectory(p, BASE_VARIANT, 1, locs, bounds)
+    none = forward_one(p, BASE_VARIANT, 1, locs, bounds)
     np.testing.assert_array_equal(none.contexts[:, 4:], 0.0)
     np.testing.assert_array_equal(none.contexts[:, :4], full.contexts[:, :4])
-    zero = forward_trajectory(params_with(dim=2), FULL_VARIANT, 0, locs, bounds)
+    zero = forward_one(params_with(dim=2), FULL_VARIANT, 0, locs, bounds)
     np.testing.assert_array_equal(zero.contexts, 0.0)
 
 
@@ -198,7 +198,7 @@ def test_location_log_prob_shift_invariant_and_normalized():
 def test_forward_single_position_context():
     rng = np.random.default_rng(3)
     p = params_with(rng, num_users=2, num_locations=4, dim=3, scale=0.5)
-    trace = forward_trajectory(p, FULL_VARIANT, 1, np.array([2]), [(0, 1)])
+    trace = forward_one(p, FULL_VARIANT, 1, np.array([2]), [(0, 1)])
     expected = np.concatenate([p.F[1], p.P[1], p.S0, np.tanh(p.C0)])
     np.testing.assert_allclose(trace.contexts[0], expected)
 
@@ -208,7 +208,7 @@ def test_forward_second_subtrajectory_uses_h_after_first():
     p = params_with(rng, num_users=1, num_locations=6, dim=3, scale=0.5)
     locs = np.array([0, 1, 2, 3, 4])
     bounds = [(0, 3), (3, 5)]
-    trace = forward_trajectory(p, FULL_VARIANT, 0, locs, bounds)
+    trace = forward_one(p, FULL_VARIANT, 0, locs, bounds)
     # replay the long-term chain independently step by step
     cell, hidden = gru_initial(p)
     for t in range(3):
@@ -221,13 +221,13 @@ def test_forward_second_subtrajectory_uses_h_after_first():
 
 
 def test_forward_chains_match_step_functions():
-    # the fused long-term recurrence rounds differently from gru_step (one
-    # GEMM for the input projections), the short-term one reuses rnn_step's ops
+    # both lockstep recurrences are GEMMs over rows, which round differently
+    # from the GEMVs of gru_step and rnn_step
     rng = np.random.default_rng(10)
     p = params_with(rng, num_users=1, num_locations=30, dim=8, scale=0.6)
     locs = rng.integers(0, 30, size=400)
     bounds = [(b, b + 8) for b in range(0, 400, 8)]
-    trace = forward_trajectory(p, FULL_VARIANT, 0, locs, bounds)
+    trace = forward_one(p, FULL_VARIANT, 0, locs, bounds)
     cell, hidden = gru_initial(p)
     cells, hiddens, gates = [cell], [hidden], []
     for loc in locs:
@@ -245,15 +245,78 @@ def test_forward_chains_match_step_functions():
     for b, e in bounds:
         state = p.S0
         for q in range(b, e):
-            np.testing.assert_array_equal(trace.short_states[q], state)
+            assert np.abs(trace.short_states[q] - state).max() <= \
+                1e-12 * np.abs(state).max()
             state = rnn_step(p, state, locs[q])
+
+
+def ragged_views(rng, num_locations):
+    """Views of different lengths: an empty one, one-check-in
+    subtrajectories, a last subtrajectory of one position, and longer ones."""
+    layouts = [[4, 2, 1], [], [1, 1, 1], [7], [3, 5, 2, 1], [1], [2, 6]]
+    views = []
+    for sizes in layouts:
+        ends = np.cumsum(sizes, dtype=np.int64)
+        bounds = [(int(e - n), int(e)) for n, e in zip(sizes, ends)]
+        views.append((rng.integers(0, num_locations, size=sum(sizes)), bounds))
+    return views
+
+
+ALL_VARIANTS = [VariantMask(s, g) for s in (True, False) for g in (True, False)]
+
+
+@pytest.mark.parametrize("order", ["given", "reversed", "shuffled"])
+@pytest.mark.parametrize("mask", ALL_VARIANTS,
+                         ids=["full", "short_only", "long_only", "base"])
+def test_lockstep_batch_matches_one_user_calls(mask, order):
+    rng = np.random.default_rng(11)
+    p = params_with(rng, num_users=9, num_locations=12, dim=3, scale=0.8)
+    views = ragged_views(rng, 12)
+    users = np.array([4, 0, 8, 2, 5, 1, 7])
+    perm = {"given": np.arange(7), "reversed": np.arange(7)[::-1],
+            "shuffled": rng.permutation(7)}[order]
+    batch = forward_trajectory(p, mask, users[perm], [views[i] for i in perm])
+    width = max(len(locs) for locs, _ in views)
+    assert batch.contexts.shape == (7, width, 12)
+    for b, i in enumerate(perm):
+        n = len(views[i][0])
+        one = forward_trajectory(p, mask, users[i:i + 1], [views[i]])
+        assert batch.lengths[b] == one.lengths[0] == n
+        pairs = [(batch.contexts, one.contexts, n)]
+        if mask.use_short:
+            pairs.append((batch.short_states, one.short_states, n))
+        else:
+            assert batch.short_states is None and one.short_states is None
+        if mask.use_long:
+            pairs += [(batch.long_cells, one.long_cells, n + 1),
+                      (batch.long_hidden, one.long_hidden, n + 1),
+                      (batch.gates, one.gates, n)]
+        else:
+            assert batch.long_hidden is None and batch.gates is None
+        for padded, single, m in pairs:
+            assert single.shape[1] == m
+            scale = max(np.abs(single).max(initial=0.0), 1.0)
+            assert np.abs(padded[b, :m] - single[0]).max(initial=0.0) <= \
+                1e-12 * scale
+            np.testing.assert_array_equal(padded[b, m:], 0.0)
+
+
+def test_forward_empty_batch_and_empty_views():
+    rng = np.random.default_rng(12)
+    p = params_with(rng, num_users=2, num_locations=4, dim=2, scale=0.5)
+    none = forward_trajectory(p, FULL_VARIANT, [], [])
+    assert none.contexts.shape == (0, 0, 8) and none.lengths.shape == (0,)
+    empty = forward_trajectory(p, FULL_VARIANT, [0, 1],
+                               [(np.zeros(0, dtype=np.int64), [])] * 2)
+    assert empty.contexts.shape == (2, 0, 8)
+    np.testing.assert_array_equal(empty.lengths, [0, 0])
 
 
 def test_forward_base_variant_ignores_history():
     rng = np.random.default_rng(5)
     p = params_with(rng, num_users=1, num_locations=6, dim=2, scale=0.5)
-    a = forward_trajectory(p, BASE_VARIANT, 0, np.array([0, 1, 2]), [(0, 3)])
-    b = forward_trajectory(p, BASE_VARIANT, 0, np.array([5, 4, 3]), [(0, 3)])
+    a = forward_one(p, BASE_VARIANT, 0, np.array([0, 1, 2]), [(0, 3)])
+    b = forward_one(p, BASE_VARIANT, 0, np.array([5, 4, 3]), [(0, 3)])
     np.testing.assert_array_equal(a.contexts, b.contexts)
     np.testing.assert_array_equal(a.contexts[:, 4:], 0.0)
 
@@ -261,7 +324,7 @@ def test_forward_base_variant_ignores_history():
 def test_forward_no_short_block_when_masked():
     rng = np.random.default_rng(6)
     p = params_with(rng, num_users=1, num_locations=6, dim=2, scale=0.5)
-    trace = forward_trajectory(p, VariantMask(use_short=False, use_long=True), 0,
+    trace = forward_one(p, VariantMask(use_short=False, use_long=True), 0,
                                np.array([0, 1, 2, 3]), [(0, 2), (2, 4)])
     np.testing.assert_array_equal(trace.contexts[:, 4:6], 0.0)
     assert trace.short_states is None
@@ -271,8 +334,8 @@ def test_forward_determinism():
     rng = np.random.default_rng(7)
     p = params_with(rng, num_users=1, num_locations=6, dim=2, scale=0.5)
     locs = np.array([1, 2, 3])
-    a = forward_trajectory(p, FULL_VARIANT, 0, locs, [(0, 3)])
-    b = forward_trajectory(p, FULL_VARIANT, 0, locs, [(0, 3)])
+    a = forward_one(p, FULL_VARIANT, 0, locs, [(0, 3)])
+    b = forward_one(p, FULL_VARIANT, 0, locs, [(0, 3)])
     assert np.array_equal(a.contexts, b.contexts)
 
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from lbsnrec import data as lbsn_data
+from lbsnrec import model as lbsn_model
 from lbsnrec import training
 from lbsnrec.model import (BASE_VARIANT, FULL_VARIANT, ModelParams,
-                           TENSOR_NAMES, load_checkpoint,
-                           location_log_prob_full)
+                           TENSOR_NAMES, VariantMask, joint_log_likelihood_full,
+                           load_checkpoint, location_log_prob_full,
+                           network_log_likelihood_full)
 from lbsnrec.training import (Gradients, OptimizerState, TrainConfig,
                               adagrad_update, block_location_loss,
                               draw_network_batch,
@@ -303,8 +305,10 @@ def test_base_variant_recurrent_grads_exactly_zero():
         assert np.all(grads.tensor(name) == 0.0), name
 
 
-@pytest.mark.parametrize("n2", [3, 7, 0], ids=["n2_3", "n2_all", "n2_0"])
-def test_trajectory_grads_match_finite_differences_all_tensors(n2):
+@pytest.mark.parametrize("n2,ragged", [(3, False), (7, False), (0, False),
+                                       (3, True)],
+                         ids=["n2_3", "n2_all", "n2_0", "ragged_batch"])
+def test_trajectory_grads_match_finite_differences_all_tensors(n2, ragged):
     # |V|=4, |L|=8, 2 users with 2 subtrajectories of <= 4 locations; n2=7
     # enumerates every other location, n2=0 leaves the target alone
     layout = {"u0": [["l0", "l1", "l2", "l3"], ["l4", "l5"]],
@@ -316,6 +320,12 @@ def test_trajectory_grads_match_finite_differences_all_tensors(n2):
     params = random_params(rng, 4, 8, 3, scale=0.5)
     splits = lbsn_data.full_train_splits(ds)
     batch = draw_trajectory_batch(ds, splits, np.arange(4), n2, rng)
+    if ragged:
+        # seven views of the four users (some twice), among them an empty
+        # one, one-check-in subtrajectories and a last subtrajectory of one
+        # position
+        batch = ragged_batch(rng, 8, n2)
+        batch.users = batch.users % 4
     _, grads = trajectory_loss_and_grads(params, FULL_VARIANT, batch)
 
     def loss_fn(p):
@@ -332,6 +342,94 @@ def test_trajectory_grads_match_finite_differences_all_tensors(n2):
             analytic = grads.tensor(name).flat[idx]
             assert abs(analytic - numeric) <= max(
                 1e-5 * max(abs(analytic), abs(numeric)), 1e-8), (name, idx)
+
+
+def ragged_batch(rng, num_locations, n2):
+    """Users of different lengths: an empty view, one-check-in
+    subtrajectories, a last subtrajectory of one position, longer ones."""
+    layouts = [[4, 2, 1], [], [1, 1, 1], [7], [3, 5, 2, 1], [1], [2, 6]]
+    views, negatives = [], []
+    for sizes in layouts:
+        ends = np.cumsum(sizes, dtype=np.int64)
+        locs = rng.integers(0, num_locations, size=sum(sizes))
+        views.append((locs, [(int(e - n), int(e)) for n, e in zip(sizes, ends)]))
+        negatives.append([sample_negative_locations(num_locations, int(l), n2,
+                                                    rng) for l in locs])
+    return training.TrajectoryBatch(users=np.array([4, 0, 8, 2, 5, 1, 7]),
+                                    views=views, negatives=negatives)
+
+
+ALL_VARIANTS = [VariantMask(s, g) for s in (True, False) for g in (True, False)]
+
+
+@pytest.mark.parametrize("order", ["given", "reversed", "shuffled"])
+@pytest.mark.parametrize("mask", ALL_VARIANTS,
+                         ids=["full", "short_only", "long_only", "base"])
+def test_lockstep_batch_grads_match_one_user_batches(mask, order):
+    rng = np.random.default_rng(21)
+    params = random_params(rng, 9, 12, 3, scale=0.8)
+    batch = ragged_batch(rng, 12, 5)
+    perm = {"given": np.arange(7), "reversed": np.arange(7)[::-1],
+            "shuffled": rng.permutation(7)}[order]
+    batch = training.TrajectoryBatch(
+        users=batch.users[perm], views=[batch.views[i] for i in perm],
+        negatives=[batch.negatives[i] for i in perm])
+    loss, grads = trajectory_loss_and_grads(params, mask, batch)
+    want = Gradients.like(params)
+    want_loss = 0.0
+    for b in range(7):
+        one = training.TrajectoryBatch(users=batch.users[b:b + 1],
+                                       views=batch.views[b:b + 1],
+                                       negatives=batch.negatives[b:b + 1])
+        want_loss += trajectory_loss_and_grads(params, mask, one, want)[0]
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    for name in TENSOR_NAMES:
+        got, expected = grads.tensor(name), want.tensor(name)
+        scale = np.abs(expected).max()
+        assert np.abs(got - expected).max() <= 1e-12 * scale, name
+    assert grads.touched == want.touched
+    if mask.use_short or mask.use_long:
+        assert np.any(grads.U != 0.0)
+
+
+@pytest.mark.parametrize("positions", [1, 20])
+def test_trajectory_grads_independent_of_forward_groups(monkeypatch, positions):
+    rng = np.random.default_rng(22)
+    params = random_params(rng, 9, 12, 3, scale=0.8)
+    batch = ragged_batch(rng, 12, 5)
+    loss, grads = trajectory_loss_and_grads(params, FULL_VARIANT, batch)
+    monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", positions)
+    calls = []
+    forward = training.forward_trajectory
+    monkeypatch.setattr(training, "forward_trajectory",
+                        lambda *args: calls.append(args) or forward(*args))
+    grouped_loss, grouped = trajectory_loss_and_grads(params, FULL_VARIANT,
+                                                      batch)
+    # lengths 7, 0, 3, 7, 11, 1, 8: at 20 positions the groups are users
+    # (0, 1), (2, 3), (4,) and (5, 6)
+    assert len(calls) == {1: 7, 20: 4}[positions]
+    assert abs(grouped_loss - loss) <= 1e-12 * abs(loss)
+    for name in TENSOR_NAMES:
+        scale = np.abs(grads.tensor(name)).max()
+        assert np.abs(grouped.tensor(name) - grads.tensor(name)).max() <= \
+            1e-12 * scale, name
+    assert grouped.touched == grads.touched
+
+
+def test_enumerated_trajectory_loss_equals_full_likelihood_oracle():
+    # with every other location as a negative, each position's sampled loss
+    # is its full softmax, so the batch loss is minus the trajectory part of
+    # joint_log_likelihood_full: no position may be skipped or counted twice
+    ds = toy_dataset(seed=11, num_users=5, num_locations=8)
+    rng = np.random.default_rng(5)
+    params = random_params(rng, ds.num_users, ds.num_locations, 3, scale=0.5)
+    splits = lbsn_data.full_train_splits(ds)
+    batch = draw_trajectory_batch(ds, splits, np.arange(ds.num_users),
+                                  ds.num_locations - 1, rng)
+    loss, _ = trajectory_loss_and_grads(params, FULL_VARIANT, batch)
+    oracle = (joint_log_likelihood_full(params, FULL_VARIANT, ds)
+              - network_log_likelihood_full(params, ds.graph))
+    assert abs(loss + oracle) <= 1e-12 * abs(oracle)
 
 
 def test_sparse_rows_outside_touched_are_zero():
