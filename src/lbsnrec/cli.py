@@ -218,10 +218,13 @@ def cmd_bench(args):
             best = elapsed if best is None else min(best, elapsed)
         return best if best is not None else 0.0
 
-    net_seconds = timed(lambda: training.network_iteration(
-        params, dataset.graph, config, streams.link_negatives))
-    traj_seconds = timed(lambda: training.trajectory_iteration(
-        params, dataset, splits, config, streams.location_negatives))
+    users = np.arange(dataset.num_users, dtype=np.int64)
+    net_seconds = timed(lambda: training.network_loss_and_grads(
+        params, dataset.graph, training.draw_network_batch(
+            dataset.graph, users, config.n1_per_user, streams.link_negatives)))
+    traj_seconds = timed(lambda: training.trajectory_loss_and_grads(
+        params, config.variant, training.draw_trajectory_batch(
+            dataset, splits, users, config.n2, streams.location_negatives)))
     per_checkin = traj_seconds / num_checkins if num_checkins else 0.0
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:

@@ -207,17 +207,11 @@ def split_into_subtrajectories(timestamps, gap_seconds=SIX_HOURS):
 
     Returns (start, end) bounds partitioning [0, len(timestamps)).
     """
-    n = len(timestamps)
-    if n == 0:
+    if len(timestamps) == 0:
         return []
-    bounds = []
-    start = 0
-    for i in range(1, n):
-        if timestamps[i] - timestamps[i - 1] > gap_seconds:
-            bounds.append((start, i))
-            start = i
-    bounds.append((start, n))
-    return bounds
+    cuts = np.flatnonzero(np.diff(timestamps) > gap_seconds) + 1
+    edges = [0, *cuts.tolist(), len(timestamps)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def build_dataset(checkins, edges):
@@ -559,6 +553,10 @@ def load_dataset(path):
                                   f"{int(locs.max())} outside [0, {num_locations})")
             locs = locs.astype(np.int64)
             ts = _read_array(handle, "<i8", "timestamps")
+            if len(ts) != len(locs) or len(ts) and (
+                    ts[0] < 0 or (ts[1:] < ts[:-1]).any()):
+                raise FormatError(f"{path}: user {u} needs one non-negative, "
+                                  "non-decreasing timestamp per location")
             trajectories.append(Trajectory(
                 user_index=u, locations=locs, timestamps=ts,
                 subtrajectory_bounds=split_into_subtrajectories(ts)))

@@ -39,7 +39,6 @@ class VariantMask:
 
 FULL_VARIANT = VariantMask(True, True)
 BASE_VARIANT = VariantMask(False, False)
-BASE_PLUS_LONG = VariantMask(False, True)
 
 
 @dataclass
@@ -407,7 +406,7 @@ def save_checkpoint(path, params, mask, user_ids, location_ids):
                                      int(mask.use_long)))
             for name in TENSOR_NAMES:
                 handle.write(np.ascontiguousarray(params.tensor(name),
-                                                  dtype="<f8").tobytes())
+                                                  dtype="<f8"))
             _write_string_table(handle, user_ids)
             _write_string_table(handle, location_ids)
         os.replace(tmp, path)

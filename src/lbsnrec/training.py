@@ -490,27 +490,6 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
     return total
 
 
-def sampled_network_loss_and_grads(params, graph, config, rng, users=None):
-    """Draw fresh negative links and evaluate the sampled network objective."""
-    if users is None:
-        users = np.arange(graph.num_users, dtype=np.int64)
-    batch = draw_network_batch(graph, users, config.n1_per_user, rng)
-    return network_loss_and_grads(params, graph, batch)
-
-
-def network_iteration(params, graph, config, rng):
-    """One full pass of the sampled network objective over all users."""
-    return sampled_network_loss_and_grads(params, graph, config, rng)
-
-
-def trajectory_iteration(params, dataset, splits, config, rng, users=None):
-    """One full pass of the sampled trajectory objective over training data."""
-    if users is None:
-        users = np.arange(dataset.num_users, dtype=np.int64)
-    batch = draw_trajectory_batch(dataset, splits, users, config.n2, rng)
-    return trajectory_loss_and_grads(params, config.variant, batch)
-
-
 def adagrad_update(params, grads, optimizer_state, learning_rate, epsilon):
     """In-place AdaGrad step over every tensor with a gradient.
 

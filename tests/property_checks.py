@@ -12,7 +12,8 @@ import numpy as np
 from lbsnrec import data as lbsn_data
 from lbsnrec import evaluation, training
 from lbsnrec.model import (ModelParams, VariantMask, forward_trajectory,
-                           gru_initial, gru_step, rnn_step, tensor_shapes)
+                           gru_initial, gru_step, log_sigmoid, rnn_step,
+                           tensor_shapes)
 from lbsnrec.synth import community_of_user
 
 
@@ -142,6 +143,49 @@ def reference_eval_next_location(params, mask, dataset, splits, ks=(1, 5, 10),
     return evaluation.EvalReport(task="next-location", mode=mode,
                                  user_slice=user_slice, recall_at=recall,
                                  num_events=events)
+
+
+def reference_eval_friend_rec(params, dataset, splits, ks=(5, 10),
+                              user_slice="all", per_user_out=None):
+    """Per-user reference for evaluation.eval_friend_rec.
+
+    Scores every user against user v with one GEMV per link direction and
+    ranks each held-out friend of v by an explicit candidate mask (not v,
+    not a training friend), ties broken by ascending index.
+    """
+    ks = tuple(sorted(ks))
+    num_users = dataset.num_users
+    train_adj = lbsn_data.build_graph(num_users, splits.train_edges).adjacency
+    test_adj = lbsn_data.build_graph(num_users, splits.test_edges).adjacency
+    hits = {k: 0 for k in ks}
+    events = 0
+    for v in range(num_users):
+        truth = test_adj[v]
+        if len(truth) == 0:
+            continue
+        if (user_slice == "low-degree"
+                and len(train_adj[v]) >= evaluation.LOW_DEGREE_MAX_FRIENDS):
+            continue
+        scores = (log_sigmoid(params.F_ctx @ params.F[v])
+                  + log_sigmoid(params.F @ params.F_ctx[v]))
+        cand = np.ones(num_users, dtype=bool)
+        cand[v] = False
+        cand[train_adj[v]] = False
+        user_hits = {k: 0 for k in ks}
+        for u in truth:
+            s_u = scores[u]
+            rank = 1 + int(np.count_nonzero((scores > s_u) & cand))
+            rank += int(np.count_nonzero((scores[:u] == s_u) & cand[:u]))
+            events += 1
+            for k in ks:
+                user_hits[k] += rank <= k
+        for k in ks:
+            hits[k] += user_hits[k]
+        if per_user_out is not None:
+            per_user_out[v] = {"events": len(truth), "hits": user_hits}
+    recall = {k: hits[k] / events for k in ks} if events else {}
+    return evaluation.EvalReport(task="friend", mode="-", user_slice=user_slice,
+                                 recall_at=recall, num_events=events)
 
 
 def check_splitting_round_trip(cases=100, seed=0):

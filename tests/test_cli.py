@@ -124,6 +124,23 @@ def test_train_rejects_out_of_range_ids(tmp_path, two_user_dataset, capsys, bad)
     assert not (tmp_path / "m.jntm").exists()
 
 
+@pytest.mark.parametrize("timestamps", [[-5, 3600, 7200], [0, 7200, 3600],
+                                        [0, 3600, 2**62 - 2**63]],
+                         ids=["negative", "decreasing", "sign_bit_flipped"])
+def test_train_rejects_unordered_timestamps(tmp_path, two_user_dataset, capsys,
+                                            timestamps):
+    # user "b" has three check-ins; no writer produces these timestamps
+    two_user_dataset.trajectories[1].timestamps = np.array(timestamps)
+    path = tmp_path / "bad.bin"
+    lbsn_data.save_dataset(two_user_dataset, path)
+    code = run_cli(["train", "--data", path, "--out", tmp_path / "m.jntm",
+                    "--d", 2, "--max-iterations", 1])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not (tmp_path / "m.jntm").exists()
+
+
 def test_eval_rejects_corrupt_checkpoint(tmp_path, synth_cache, capsys):
     model = tmp_path / "m.jntm"
     model.write_bytes(b"NOPE" + b"\x00" * 40)

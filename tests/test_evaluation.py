@@ -9,7 +9,8 @@ from lbsnrec.evaluation import (eval_friend_rec, eval_next_location,
 from lbsnrec.model import FULL_VARIANT, BASE_VARIANT, ModelParams, VariantMask
 
 from conftest import make_checkins
-from property_checks import random_params, reference_eval_next_location
+from property_checks import (random_params, reference_eval_friend_rec,
+                             reference_eval_next_location)
 
 
 def test_recall_at_k_examples():
@@ -244,6 +245,40 @@ def test_batched_eval_rows_straddle_score_blocks(monkeypatch, mode,
                               part="test")
 
 
+@pytest.mark.parametrize("rows_per_block", [4, 10])
+@pytest.mark.parametrize("mode", ["general", "new-only"])
+def test_batched_eval_score_blocks_hold_whole_users(monkeypatch, mode,
+                                                    rows_per_block):
+    ds, splits = _revisiting_dataset(7, num_users=9)
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES",
+                        rows_per_block * ds.num_locations)
+    monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS",
+                        2 * max(len(t) for t in ds.trajectories))
+    blocks = []
+    evaluated_rows = evaluation._evaluated_rows
+
+    def recording_rows(*args):
+        for rows in evaluated_rows(*args):
+            blocks.append(rows[0])
+            yield rows
+
+    monkeypatch.setattr(evaluation, "_evaluated_rows", recording_rows)
+    params = random_params(np.random.default_rng(7), ds.num_users,
+                           ds.num_locations, 3, scale=0.8)
+    _assert_matches_reference(params, FULL_VARIANT, ds, splits, mode=mode,
+                              part="test")
+    owners = np.concatenate(blocks)
+    assert np.all(np.diff(owners) >= 0) and len(blocks) > 1
+    for block, after in zip(blocks, blocks[1:] + [None]):
+        users = np.unique(block)
+        # whole users: at most rows_per_block rows unless one user has more
+        assert len(users) == 1 or len(block) <= rows_per_block
+        if after is not None:
+            assert after[0] > users[-1]
+            # full: the next block's first user would not have fitted
+            assert len(block) + np.count_nonzero(after == after[0]) > rows_per_block
+
+
 @pytest.mark.parametrize("users_per_group", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["general", "new-only"])
 def test_batched_eval_forward_groups_straddle_score_blocks(monkeypatch, mode,
@@ -284,6 +319,39 @@ def _friend_setup(num_users=5):
                                  [(f"u{i}", f"u{j}") for i in range(num_users)
                                   for j in range(i + 1, num_users)])
     return ds
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, None])
+@pytest.mark.parametrize("zero", [False, True], ids=["random", "all_ties"])
+@pytest.mark.parametrize("user_slice", ["all", "low-degree"])
+def test_batched_friend_rec_matches_reference(monkeypatch, user_slice, zero,
+                                              rows_per_block):
+    # 12 users; ~55% of pairs are friends, half of them held out
+    rng = np.random.default_rng(11)
+    edges = [(f"u{i}", f"u{j}") for i in range(12) for j in range(i + 1, 12)
+             if rng.random() < 0.55]
+    ds = lbsn_data.build_dataset(
+        make_checkins({f"u{v}": [["x"]] for v in range(12)}), edges)
+    splits = lbsn_data.make_splits(ds, link_train_ratio=0.5, seed=11)
+    if rows_per_block is not None:
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES",
+                            rows_per_block * ds.num_users)
+    params = (ModelParams.zeros(ds.num_users, ds.num_locations, 3) if zero
+              else random_params(rng, ds.num_users, ds.num_locations, 3,
+                                 scale=0.8))
+    batched_users, reference_users = {}, {}
+    batched = eval_friend_rec(params, ds, splits, ks=(1, 5, 10),
+                              user_slice=user_slice,
+                              per_user_out=batched_users)
+    reference = reference_eval_friend_rec(params, ds, splits, ks=(1, 5, 10),
+                                          user_slice=user_slice,
+                                          per_user_out=reference_users)
+    assert batched.num_events == reference.num_events > 0
+    assert batched.recall_at == reference.recall_at
+    assert batched_users == reference_users
+    # some user's held-out friends fall into more than one block
+    if rows_per_block is not None:
+        assert max(r["events"] for r in batched_users.values()) > rows_per_block
 
 
 def test_friend_rec_planted_winner():

@@ -14,10 +14,10 @@ from lbsnrec.training import (Gradients, OptimizerState, TrainConfig,
                               adagrad_update, block_location_loss,
                               draw_network_batch,
                               draw_trajectory_batch, init_params,
-                              network_iteration, network_loss_and_grads,
+                              network_loss_and_grads,
                               rng_streams, sample_negative_links,
                               sample_negative_locations, sampled_location_loss,
-                              trajectory_iteration, trajectory_loss_and_grads,
+                              trajectory_loss_and_grads,
                               train)
 
 from conftest import make_checkins
@@ -447,41 +447,53 @@ def test_sparse_rows_outside_touched_are_zero():
                 assert np.all(arr[row] == 0.0), (name, row)
 
 
-def test_trajectory_iteration_deterministic():
+def test_trajectory_loss_and_grads_deterministic():
     ds = toy_dataset(seed=7)
     cfg = toy_config(seed=3)
     params = init_params(cfg, ds.num_users, ds.num_locations)
     splits = lbsn_data.full_train_splits(ds)
-    l1, g1 = trajectory_iteration(params, ds, splits, cfg,
-                                  rng_streams(3).location_negatives)
-    l2, g2 = trajectory_iteration(params, ds, splits, cfg,
-                                  rng_streams(3).location_negatives)
+    users = np.arange(ds.num_users)
+
+    def draw_and_score():
+        batch = draw_trajectory_batch(ds, splits, users, cfg.n2,
+                                      rng_streams(3).location_negatives)
+        return trajectory_loss_and_grads(params, cfg.variant, batch)
+
+    l1, g1 = draw_and_score()
+    l2, g2 = draw_and_score()
     assert l1 == l2
     for name in TENSOR_NAMES:
         np.testing.assert_array_equal(g1.tensor(name), g2.tensor(name))
 
 
 # ---------------------------------------------------------------------------
-# network iteration and AdaGrad
+# network loss and AdaGrad
 # ---------------------------------------------------------------------------
 
-def test_network_iteration_edgeless_no_negatives():
+def test_network_loss_and_grads_edgeless_no_negatives():
     graph = lbsn_data.build_graph(6, set())
     params = ModelParams.zeros(6, 4, 3)
     cfg = toy_config(n1_per_user=0)
-    loss, grads = network_iteration(params, graph, cfg,
-                                    rng_streams(0).link_negatives)
+    batch = draw_network_batch(graph, np.arange(6), cfg.n1_per_user,
+                               rng_streams(0).link_negatives)
+    loss, grads = network_loss_and_grads(params, graph, batch)
     assert loss == 0.0
     assert np.all(grads.F == 0.0) and np.all(grads.F_ctx == 0.0)
 
 
-def test_network_iteration_deterministic():
+def test_network_loss_and_grads_deterministic():
     graph = lbsn_data.build_graph(10, {(0, 1), (1, 0), (4, 7), (7, 4)})
     rng = np.random.default_rng(2)
     params = random_params(rng, 10, 4, 3, scale=0.3)
     cfg = toy_config(seed=8)
-    l1, g1 = network_iteration(params, graph, cfg, rng_streams(8).link_negatives)
-    l2, g2 = network_iteration(params, graph, cfg, rng_streams(8).link_negatives)
+
+    def draw_and_score():
+        batch = draw_network_batch(graph, np.arange(10), cfg.n1_per_user,
+                                   rng_streams(8).link_negatives)
+        return network_loss_and_grads(params, graph, batch)
+
+    l1, g1 = draw_and_score()
+    l2, g2 = draw_and_score()
     assert l1 == l2
     np.testing.assert_array_equal(g1.F, g2.F)
     np.testing.assert_array_equal(g1.F_ctx, g2.F_ctx)
