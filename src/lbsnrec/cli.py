@@ -159,12 +159,16 @@ def cmd_eval(args):
     reports = []
     dumps = [] if args.per_user_json else None
     if args.task in ("next", "both"):
-        for mode in ("general", "new-only"):
-            for user_slice in ("all", "cold-start"):
+        modes, user_slices = ("general", "new-only"), ("all", "cold-start")
+        # One forward and score pass serves all four reports.
+        ranks = evaluation.rank_next_locations(params, mask, dataset, splits,
+                                               "test", modes, user_slices)
+        for mode in modes:
+            for user_slice in user_slices:
                 per_user = {} if dumps is not None else None
                 reports.append(evaluation.eval_next_location(
                     params, mask, dataset, splits, ks=ks_next, mode=mode,
-                    user_slice=user_slice, per_user_out=per_user))
+                    user_slice=user_slice, per_user_out=per_user, ranks=ranks))
                 if dumps is not None:
                     dumps.append({"task": "next-location", "mode": mode,
                                   "slice": user_slice, "per_user": per_user})

@@ -457,21 +457,34 @@ def _bytes_left(handle):
     return os.fstat(handle.fileno()).st_size - handle.tell()
 
 
-def _read_exact(handle, size, what, error=FormatError):
-    """Read exactly `size` bytes or raise `error` naming the file and field.
-
-    A size beyond CHECKED_READ_BYTES and the bytes left in the file (a cut
-    file or a corrupt count) raises before anything is read.
-    """
+def _check_size(handle, size, what, error):
+    """Raise `error` before a read of `size` bytes, beyond CHECKED_READ_BYTES
+    and the bytes left in the file (a cut file or a corrupt count)."""
     if size > CHECKED_READ_BYTES:
         left = _bytes_left(handle)
         if size > left:
             raise error(f"{handle.name}: truncated {what} ({size} bytes "
                         f"wanted, {left} left)")
+
+
+def _read_exact(handle, size, what, error=FormatError):
+    """Read exactly `size` bytes or raise `error` naming the file and field."""
+    _check_size(handle, size, what, error)
     buf = handle.read(size)
     if len(buf) != size:
         raise error(f"{handle.name}: truncated {what}")
     return buf
+
+
+def _read_into(handle, shape, dtype, what, error=FormatError):
+    """Read an array of this shape and dtype straight into a new array, with
+    the checks of _read_exact."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    _check_size(handle, size, what, error)
+    out = np.empty(shape, dtype=dtype)
+    if handle.readinto(out) != size:
+        raise error(f"{handle.name}: truncated {what}")
+    return out
 
 
 def _read_string_table(handle, error=FormatError):
@@ -511,9 +524,7 @@ def _write_array(handle, arr, dtype):
 
 def _read_array(handle, dtype, what):
     (count,) = struct.unpack("<Q", _read_exact(handle, 8, what))
-    itemsize = np.dtype(dtype).itemsize
-    return np.frombuffer(_read_exact(handle, count * itemsize, what),
-                         dtype=dtype).copy()
+    return _read_into(handle, (count,), dtype, what)
 
 
 def save_dataset(dataset, path):
@@ -572,6 +583,9 @@ def load_dataset(path):
     user_vocab = Vocab(ids=user_ids, index={s: i for i, s in enumerate(user_ids)})
     location_vocab = Vocab(ids=location_ids,
                            index={s: i for i, s in enumerate(location_ids)})
+    if (len(user_vocab.index) != num_users
+            or len(location_vocab.index) != num_locations):
+        raise FormatError(f"{path}: duplicate id in a vocabulary")
     return Dataset(graph=graph, trajectories=trajectories,
                    user_vocab=user_vocab, location_vocab=location_vocab)
 

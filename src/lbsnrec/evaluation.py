@@ -73,49 +73,58 @@ def _evaluated_users(dataset, splits, user_slice, part):
         yield user, traj.locations[:end], bounds[:hi], bounds[lo][0]
 
 
-def _evaluated_rows(params, mask, dataset, splits, mode, user_slice, part,
+def _evaluated_rows(params, mask, dataset, splits, modes, user_slice, part,
                     width):
-    """Yield (owners, contexts, targets, ex_rows, ex_cols) per block of users.
+    """Yield (owners, contexts, targets, new, ex_rows, ex_cols) per block of
+    users.
 
     The contexts are those of the forward pass over each user's history up to
-    the end of the part, taken at the positions the mode counts; owners holds
-    each row's user. A block holds the rows of consecutive users, at most
-    `width` rows unless one user has more. (ex_rows, ex_cols), sorted by row,
-    pairs each row with the locations that are not its candidates: none in
-    general mode, and in new-only mode every location visited before the
-    row's position.
+    the end of the part, taken at every position that one of the modes
+    counts; owners holds each row's user. A block holds the rows of
+    consecutive users, at most `width` rows unless one user has more. new
+    indexes the rows that are first visits of their location (every row when
+    "general" is not among the modes, none when "new-only" is not), and
+    (ex_rows, ex_cols), sorted by row, pairs each of these (its index into
+    new) with the locations visited before its position, which are not its
+    new-only candidates.
     """
     evaluated = list(_evaluated_users(dataset, splits, user_slice, part))
     empty = np.empty(0, dtype=np.int64)
-    block, num_rows = [[], [], [], [empty], [empty]], 0
+    block, num_rows, num_new = [[], [], [], [empty], [empty], [empty]], 0, 0
     for lo, hi in forward_groups([len(item[1]) for item in evaluated]):
         group = evaluated[lo:hi]
         trace = forward_trajectory(params, mask, [item[0] for item in group],
                                    [item[1:3] for item in group])
         for (user, locs, _, start), user_contexts in zip(group, trace.contexts):
             positions = np.arange(start, len(locs))
-            ex_rows = ex_cols = empty
-            if mode == "new-only":
-                # Position p counts iff it is the first visit of its location;
+            new = ex_rows = ex_cols = empty
+            if "new-only" in modes:
+                # Position p is new iff it is the first visit of its location;
                 # its candidates are the locations first visited at p or later.
                 visited, first, inverse = np.unique(locs, return_index=True,
                                                     return_inverse=True)
-                positions = positions[first[inverse[start:]] == positions]
+                new = np.flatnonzero(first[inverse[start:]] == positions)
+                if "general" not in modes:
+                    positions = positions[new]
+                    new = np.arange(len(new))
                 order = np.argsort(first)
-                counts = np.searchsorted(first[order], positions)
-                ex_rows = np.repeat(np.arange(len(positions)), counts)
+                counts = np.searchsorted(first[order], positions[new])
+                ex_rows = np.repeat(np.arange(len(new)), counts)
                 ex_cols = visited[order][np.arange(len(ex_rows)) - np.repeat(
                     np.cumsum(counts) - counts, counts)]
             # Each score block streams all of U_out, so a block takes whole
             # users until the next one would not fit.
             if num_rows and num_rows + len(positions) > width:
                 yield tuple(map(np.concatenate, block))
-                block, num_rows = [[], [], [], [empty], [empty]], 0
+                block, num_rows, num_new = [[], [], [], [empty], [empty],
+                                            [empty]], 0, 0
             for rows, user_rows in zip(block, (
                     np.full(len(positions), user), user_contexts[positions],
-                    locs[positions], num_rows + ex_rows, ex_cols)):
+                    locs[positions], num_rows + new, num_new + ex_rows,
+                    ex_cols)):
                 rows.append(user_rows)
             num_rows += len(positions)
+            num_new += len(new)
     if num_rows:
         yield tuple(map(np.concatenate, block))
 
@@ -161,9 +170,74 @@ def _report(task, mode, user_slice, ks, owners, ranks, per_user_out):
                       recall_at=recall, num_events=events)
 
 
+@dataclass
+class NextLocationRanks:
+    """Next-location events of one part, ranked once for several reports.
+
+    rows maps each ranked mode to (owners, ranks): each event's user and the
+    1-based rank of its target among that mode's candidates. The events are
+    those of the users that user_slices keep.
+    """
+    part: str
+    user_slices: tuple
+    rows: dict
+
+
+def rank_next_locations(params, mask, dataset, splits, part="test",
+                        modes=("general",), user_slices=("all",)):
+    """NextLocationRanks of every event that the modes count.
+
+    Every user that one of user_slices keeps is forwarded once, in one
+    forward_trajectory call per group of users (see model.forward_groups),
+    and the rows of consecutive users are scored in blocks of at most
+    SCORE_BLOCK_ENTRIES scores: one GEMM against U_out per block. General
+    rows are ranked on these scores. New-only rows (first visits) are ranked
+    on a copy of theirs with each row's previously visited locations set to
+    -inf, or on the block itself when general mode is not asked for, in
+    which case only first-visit rows are scored.
+    """
+    for mode in modes:
+        if mode not in ("general", "new-only"):
+            raise ValueError(f"unknown mode {mode!r}")
+    for user_slice in user_slices:
+        if user_slice not in ("all", "cold-start"):
+            raise ValueError(f"unknown slice {user_slice!r}")
+    general = "general" in modes
+    width = max(1, SCORE_BLOCK_ENTRIES // max(1, params.num_locations))
+    empty = np.empty(0, dtype=np.int64)
+    owners, ranks, new_owners, new_ranks = [empty], [empty], [empty], [empty]
+    for users, contexts, targets, new, ex_rows, ex_cols in _evaluated_rows(
+            params, mask, dataset, splits, modes,
+            "all" if "all" in user_slices else "cold-start", part, width):
+        owners.append(users)
+        new_owners.append(users[new])
+        for a in range(0, len(targets), width):
+            scores = contexts[a:a + width] @ params.U_out.T
+            block_targets = targets[a:a + width]
+            if general:
+                ranks.append(_rank_rows(scores, block_targets))
+            i, j = np.searchsorted(new, (a, a + width))
+            if i == j:
+                continue
+            rows = new[i:j] - a
+            if general:
+                scores = scores[rows]
+            lo, hi = np.searchsorted(ex_rows, (i, j))
+            scores[ex_rows[lo:hi] - i, ex_cols[lo:hi]] = -np.inf
+            new_ranks.append(_rank_rows(scores, block_targets[rows]))
+    rows = {}
+    if general:
+        rows["general"] = (np.concatenate(owners), np.concatenate(ranks))
+    if "new-only" in modes:
+        rows["new-only"] = (np.concatenate(new_owners),
+                            np.concatenate(new_ranks))
+    return NextLocationRanks(part=part, user_slices=tuple(user_slices),
+                             rows=rows)
+
+
 def eval_next_location(params, mask, dataset, splits, ks=(1, 5, 10),
                        mode="general", user_slice="all", part="test",
-                       per_user_out=None):
+                       per_user_out=None, ranks=None):
     """Micro-averaged Recall@K for next-location prediction.
 
     mode "general" scores every location at every evaluated position; mode
@@ -174,27 +248,25 @@ def eval_next_location(params, mask, dataset, splits, ks=(1, 5, 10),
     warms the recurrent states with ground-truth inputs. per_user_out, when a
     dict, receives {user: {"events": n, "hits": {k: n}}} for debugging.
 
-    Contexts come from one forward_trajectory call per group of users (see
-    model.forward_groups); the rows of consecutive users are scored in
-    blocks of at most SCORE_BLOCK_ENTRIES scores, one GEMM against U_out and
-    one vectorised comparison per block.
+    ranks, when given, is a rank_next_locations result for this part whose
+    modes and slices include these, so that several reports share one
+    forward pass; otherwise this mode and slice are ranked here.
     """
-    if mode not in ("general", "new-only"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if user_slice not in ("all", "cold-start"):
-        raise ValueError(f"unknown slice {user_slice!r}")
-    width = max(1, SCORE_BLOCK_ENTRIES // max(1, params.num_locations))
-    owners, ranks = [], []
-    for users, contexts, targets, ex_rows, ex_cols in _evaluated_rows(
-            params, mask, dataset, splits, mode, user_slice, part, width):
-        owners.append(users)
-        for a in range(0, len(targets), width):
-            scores = contexts[a:a + width] @ params.U_out.T
-            lo, hi = np.searchsorted(ex_rows, (a, a + width))
-            scores[ex_rows[lo:hi] - a, ex_cols[lo:hi]] = -np.inf
-            ranks.append(_rank_rows(scores, targets[a:a + width]))
-    return _report("next-location", mode, user_slice, ks, owners, ranks,
-                   per_user_out)
+    if ranks is None:
+        ranks = rank_next_locations(params, mask, dataset, splits, part,
+                                    (mode,), (user_slice,))
+    elif (ranks.part != part or mode not in ranks.rows
+          or user_slice not in ranks.user_slices):
+        raise ValueError(f"ranks of part {ranks.part!r} hold no {mode} "
+                         f"{user_slice} events of part {part!r}")
+    owners, event_ranks = ranks.rows[mode]
+    if user_slice == "cold-start":
+        counts = np.array([t.num_subtrajectories for t in dataset.trajectories],
+                          dtype=np.int64)
+        keep = counts[owners] <= COLD_START_MAX_SUBTRAJECTORIES
+        owners, event_ranks = owners[keep], event_ranks[keep]
+    return _report("next-location", mode, user_slice, ks, [owners],
+                   [event_ranks], per_user_out)
 
 
 def eval_friend_rec(params, dataset, splits, ks=(5, 10), user_slice="all",

@@ -12,7 +12,6 @@ oracles for the negative-sampled training objectives.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -417,7 +416,7 @@ def save_checkpoint(path, params, mask, user_ids, location_ids):
 
 
 def load_checkpoint(path):
-    from .data import _read_exact, _read_string_table
+    from .data import _read_exact, _read_into, _read_string_table
 
     with open(path, "rb") as handle:
         magic = handle.read(4)
@@ -431,11 +430,13 @@ def load_checkpoint(path):
         mask = VariantMask(use_short=bool(use_short), use_long=bool(use_long))
         tensors = {}
         for name, shape in tensor_shapes(num_users, num_locations, dim).items():
-            buf = _read_exact(handle, math.prod(shape) * 8, f"tensor {name}",
-                              CheckpointError)
-            tensors[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            tensors[name] = _read_into(handle, shape, "<f8", f"tensor {name}",
+                                       CheckpointError)
         user_ids = _read_string_table(handle, CheckpointError)
         location_ids = _read_string_table(handle, CheckpointError)
     if len(user_ids) != num_users or len(location_ids) != num_locations:
         raise CheckpointError(f"{path}: vocab sizes disagree with header")
+    if (len(set(user_ids)) != num_users
+            or len(set(location_ids)) != num_locations):
+        raise CheckpointError(f"{path}: duplicate id in a vocabulary")
     return ModelParams(**tensors), mask, user_ids, location_ids

@@ -195,11 +195,19 @@ def draw_trajectory_batch(dataset, splits, users, n2, rng):
     views = []
     negatives = []
     num_locations = dataset.num_locations
+    everything = np.arange(num_locations, dtype=np.int64)
     for u in users:
         locs, bounds = training_view(dataset, splits, int(u))
         views.append((locs, bounds))
-        negatives.append([sample_negative_locations(num_locations, int(l), n2, rng)
-                          for l in locs])
+        if num_locations - 1 <= n2:
+            # sample_negative_locations enumerates every location but the
+            # target and draws nothing: build all of the user's rows at once.
+            grid = np.broadcast_to(everything, (len(locs), num_locations))
+            negatives.append(list(grid[grid != locs[:, None]].reshape(
+                len(locs), num_locations - 1)))
+        else:
+            negatives.append([sample_negative_locations(num_locations, int(l),
+                                                        n2, rng) for l in locs])
     return TrajectoryBatch(users=users, views=views, negatives=negatives)
 
 

@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from lbsnrec import cli
+from lbsnrec import cli, evaluation
 from lbsnrec import data as lbsn_data
-from lbsnrec.model import ModelParams, VariantMask, save_checkpoint, tensor_shapes
+from lbsnrec import model as lbsn_model
+from lbsnrec.model import (ModelParams, VariantMask, forward_groups,
+                           save_checkpoint, tensor_shapes)
 
 from conftest import corrupt_cache, make_checkins
 
@@ -149,6 +151,74 @@ def test_eval_rejects_corrupt_checkpoint(tmp_path, synth_cache, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "bad magic" in err
+
+
+@pytest.mark.parametrize("vocab", ["user", "location"])
+def test_train_rejects_duplicate_vocabulary_ids(tmp_path, two_user_dataset,
+                                               capsys, vocab):
+    table = getattr(two_user_dataset, f"{vocab}_vocab")
+    table.ids = [table.ids[0]] * len(table.ids)
+    path = tmp_path / "dup.bin"
+    lbsn_data.save_dataset(two_user_dataset, path)
+    code = run_cli(["train", "--data", path, "--out", tmp_path / "m.jntm",
+                    "--d", 2, "--max-iterations", 1])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "duplicate id" in err
+    assert not (tmp_path / "m.jntm").exists()
+
+
+@pytest.mark.parametrize("vocab", ["user", "location"])
+def test_eval_rejects_duplicate_checkpoint_vocabulary_ids(tmp_path, synth_cache,
+                                                          capsys, vocab):
+    ds = lbsn_data.load_dataset(synth_cache)
+    ids = {"user": list(ds.user_vocab.ids),
+           "location": list(ds.location_vocab.ids)}
+    ids[vocab][1] = ids[vocab][0]
+    model = tmp_path / "m.jntm"
+    save_checkpoint(model, ModelParams.zeros(ds.num_users, ds.num_locations, 2),
+                    VariantMask(), ids["user"], ids["location"])
+    code = run_cli(["eval", "--model", model, "--data", synth_cache,
+                    "--out", tmp_path / "r.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "duplicate id" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_eval_forwards_each_test_group_once(tmp_path, synth_cache,
+                                            monkeypatch):
+    # all four next-location reports share one forward pass over the users
+    # with test events, in model.forward_groups groups
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"d": 4, "max_iterations": 1, "seed": 5,
+                               "n1_per_user": 4, "n2": 4,
+                               "trajectory_train_frac": 0.5}))
+    model = tmp_path / "m.jntm"
+    assert run_cli(["train", "--data", synth_cache, "--config", cfg,
+                    "--out", model]) == 0
+    ds = lbsn_data.load_dataset(synth_cache)
+    splits = lbsn_data.make_splits(ds, seed=5, **dict(
+        cli.SPLIT_DEFAULTS, trajectory_train_frac=0.5))
+    lengths = [len(item[1]) for item in
+               evaluation._evaluated_users(ds, splits, "all", "test")]
+    # groups of two users
+    monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", 2 * max(lengths))
+    groups = list(forward_groups(lengths))
+    calls = []
+    forward = evaluation.forward_trajectory
+
+    def counting_forward(params, mask, users, views):
+        calls.append(list(users))
+        return forward(params, mask, users, views)
+
+    monkeypatch.setattr(evaluation, "forward_trajectory", counting_forward)
+    assert run_cli(["eval", "--model", model, "--data", synth_cache,
+                    "--config", cfg, "--out", tmp_path / "r.csv",
+                    "--task", "both"]) == 0
+    assert len(groups) > 1 and len(calls) == len(groups)
+    assert [u for users in calls for u in users] == sorted(
+        u for u, *_ in evaluation._evaluated_users(ds, splits, "all", "test"))
 
 
 def _string_table_size(strings):

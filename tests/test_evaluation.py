@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,71 @@ def test_batched_eval_forward_groups_straddle_score_blocks(monkeypatch, mode,
         for users, lengths in groups:
             assert len(users) == 1 or len(users) * max(lengths) <= bound
         assert max(len(users) for users, _ in groups) >= users_per_group
+
+
+REPORTS = [(mode, user_slice) for mode in ("general", "new-only")
+           for user_slice in ("all", "cold-start")]
+
+
+@pytest.mark.parametrize("straddle", [False, True],
+                         ids=["default_blocks", "straddling_blocks"])
+@pytest.mark.parametrize("zero", [False, True], ids=["random", "all_ties"])
+def test_shared_ranks_match_reference_for_every_report_subset(
+        monkeypatch, zero, straddle):
+    # 9 users with 2-9 subtrajectories: some are cold-start users
+    ds, splits = _revisiting_dataset(8, num_users=9)
+    assert any(t.num_subtrajectories <= evaluation.COLD_START_MAX_SUBTRAJECTORIES
+               for t in ds.trajectories)
+    if straddle:
+        # two-user forward groups, three-row score blocks
+        monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS",
+                            2 * max(len(t) for t in ds.trajectories))
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES",
+                            3 * ds.num_locations)
+    params = (ModelParams.zeros(ds.num_users, ds.num_locations, 3) if zero
+              else random_params(np.random.default_rng(8), ds.num_users,
+                                 ds.num_locations, 3, scale=0.8))
+    for part in ("validation", "test"):
+        reference = {}
+        for mode, user_slice in REPORTS:
+            users = {}
+            report = reference_eval_next_location(
+                params, FULL_VARIANT, ds, splits, ks=(1, 3, 5), mode=mode,
+                user_slice=user_slice, part=part, per_user_out=users)
+            assert report.num_events > 0
+            reference[mode, user_slice] = report, users
+        for size in range(1, len(REPORTS) + 1):
+            for subset in itertools.combinations(REPORTS, size):
+                ranks = evaluation.rank_next_locations(
+                    params, FULL_VARIANT, ds, splits, part,
+                    {mode for mode, _ in subset},
+                    {user_slice for _, user_slice in subset})
+                for mode, user_slice in subset:
+                    users = {}
+                    report = eval_next_location(
+                        params, FULL_VARIANT, ds, splits, ks=(1, 3, 5),
+                        mode=mode, user_slice=user_slice, part=part,
+                        per_user_out=users, ranks=ranks)
+                    expected, expected_users = reference[mode, user_slice]
+                    assert report.num_events == expected.num_events
+                    assert report.recall_at == expected.recall_at
+                    assert users == expected_users
+
+
+def test_shared_ranks_reject_reports_they_do_not_hold():
+    ds, splits = _revisiting_dataset(8, num_users=9)
+    params = ModelParams.zeros(ds.num_users, ds.num_locations, 3)
+    ranks = evaluation.rank_next_locations(params, FULL_VARIANT, ds, splits,
+                                           "test", ("general",), ("cold-start",))
+    eval_next_location(params, FULL_VARIANT, ds, splits, mode="general",
+                       user_slice="cold-start", ranks=ranks)
+    for kwargs in ({"mode": "new-only", "user_slice": "cold-start"},
+                   {"mode": "general", "user_slice": "all"},
+                   {"mode": "general", "user_slice": "cold-start",
+                    "part": "validation"}):
+        with pytest.raises(ValueError):
+            eval_next_location(params, FULL_VARIANT, ds, splits, ranks=ranks,
+                               **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,28 @@ def test_sample_negative_locations_excludes_target_distinct():
     np.testing.assert_array_equal(negs, again)
 
 
+@pytest.mark.parametrize("n2", [7, 8, 100])
+def test_enumerated_negatives_batch_equals_per_position_draws(n2):
+    # |L| = 8: with n2 >= |L| - 1 every position's negatives are every
+    # location but its target, built per user and drawing nothing
+    ds = toy_dataset(seed=5, num_users=4, num_locations=8)
+    assert ds.num_locations - 1 <= n2
+    splits = lbsn_data.full_train_splits(ds)
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    batch = draw_trajectory_batch(ds, splits, np.arange(ds.num_users), n2, rng)
+    assert rng.bit_generator.state == state
+    reference = np.random.default_rng(9)
+    for u, (locs, _), negs in zip(batch.users, batch.views, batch.negatives):
+        assert len(negs) == len(locs) > 0
+        for target, neg in zip(locs, negs):
+            expected = sample_negative_locations(ds.num_locations, int(target),
+                                                 n2, reference)
+            assert neg.dtype == expected.dtype
+            np.testing.assert_array_equal(neg, expected)
+    assert reference.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # sampled losses and their gradients
 # ---------------------------------------------------------------------------
