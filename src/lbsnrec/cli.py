@@ -149,13 +149,18 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    try:
+        ks_next = tuple(int(k) for k in args.ks.split(","))
+    except ValueError:
+        ks_next = (0,)
+    if min(ks_next) < 1:
+        raise ConfigError(f"--ks needs positive integers, got {args.ks!r}")
     config, split_kwargs = _train_setup(args)
     dataset = lbsn_data.load_dataset(args.data)
     splits = _make_splits(dataset, config, split_kwargs)
     params, mask, user_ids, location_ids = load_checkpoint(args.model)
     if user_ids != dataset.user_vocab.ids or location_ids != dataset.location_vocab.ids:
         raise ConfigError("checkpoint vocabulary does not match the dataset")
-    ks_next = tuple(int(k) for k in args.ks.split(","))
     reports = []
     dumps = [] if args.per_user_json else None
     if args.task in ("next", "both"):

@@ -16,7 +16,6 @@ import struct
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -589,20 +588,3 @@ def load_dataset(path):
     return Dataset(graph=graph, trajectories=trajectories,
                    user_vocab=user_vocab, location_vocab=location_vocab)
 
-
-def format_timestamp(epoch):
-    return datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime(
-        CHECKIN_TIME_FORMAT)
-
-
-def write_checkins_tsv(checkins, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for c in checkins:
-            handle.write(f"{c.user}\t{format_timestamp(c.timestamp)}\t"
-                         f"0.0\t0.0\t{c.location}\n")
-
-
-def write_edges_tsv(pairs, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for a, b in pairs:
-            handle.write(f"{a}\t{b}\n")

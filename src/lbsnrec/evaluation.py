@@ -151,6 +151,8 @@ def _report(task, mode, user_slice, ks, owners, ranks, per_user_out):
     per_user_out, when a dict, receives {user: {"events": n, "hits": {k: n}}}.
     """
     ks = tuple(sorted(ks))
+    if ks and ks[0] < 1:
+        raise ValueError("k must be >= 1")
     events = sum(len(r) for r in ranks)
     if not events:
         return EvalReport(task=task, mode=mode, user_slice=user_slice,

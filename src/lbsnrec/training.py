@@ -263,11 +263,25 @@ def sampled_location_loss(params, context, target, negatives):
     return loss, grad_context, cands, grad_scores
 
 
-# Candidate entries (positions x candidates per position) per
-# block_location_loss call, at least one position. When few candidates repeat
-# (|L| >> n2), a block's distinct candidates grow with its length and so does
-# its GEMM cost per position, so long subtrajectories are split.
-BLOCK_CANDIDATES = 512
+# Bounds on one block_location_loss call: its distinct candidates, and its
+# score-matrix entries (positions x distinct candidates).
+BLOCK_CANDIDATES = 384
+BLOCK_SCORES = 1 << 14
+
+
+def block_positions(num_locations, width):
+    """Positions per block_location_loss call, for rows of `width` candidates.
+
+    The largest p >= 1 whose block, with at most D = min(|L|, p * width)
+    distinct candidates, has D <= BLOCK_CANDIDATES and p * D <= BLOCK_SCORES.
+    Each position is scored against all D, so blocks stay short when few
+    candidates repeat (|L| >> n2) and grow to the score bound when all share L.
+    """
+    # p * D = min(p * |L|, p * p * width) is within the bound if either is.
+    p = max(BLOCK_SCORES // num_locations, math.isqrt(BLOCK_SCORES // width))
+    if num_locations > BLOCK_CANDIDATES:
+        p = min(p, BLOCK_CANDIDATES // width)
+    return max(1, p)
 
 
 def block_location_loss(params, contexts, cands):
@@ -384,9 +398,9 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
     One forward_trajectory call runs the group's recurrences in lockstep;
     then, over all positions of the group at once:
 
-    - Softmax: each subtrajectory is one block_location_loss call (long ones
-      are split into blocks of at most BLOCK_CANDIDATES candidate entries),
-      which gives the block's losses, context gradients and U_out gradient.
+    - Softmax: consecutive blocks of the group's positions (block_positions
+      each, across subtrajectories and users), one block_location_loss call
+      per block, give the losses, context gradients and U_out gradient.
     - Context: the F and P blocks of the context gradients sum into F[v] and
       P[v]; the short-term block reaches the state consulted at each
       position; the long-term block reaches the hidden state frozen at the
@@ -417,19 +431,15 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
     d_context = np.zeros((num * width, 4 * d))
     total = 0.0
     out_rows = []
-    block = max(1, BLOCK_CANDIDATES // (1 + drawn.shape[1]))
-    sub = trace.subtrajectories
-    ends = np.cumsum(sub.lengths).tolist()
-    for first, end in zip([0] + ends[:-1], ends):
-        for s in range(first, end, block):
-            t = min(s + block, end)
-            at = valid[s:t]
-            loss, d_context[at], rows, d_rows = block_location_loss(
-                params, contexts[at],
-                np.column_stack((flat_locations[at], drawn[s:t])))
-            total += loss
-            grads.U_out[rows] += d_rows
-            out_rows.append(rows)
+    block = block_positions(params.num_locations, 1 + drawn.shape[1])
+    for s in range(0, len(valid), block):
+        at = valid[s:s + block]
+        loss, d_context[at], rows, d_rows = block_location_loss(
+            params, contexts[at],
+            np.column_stack((flat_locations[at], drawn[s:s + block])))
+        total += loss
+        grads.U_out[rows] += d_rows
+        out_rows.append(rows)
     grads.touch("U_out", np.concatenate(out_rows))
 
     seen = lengths > 0
@@ -457,7 +467,7 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
         stepped[before] = True
 
     if mask.use_long:
-        steps = trace.positions
+        steps, sub = trace.positions, trace.subtrajectories
         d_hidden = np.zeros((num * (width + 1), d))
         d_hidden[state_index(sub.starts, width)] = np.add.reduceat(
             d_context[:, 3 * d:], sub.starts, axis=0)

@@ -5,6 +5,7 @@ failing trials (0 expected).
 """
 
 from collections import defaultdict
+from datetime import datetime, timezone
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,27 @@ def random_params(rng, num_users, num_locations, dim, scale=0.5):
                for name, shape in tensor_shapes(num_users, num_locations,
                                                 dim).items()}
     return ModelParams(**tensors)
+
+
+def format_timestamp(epoch):
+    """Check-in time text that lbsnrec.data.parse_checkins reads back."""
+    return datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime(
+        lbsn_data.CHECKIN_TIME_FORMAT)
+
+
+def write_checkins_tsv(checkins, path):
+    """Write CheckIns as a raw check-in TSV (zero latitude and longitude)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        for c in checkins:
+            handle.write(f"{c.user}\t{format_timestamp(c.timestamp)}\t"
+                         f"0.0\t0.0\t{c.location}\n")
+
+
+def write_edges_tsv(pairs, path):
+    """Write (user, user) pairs as a raw edge TSV."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        for a, b in pairs:
+            handle.write(f"{a}\t{b}\n")
 
 
 def forward_one(params, mask, user, locations, bounds):

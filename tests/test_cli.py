@@ -14,6 +14,7 @@ from lbsnrec.model import (ModelParams, VariantMask, forward_groups,
                            save_checkpoint, tensor_shapes)
 
 from conftest import corrupt_cache, make_checkins
+from property_checks import write_checkins_tsv, write_edges_tsv
 
 
 def run_cli(args):
@@ -34,8 +35,8 @@ def synth_cache(tmp_path):
 def test_preprocess_stats_line(tmp_path, capsys):
     checkins = make_checkins({"a": [["x", "y"], ["y"]], "b": [["y", "x"]]})
     cpath, epath = tmp_path / "c.tsv", tmp_path / "e.tsv"
-    lbsn_data.write_checkins_tsv(checkins, cpath)
-    lbsn_data.write_edges_tsv([("a", "b")], epath)
+    write_checkins_tsv(checkins, cpath)
+    write_edges_tsv([("a", "b")], epath)
     out = tmp_path / "d.bin"
     code = run_cli(["preprocess", cpath, epath, "--out", out,
                     "--min-user-checkins", 0, "--min-loc-checkins", 0])
@@ -183,6 +184,20 @@ def test_eval_rejects_duplicate_checkpoint_vocabulary_ids(tmp_path, synth_cache,
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "duplicate id" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("ks", ["5,x", "", "0,10", "-3"])
+def test_eval_rejects_bad_ks(tmp_path, synth_cache, capsys, ks):
+    ds = lbsn_data.load_dataset(synth_cache)
+    model = tmp_path / "m.jntm"
+    save_checkpoint(model, ModelParams.zeros(ds.num_users, ds.num_locations, 2),
+                    VariantMask(), ds.user_vocab.ids, ds.location_vocab.ids)
+    code = run_cli(["eval", "--model", model, "--data", synth_cache,
+                    "--out", tmp_path / "r.csv", f"--ks={ks}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --ks ")
     assert not (tmp_path / "r.csv").exists()
 
 

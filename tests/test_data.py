@@ -13,6 +13,7 @@ from lbsnrec.data import (CheckIn, ParseError, build_dataset, filter_dataset,
                           full_train_splits)
 
 from conftest import corrupt_cache, make_checkins
+from property_checks import write_checkins_tsv, write_edges_tsv
 
 
 def test_parse_checkins_epoch_conversion(tmp_path):
@@ -318,8 +319,8 @@ def test_dataset_cache_rejects_non_utf8_vocabulary(tmp_path, two_user_dataset):
 def test_tsv_round_trip(tmp_path, two_user_dataset):
     checkins = make_checkins({"a": [["x", "y"], ["y"]], "b": [["y", "x", "x"]]})
     cpath, epath = tmp_path / "c.tsv", tmp_path / "e.tsv"
-    lbsn_data.write_checkins_tsv(checkins, cpath)
-    lbsn_data.write_edges_tsv([("a", "b")], epath)
+    write_checkins_tsv(checkins, cpath)
+    write_edges_tsv([("a", "b")], epath)
     rebuilt = build_dataset(parse_checkins(cpath), parse_edges(epath))
     for a, b in zip(rebuilt.trajectories, two_user_dataset.trajectories):
         np.testing.assert_array_equal(a.locations, b.locations)

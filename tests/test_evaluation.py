@@ -27,6 +27,24 @@ def test_recall_at_k_empty_truth_rejected():
         recall_at_k(["a"], set(), 3)
 
 
+@pytest.mark.parametrize("ks", [(0,), (-3, 5)])
+def test_reports_reject_k_below_one(ks):
+    # as recall_at_k does: a K < 1 row would read recall 0.0 for any model
+    layout = {"u0": [["a", "b"]] * 3, "u1": [["b", "a"]] * 3}
+    ds = lbsn_data.build_dataset(make_checkins(layout), [("u0", "u1")])
+    splits = lbsn_data.Splits(train_end=np.array([2, 2]),
+                              test_start=np.array([2, 2]), train_edges=set(),
+                              test_edges={(0, 1), (1, 0)})
+    params = ModelParams.zeros(2, ds.num_locations, 2)
+    assert eval_next_location(params, FULL_VARIANT, ds, splits, ks=(1,),
+                              part="test").num_events == 4
+    assert eval_friend_rec(params, ds, splits, ks=(1,)).num_events == 2
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        eval_next_location(params, FULL_VARIANT, ds, splits, ks=ks, part="test")
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        eval_friend_rec(params, ds, splits, ks=ks)
+
+
 def _dataset_with_test_events(num_users=3, num_locations=8):
     layout = {}
     for u in range(num_users):

@@ -11,7 +11,8 @@ from lbsnrec.synth import (SynthConfig, chance_baselines, community_block,
                            community_of_user, generate, generate_raw,
                            planted_chains, shared_block)
 
-from property_checks import community_oracle_recall
+from property_checks import (community_oracle_recall, write_checkins_tsv,
+                             write_edges_tsv)
 
 
 def small_config(**kwargs):
@@ -83,8 +84,8 @@ def test_round_trip_through_tsv_pipeline(tmp_path):
     cfg = small_config(seed=7)
     checkins, edges = generate_raw(cfg)
     cpath, epath = tmp_path / "c.tsv", tmp_path / "e.tsv"
-    lbsn_data.write_checkins_tsv(checkins, cpath)
-    lbsn_data.write_edges_tsv(edges, epath)
+    write_checkins_tsv(checkins, cpath)
+    write_edges_tsv(edges, epath)
     rebuilt = lbsn_data.build_dataset(lbsn_data.parse_checkins(cpath),
                                       lbsn_data.parse_edges(epath))
     direct = generate(cfg)

@@ -5,7 +5,7 @@ import pytest
 
 from lbsnrec import data as lbsn_data
 from lbsnrec import model as lbsn_model
-from lbsnrec import training
+from lbsnrec import synth, training
 from lbsnrec.model import (BASE_VARIANT, FULL_VARIANT, ModelParams,
                            TENSOR_NAMES, VariantMask, joint_log_likelihood_full,
                            load_checkpoint, location_log_prob_full,
@@ -436,6 +436,113 @@ def test_trajectory_grads_independent_of_forward_groups(monkeypatch, positions):
         assert np.abs(grouped.tensor(name) - grads.tensor(name)).max() <= \
             1e-12 * scale, name
     assert grouped.touched == grads.touched
+
+
+def rule_positions(num_locations, width):
+    """Largest p >= 1 whose D(p) = min(|L|, p * width) distinct candidates
+    obey D(p) <= BLOCK_CANDIDATES and p * D(p) <= BLOCK_SCORES."""
+    p = 1
+    while True:
+        distinct = min(num_locations, (p + 1) * width)
+        if (distinct > training.BLOCK_CANDIDATES
+                or (p + 1) * distinct > training.BLOCK_SCORES):
+            return p
+        p += 1
+
+
+def record_block_sizes(monkeypatch):
+    sizes = []
+    block_loss = training.block_location_loss
+
+    def counted(params, contexts, cands):
+        sizes.append(len(cands))
+        return block_loss(params, contexts, cands)
+
+    monkeypatch.setattr(training, "block_location_loss", counted)
+    return sizes
+
+
+def test_block_positions_is_the_largest_within_both_bounds():
+    for num_locations in (1, 2, 65, 66, 383, 384, 385, 400, 11498, 20000):
+        for width in (1, 2, 3, 6, 66, 101, 128, 384, 385):
+            if width <= num_locations:
+                assert training.block_positions(num_locations, width) == \
+                    rule_positions(num_locations, width), (num_locations, width)
+    # |L| = 20k, n2 = 100 (bk_shape): three positions, each scored against
+    # every candidate of its block; |L| = 66 enumerated (planted): the score
+    # matrix bound alone
+    assert training.block_positions(20000, 101) == 3
+    assert training.block_positions(66, 66) == 248
+
+
+# bounds that force one-position blocks and one block per forward group
+BLOCK_BOUNDS = {"one_position": {"BLOCK_SCORES": 1},
+                "whole_group": {"BLOCK_CANDIDATES": 1 << 40,
+                                "BLOCK_SCORES": 1 << 40}}
+
+
+@pytest.mark.parametrize("bounds", sorted(BLOCK_BOUNDS))
+@pytest.mark.parametrize("num_locations, n2", [(12, 11), (400, 100), (12, 5),
+                                               (12, 0)],
+                         ids=["enumerated", "n2_100", "n2_5", "n2_0"])
+@pytest.mark.parametrize("mask", ALL_VARIANTS,
+                         ids=["full", "short_only", "long_only", "base"])
+def test_trajectory_grads_independent_of_softmax_blocks(monkeypatch, mask,
+                                                        num_locations, n2,
+                                                        bounds):
+    rng = np.random.default_rng(23)
+    params = random_params(rng, 9, num_locations, 3, scale=0.8)
+    batch = ragged_batch(rng, num_locations, n2)
+    sizes = record_block_sizes(monkeypatch)
+    loss, grads = trajectory_loss_and_grads(params, mask, batch)
+    # the 37 positions of lengths 7, 0, 3, 7, 11, 1, 8 form one forward group;
+    # default blocks of 3 at |L| = 400 cross subtrajectory and user
+    # boundaries, and the other cases fit one block
+    assert sizes == ([3] * 12 + [1] if n2 == 100 else [37])
+    for name, value in BLOCK_BOUNDS[bounds].items():
+        monkeypatch.setattr(training, name, value)
+    sizes.clear()
+    blocked_loss, blocked = trajectory_loss_and_grads(params, mask, batch)
+    assert sizes == {"one_position": [1] * 37, "whole_group": [37]}[bounds]
+    assert abs(blocked_loss - loss) <= 1e-12 * abs(loss)
+    for name in TENSOR_NAMES:
+        scale = np.abs(grads.tensor(name)).max()
+        assert np.abs(blocked.tensor(name) - grads.tensor(name)).max() <= \
+            1e-12 * scale, name
+    assert blocked.touched == grads.touched
+
+
+def test_planted_softmax_calls_follow_the_block_rule(monkeypatch):
+    # every planted position has all 66 locations as candidates, so blocks
+    # span subtrajectories and users up to the score-matrix bound
+    ds = synth.generate(synth.SynthConfig(seed=7))
+    splits = lbsn_data.make_splits(ds, seed=7)
+    rng = np.random.default_rng(0)
+    batch = draw_trajectory_batch(ds, splits, np.arange(ds.num_users), 100, rng)
+    params = random_params(rng, ds.num_users, ds.num_locations, 4)
+    p = rule_positions(ds.num_locations, ds.num_locations)
+    lengths = [len(locs) for locs, _ in batch.views]
+    groups = [sum(lengths[lo:hi]) for lo, hi in lbsn_model.forward_groups(lengths)]
+    sizes = record_block_sizes(monkeypatch)
+    trajectory_loss_and_grads(params, FULL_VARIANT, batch)
+    assert len(sizes) == sum(math.ceil(valid / p) for valid in groups)
+    want = []
+    for valid in groups:
+        want += [p] * (valid // p) + ([valid % p] if valid % p else [])
+    assert sizes == want
+
+
+@pytest.mark.parametrize("n2", [5, 100, 383])
+def test_softmax_blocks_bounded_when_locations_exceed_block_candidates(
+        monkeypatch, n2):
+    num_locations = training.BLOCK_CANDIDATES + 16
+    rng = np.random.default_rng(24)
+    params = random_params(rng, 9, num_locations, 3, scale=0.8)
+    batch = ragged_batch(rng, num_locations, n2)
+    sizes = record_block_sizes(monkeypatch)
+    trajectory_loss_and_grads(params, FULL_VARIANT, batch)
+    assert sum(sizes) == 37
+    assert max(sizes) <= training.BLOCK_CANDIDATES // (1 + n2)
 
 
 def test_enumerated_trajectory_loss_equals_full_likelihood_oracle():
