@@ -10,28 +10,24 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import resource
 import sys
-import time
-
-import numpy as np
+import tempfile
 
 from . import data as lbsn_data
 from . import evaluation, gradcheck, synth, training
 from .model import CheckpointError, VariantMask, load_checkpoint
-
-TRAIN_CONFIG_KEYS = {
-    "d", "learning_rate", "n1_per_user", "n2", "max_iterations", "batch_users",
-    "seed", "init_range", "adagrad_epsilon", "patience", "validation_k",
-    "use_short", "use_long",
-    "trajectory_train_frac", "validation_frac_of_train", "link_train_ratio",
-}
 
 SPLIT_DEFAULTS = {
     "trajectory_train_frac": 0.9,
     "validation_frac_of_train": 0.1,
     "link_train_ratio": 0.5,
 }
+
+TRAIN_CONFIG_KEYS = ({f.name for f in dataclasses.fields(training.TrainConfig)}
+                     - {"variant"} | {"use_short", "use_long"}
+                     | set(SPLIT_DEFAULTS))
 
 
 class ConfigError(ValueError):
@@ -69,16 +65,21 @@ def _train_setup(args):
             split_kwargs[key] = raw.pop(key)
     use_short = raw.pop("use_short", True)
     use_long = raw.pop("use_long", True)
+    if not isinstance(use_short, bool) or not isinstance(use_long, bool):
+        raise ConfigError("use_short and use_long must be true or false")
     try:
-        config = training.TrainConfig(variant=VariantMask(bool(use_short),
-                                                          bool(use_long)), **raw)
+        config = training.TrainConfig(variant=VariantMask(use_short, use_long),
+                                      **raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     return config, split_kwargs
 
 
 def _make_splits(dataset, config, split_kwargs):
-    return lbsn_data.make_splits(dataset, seed=config.seed, **split_kwargs)
+    try:
+        return lbsn_data.make_splits(dataset, seed=config.seed, **split_kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def cmd_preprocess(args):
@@ -164,12 +165,11 @@ def cmd_eval(args):
     reports = []
     dumps = [] if args.per_user_json else None
     if args.task in ("next", "both"):
-        modes, user_slices = ("general", "new-only"), ("all", "cold-start")
         # One forward and score pass serves all four reports.
         ranks = evaluation.rank_next_locations(params, mask, dataset, splits,
-                                               "test", modes, user_slices)
-        for mode in modes:
-            for user_slice in user_slices:
+                                               "test", new_only=True)
+        for mode in ("general", "new-only"):
+            for user_slice in ("all", "cold-start"):
                 per_user = {} if dumps is not None else None
                 reports.append(evaluation.eval_next_location(
                     params, mask, dataset, splits, ks=ks_next, mode=mode,
@@ -210,30 +210,18 @@ def cmd_gradcheck(args):
 
 
 def cmd_bench(args):
+    """Train --reps epochs on every check-in; time the fastest pass of each."""
     config, _ = _train_setup(args)
     dataset = lbsn_data.load_dataset(args.data)
     splits = lbsn_data.full_train_splits(dataset)
+    # No validation events: no early stop, and every epoch checkpoints.
+    with tempfile.TemporaryDirectory() as work:
+        records = training.train(
+            dataset, splits, dataclasses.replace(config, max_iterations=args.reps),
+            os.path.join(work, "bench.jntm"))
     num_checkins = dataset.num_checkins
-    params = training.init_params(config, dataset.num_users,
-                                  dataset.num_locations)
-    streams = training.rng_streams(config.seed)
-
-    def timed(fn):
-        best = None
-        for _ in range(args.reps):
-            start = time.perf_counter()
-            fn()
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        return best if best is not None else 0.0
-
-    users = np.arange(dataset.num_users, dtype=np.int64)
-    net_seconds = timed(lambda: training.network_loss_and_grads(
-        params, dataset.graph, training.draw_network_batch(
-            dataset.graph, users, config.n1_per_user, streams.link_negatives)))
-    traj_seconds = timed(lambda: training.trajectory_loss_and_grads(
-        params, config.variant, training.draw_trajectory_batch(
-            dataset, splits, users, config.n2, streams.location_negatives)))
+    net_seconds = min(r.net_seconds for r in records)
+    traj_seconds = min(r.traj_seconds for r in records)
     per_checkin = traj_seconds / num_checkins if num_checkins else 0.0
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -246,6 +234,16 @@ def cmd_bench(args):
     print(f"bench |D|={num_checkins}: net={net_seconds:.3f}s "
           f"traj={traj_seconds:.3f}s per-checkin={per_checkin:.2e}s -> {args.out}")
     return 0
+
+
+def _count(minimum):
+    """argparse type: an integer of at least minimum."""
+    def integer(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
 
 
 def _add_train_config_flags(parser):
@@ -285,8 +283,8 @@ def build_parser():
     p.add_argument("checkins")
     p.add_argument("edges")
     p.add_argument("--out", required=True)
-    p.add_argument("--min-user-checkins", type=int, default=10)
-    p.add_argument("--min-loc-checkins", type=int, default=5)
+    p.add_argument("--min-user-checkins", type=_count(0), default=10)
+    p.add_argument("--min-loc-checkins", type=_count(0), default=5)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset cache")
@@ -302,8 +300,8 @@ def build_parser():
     p = sub.add_parser("stats", help="friendship/trajectory correlation report")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_count(0), default=10000)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("train", help="train a model on a dataset cache")
@@ -325,17 +323,17 @@ def build_parser():
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient oracle")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--out", help="CSV report path")
     p.add_argument("--tolerance-rel", type=float, default=1e-5)
     p.add_argument("--tolerance-abs", type=float, default=1e-8)
-    p.add_argument("--entries", type=int, default=20)
+    p.add_argument("--entries", type=_count(1), default=20)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("bench", help="time one network/trajectory iteration")
+    p = sub.add_parser("bench", help="time the passes of real training epochs")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=_count(1), default=1)
     _add_train_config_flags(p)
     p.set_defaults(func=cmd_bench)
     return parser

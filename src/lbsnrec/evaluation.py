@@ -53,7 +53,7 @@ def _part_range(splits, user, part):
     raise ValueError(f"unknown part {part!r}")
 
 
-def _evaluated_users(dataset, splits, user_slice, part):
+def _evaluated_users(dataset, splits, part):
     """Yield (user, locations, bounds, first evaluated position) per user.
 
     locations and bounds cover the user's history up to the end of the part.
@@ -61,34 +61,28 @@ def _evaluated_users(dataset, splits, user_slice, part):
     for user in range(dataset.num_users):
         traj = dataset.trajectories[user]
         bounds = traj.subtrajectory_bounds
-        m = len(bounds)
-        if user_slice == "cold-start" and m > COLD_START_MAX_SUBTRAJECTORIES:
-            continue
         lo, hi = _part_range(splits, user, part)
         if hi is None:
-            hi = m
+            hi = len(bounds)
         if lo >= hi:
             continue
         end = bounds[hi - 1][1]
         yield user, traj.locations[:end], bounds[:hi], bounds[lo][0]
 
 
-def _evaluated_rows(params, mask, dataset, splits, modes, user_slice, part,
-                    width):
+def _evaluated_rows(params, mask, dataset, splits, new_only, part, width):
     """Yield (owners, contexts, targets, new, ex_rows, ex_cols) per block of
     users.
 
     The contexts are those of the forward pass over each user's history up to
-    the end of the part, taken at every position that one of the modes
-    counts; owners holds each row's user. A block holds the rows of
-    consecutive users, at most `width` rows unless one user has more. new
-    indexes the rows that are first visits of their location (every row when
-    "general" is not among the modes, none when "new-only" is not), and
-    (ex_rows, ex_cols), sorted by row, pairs each of these (its index into
-    new) with the locations visited before its position, which are not its
-    new-only candidates.
+    the end of the part, taken at every evaluated position; owners holds each
+    row's user. A block holds the rows of consecutive users, at most `width`
+    rows unless one user has more. new indexes the rows that are first visits
+    of their location (none unless new_only), and (ex_rows, ex_cols), sorted
+    by row, pairs each of these (its index into new) with the locations
+    visited before its position, which are not its new-only candidates.
     """
-    evaluated = list(_evaluated_users(dataset, splits, user_slice, part))
+    evaluated = list(_evaluated_users(dataset, splits, part))
     empty = np.empty(0, dtype=np.int64)
     block, num_rows, num_new = [[], [], [], [empty], [empty], [empty]], 0, 0
     for lo, hi in forward_groups([len(item[1]) for item in evaluated]):
@@ -98,15 +92,12 @@ def _evaluated_rows(params, mask, dataset, splits, modes, user_slice, part,
         for (user, locs, _, start), user_contexts in zip(group, trace.contexts):
             positions = np.arange(start, len(locs))
             new = ex_rows = ex_cols = empty
-            if "new-only" in modes:
+            if new_only:
                 # Position p is new iff it is the first visit of its location;
                 # its candidates are the locations first visited at p or later.
                 visited, first, inverse = np.unique(locs, return_index=True,
                                                     return_inverse=True)
                 new = np.flatnonzero(first[inverse[start:]] == positions)
-                if "general" not in modes:
-                    positions = positions[new]
-                    new = np.arange(len(new))
                 order = np.argsort(first)
                 counts = np.searchsorted(first[order], positions[new])
                 ex_rows = np.repeat(np.arange(len(new)), counts)
@@ -177,64 +168,50 @@ class NextLocationRanks:
     """Next-location events of one part, ranked once for several reports.
 
     rows maps each ranked mode to (owners, ranks): each event's user and the
-    1-based rank of its target among that mode's candidates. The events are
-    those of the users that user_slices keep.
+    1-based rank of its target among that mode's candidates, over every user
+    with events in the part.
     """
     part: str
-    user_slices: tuple
     rows: dict
 
 
 def rank_next_locations(params, mask, dataset, splits, part="test",
-                        modes=("general",), user_slices=("all",)):
-    """NextLocationRanks of every event that the modes count.
+                        new_only=False):
+    """NextLocationRanks of every general event, and of every new-only event
+    when new_only.
 
-    Every user that one of user_slices keeps is forwarded once, in one
+    Every user with events in the part is forwarded once, in one
     forward_trajectory call per group of users (see model.forward_groups),
     and the rows of consecutive users are scored in blocks of at most
     SCORE_BLOCK_ENTRIES scores: one GEMM against U_out per block. General
     rows are ranked on these scores. New-only rows (first visits) are ranked
     on a copy of theirs with each row's previously visited locations set to
-    -inf, or on the block itself when general mode is not asked for, in
-    which case only first-visit rows are scored.
+    -inf.
     """
-    for mode in modes:
-        if mode not in ("general", "new-only"):
-            raise ValueError(f"unknown mode {mode!r}")
-    for user_slice in user_slices:
-        if user_slice not in ("all", "cold-start"):
-            raise ValueError(f"unknown slice {user_slice!r}")
-    general = "general" in modes
     width = max(1, SCORE_BLOCK_ENTRIES // max(1, params.num_locations))
     empty = np.empty(0, dtype=np.int64)
     owners, ranks, new_owners, new_ranks = [empty], [empty], [empty], [empty]
     for users, contexts, targets, new, ex_rows, ex_cols in _evaluated_rows(
-            params, mask, dataset, splits, modes,
-            "all" if "all" in user_slices else "cold-start", part, width):
+            params, mask, dataset, splits, new_only, part, width):
         owners.append(users)
         new_owners.append(users[new])
         for a in range(0, len(targets), width):
             scores = contexts[a:a + width] @ params.U_out.T
             block_targets = targets[a:a + width]
-            if general:
-                ranks.append(_rank_rows(scores, block_targets))
+            ranks.append(_rank_rows(scores, block_targets))
             i, j = np.searchsorted(new, (a, a + width))
             if i == j:
                 continue
             rows = new[i:j] - a
-            if general:
-                scores = scores[rows]
+            scores = scores[rows]
             lo, hi = np.searchsorted(ex_rows, (i, j))
             scores[ex_rows[lo:hi] - i, ex_cols[lo:hi]] = -np.inf
             new_ranks.append(_rank_rows(scores, block_targets[rows]))
-    rows = {}
-    if general:
-        rows["general"] = (np.concatenate(owners), np.concatenate(ranks))
-    if "new-only" in modes:
+    rows = {"general": (np.concatenate(owners), np.concatenate(ranks))}
+    if new_only:
         rows["new-only"] = (np.concatenate(new_owners),
                             np.concatenate(new_ranks))
-    return NextLocationRanks(part=part, user_slices=tuple(user_slices),
-                             rows=rows)
+    return NextLocationRanks(part=part, rows=rows)
 
 
 def eval_next_location(params, mask, dataset, splits, ks=(1, 5, 10),
@@ -250,17 +227,20 @@ def eval_next_location(params, mask, dataset, splits, ks=(1, 5, 10),
     warms the recurrent states with ground-truth inputs. per_user_out, when a
     dict, receives {user: {"events": n, "hits": {k: n}}} for debugging.
 
-    ranks, when given, is a rank_next_locations result for this part whose
-    modes and slices include these, so that several reports share one
-    forward pass; otherwise this mode and slice are ranked here.
+    ranks, when given, is a rank_next_locations result for this part that
+    holds this mode, so that several reports share one forward pass;
+    otherwise the part is ranked here.
     """
+    if mode not in ("general", "new-only"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if user_slice not in ("all", "cold-start"):
+        raise ValueError(f"unknown slice {user_slice!r}")
     if ranks is None:
         ranks = rank_next_locations(params, mask, dataset, splits, part,
-                                    (mode,), (user_slice,))
-    elif (ranks.part != part or mode not in ranks.rows
-          or user_slice not in ranks.user_slices):
+                                    new_only=mode == "new-only")
+    elif ranks.part != part or mode not in ranks.rows:
         raise ValueError(f"ranks of part {ranks.part!r} hold no {mode} "
-                         f"{user_slice} events of part {part!r}")
+                         f"events of part {part!r}")
     owners, event_ranks = ranks.rows[mode]
     if user_slice == "cold-start":
         counts = np.array([t.num_subtrajectories for t in dataset.trajectories],

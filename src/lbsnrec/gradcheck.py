@@ -93,14 +93,11 @@ def _frozen_loss_fn(graph, net_batch, traj_batch, mask):
 
 
 def check_all(dataset, config, tolerance_rel=1e-5, tolerance_abs=1e-8,
-              sample_entries_per_tensor=20, step=DEFAULT_STEP,
-              fault_injection=None):
+              sample_entries_per_tensor=20, step=DEFAULT_STEP):
     """Compare analytic gradients of the frozen sampled loss to differences.
 
     An entry passes when |analytic - numeric| <= max(tolerance_abs,
-    tolerance_rel * max(|analytic|, |numeric|)). fault_injection is a test
-    hook: a (tensor_name, factor) pair scaling that tensor's analytic
-    gradient before comparison.
+    tolerance_rel * max(|analytic|, |numeric|)).
     """
     streams = rng_streams(config.seed)
     params = init_params(config, dataset.num_users, dataset.num_locations)
@@ -116,9 +113,6 @@ def check_all(dataset, config, tolerance_rel=1e-5, tolerance_abs=1e-8,
     grads = Gradients.like(params)
     network_loss_and_grads(params, dataset.graph, net_batch, grads)
     trajectory_loss_and_grads(params, config.variant, traj_batch, grads)
-    if fault_injection is not None:
-        name, factor = fault_injection
-        grads.tensor(name)[...] *= factor
 
     entry_rng = np.random.default_rng(np.random.SeedSequence(
         entropy=config.seed, spawn_key=(101,)))

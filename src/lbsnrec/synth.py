@@ -42,6 +42,8 @@ class SynthConfig:
                   self.locations_per_subtrajectory)
         if any(c <= 0 for c in counts) or self.shared_locations < 0:
             raise ValueError("counts must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         probs = (self.intra_edge_prob, self.inter_edge_prob,
                  self.markov_stickiness)
         if any(not (0.0 <= p <= 1.0) for p in probs):

@@ -38,6 +38,11 @@ class TrainConfig:
     validation_k: int = 5
 
     def __post_init__(self):
+        for name in ("d", "n1_per_user", "n2", "max_iterations", "batch_users",
+                     "seed", "patience", "validation_k"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.d <= 0 or self.batch_users <= 0:
             raise ValueError("d and batch_users must be positive")
         if self.learning_rate <= 0:
@@ -46,6 +51,8 @@ class TrainConfig:
             raise ValueError("init_range must be >= 0, adagrad_epsilon > 0")
         if self.n1_per_user < 0 or self.n2 < 0 or self.max_iterations < 0:
             raise ValueError("counts must be >= 0")
+        if self.seed < 0 or self.validation_k < 1:
+            raise ValueError("seed must be >= 0 and validation_k >= 1")
 
 
 @dataclass
@@ -145,12 +152,22 @@ def sample_negative_links(graph, user, count, rng):
     return _rejection_sample(count, graph.num_users, excluded, rng)
 
 
-def sample_negative_locations(num_locations, target, n2, rng):
-    """n2 distinct locations uniform without replacement, excluding target."""
+def sample_negative_locations(num_locations, targets, n2, rng):
+    """Row i: n2 distinct locations uniform without replacement, excluding
+    targets[i], drawn in row order.
+
+    When n2 >= |L| - 1 each row is every location but its target, ascending,
+    and nothing is drawn.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
     if num_locations - 1 <= n2:
-        out = np.arange(num_locations, dtype=np.int64)
-        return out[out != target]
-    return _rejection_sample(n2, num_locations, {int(target)}, rng)
+        grid = np.broadcast_to(np.arange(num_locations, dtype=np.int64),
+                               (len(targets), num_locations))
+        return grid[grid != targets[:, None]].reshape(len(targets),
+                                                      num_locations - 1)
+    return np.array([_rejection_sample(n2, num_locations, {target}, rng)
+                     for target in targets.tolist()],
+                    dtype=np.int64).reshape(len(targets), n2)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +186,8 @@ class NetworkBatch:
 class TrajectoryBatch:
     users: np.ndarray
     views: list         # per user, (locations, bounds) restricted to train range
-    negatives: list     # per user, list of per-position negative arrays,
-                        # all of one length (sample_negative_locations)
+    negatives: list     # per user, (positions x n2') negatives
+                        # (sample_negative_locations)
 
 
 def draw_network_batch(graph, users, n1, rng):
@@ -192,22 +209,9 @@ def training_view(dataset, splits, user):
 
 def draw_trajectory_batch(dataset, splits, users, n2, rng):
     users = np.asarray(users, dtype=np.int64)
-    views = []
-    negatives = []
-    num_locations = dataset.num_locations
-    everything = np.arange(num_locations, dtype=np.int64)
-    for u in users:
-        locs, bounds = training_view(dataset, splits, int(u))
-        views.append((locs, bounds))
-        if num_locations - 1 <= n2:
-            # sample_negative_locations enumerates every location but the
-            # target and draws nothing: build all of the user's rows at once.
-            grid = np.broadcast_to(everything, (len(locs), num_locations))
-            negatives.append(list(grid[grid != locs[:, None]].reshape(
-                len(locs), num_locations - 1)))
-        else:
-            negatives.append([sample_negative_locations(num_locations, int(l),
-                                                        n2, rng) for l in locs])
+    views = [training_view(dataset, splits, int(u)) for u in users]
+    negatives = [sample_negative_locations(dataset.num_locations, locs, n2, rng)
+                 for locs, _ in views]
     return TrajectoryBatch(users=users, views=views, negatives=negatives)
 
 
@@ -426,8 +430,7 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
         return 0.0
     flat_locations = trace.locations.reshape(-1)
     contexts = trace.contexts.reshape(-1, 4 * d)
-    drawn = np.concatenate([neg for negs in negatives for neg in negs]).reshape(
-        len(valid), -1)
+    drawn = np.concatenate(negatives)
     d_context = np.zeros((num * width, 4 * d))
     total = 0.0
     out_rows = []
@@ -549,6 +552,8 @@ class EpochRecord:
     traj_loss: float
     val_recall: float | None
     seconds: float
+    net_seconds: float      # the network pass, within seconds
+    traj_seconds: float     # the trajectory pass, within seconds
 
 
 def _format_float(x):
@@ -607,6 +612,7 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
                            config.adagrad_epsilon)
             net_loss += loss
 
+        net_end = time.perf_counter()
         traj_loss = 0.0
         order = streams.shuffle.permutation(dataset.num_users)
         for users in _chunks(order, config.batch_users):
@@ -617,13 +623,16 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
                            config.adagrad_epsilon)
             traj_loss += loss
 
+        traj_end = time.perf_counter()
         report = eval_next_location(params, config.variant, dataset, splits,
                                     ks=(config.validation_k,), part="validation")
         recall = report.recall_at.get(config.validation_k)
         seconds = time.perf_counter() - start
         records.append(EpochRecord(epoch=epoch, net_loss=net_loss,
                                    traj_loss=traj_loss, val_recall=recall,
-                                   seconds=seconds))
+                                   seconds=seconds,
+                                   net_seconds=net_end - start,
+                                   traj_seconds=traj_end - net_end))
         if recall is None:
             save_checkpoint(checkpoint_path, params, config.variant, *vocab_args)
             continue

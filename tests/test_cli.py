@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from lbsnrec import cli, evaluation
+from lbsnrec import cli, evaluation, training
 from lbsnrec import data as lbsn_data
 from lbsnrec import model as lbsn_model
 from lbsnrec.model import (ModelParams, VariantMask, forward_groups,
@@ -216,7 +216,7 @@ def test_eval_forwards_each_test_group_once(tmp_path, synth_cache,
     splits = lbsn_data.make_splits(ds, seed=5, **dict(
         cli.SPLIT_DEFAULTS, trajectory_train_frac=0.5))
     lengths = [len(item[1]) for item in
-               evaluation._evaluated_users(ds, splits, "all", "test")]
+               evaluation._evaluated_users(ds, splits, "test")]
     # groups of two users
     monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", 2 * max(lengths))
     groups = list(forward_groups(lengths))
@@ -233,7 +233,7 @@ def test_eval_forwards_each_test_group_once(tmp_path, synth_cache,
                     "--task", "both"]) == 0
     assert len(groups) > 1 and len(calls) == len(groups)
     assert [u for users in calls for u in users] == sorted(
-        u for u, *_ in evaluation._evaluated_users(ds, splits, "all", "test"))
+        u for u, *_ in evaluation._evaluated_users(ds, splits, "test"))
 
 
 def _string_table_size(strings):
@@ -405,6 +405,79 @@ def test_bench_writes_csv(tmp_path, synth_cache):
     fields = row.split(",")
     assert int(fields[0]) == lbsn_data.load_dataset(synth_cache).num_checkins
     assert float(fields[2]) > 0
+
+
+def test_bench_times_real_training_epochs(tmp_path, synth_cache, monkeypatch):
+    runs = []
+    train = training.train
+
+    def recording_train(dataset, splits, config, checkpoint_path, log_path=None):
+        records = train(dataset, splits, config, checkpoint_path, log_path)
+        runs.append((config, records))
+        return records
+
+    monkeypatch.setattr(training, "train", recording_train)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"d": 4, "n1_per_user": 4, "n2": 4, "seed": 0,
+                               "max_iterations": 7}))
+    out = tmp_path / "bench.csv"
+    assert run_cli(["bench", "--data", synth_cache, "--config", cfg,
+                    "--out", out, "--reps", 2]) == 0
+    ((config, records),) = runs
+    assert config.max_iterations == 2 and len(records) == 2
+    assert all(r.val_recall is None for r in records)
+    fields = out.read_text().strip().split("\n")[1].split(",")
+    assert float(fields[1]) == min(r.net_seconds for r in records)
+    assert float(fields[2]) == min(r.traj_seconds for r in records)
+    assert float(fields[3]) == float(fields[2]) / int(fields[0])
+
+
+def run_cli_exit_code(args):
+    try:
+        return run_cli(args)
+    except SystemExit as exc:   # argparse rejects a flag value
+        return exc.code
+
+
+@pytest.mark.parametrize("bad", [
+    {"validation_k": 0}, {"link_train_ratio": 1.0},
+    {"trajectory_train_frac": 0}, {"seed": -1}, {"d": 4.5},
+    {"max_iterations": 1.5}, {"batch_users": True}, {"use_short": "false"}],
+    ids=lambda bad: json.dumps(bad))
+def test_train_rejects_bad_config_values(tmp_path, synth_cache, capsys, bad):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"d": 4, "max_iterations": 1, "n1_per_user": 4,
+                               "n2": 4, **bad}))
+    assert run_cli_exit_code(["train", "--data", synth_cache, "--config", cfg,
+                              "--out", tmp_path / "m.jntm"]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+    assert not (tmp_path / "m.jntm").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["preprocess", "{checkins}", "{edges}", "--out", "{out}",
+     "--min-user-checkins", -1],
+    ["preprocess", "{checkins}", "{edges}", "--out", "{out}",
+     "--min-loc-checkins", -1],
+    ["synth", "--seed", -1, "--out", "{out}"],
+    ["stats", "--data", "{data}", "--out", "{out}", "--samples", -1],
+    ["stats", "--data", "{data}", "--out", "{out}", "--seed", -1],
+    ["gradcheck", "--entries", -1, "--out", "{out}"],
+    ["gradcheck", "--entries", 0, "--out", "{out}"],
+    ["gradcheck", "--seed", -1, "--out", "{out}"],
+    ["bench", "--data", "{data}", "--out", "{out}", "--reps", 0]],
+    ids=lambda argv: " ".join(str(a) for a in argv if not str(a).startswith("{")))
+def test_commands_reject_bad_counts(tmp_path, synth_cache, capsys, argv):
+    paths = {"checkins": tmp_path / "c.tsv", "edges": tmp_path / "e.tsv",
+             "data": synth_cache, "out": tmp_path / "out"}
+    write_checkins_tsv(make_checkins({"a": [["x", "y"]], "b": [["y", "x"]]}),
+                       paths["checkins"])
+    write_edges_tsv([("a", "b")], paths["edges"])
+    assert run_cli_exit_code([str(a).format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+    assert not paths["out"].exists()
 
 
 def test_bench_empty_dataset_zero_rows(tmp_path):

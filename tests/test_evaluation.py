@@ -364,8 +364,7 @@ def test_shared_ranks_match_reference_for_every_report_subset(
             for subset in itertools.combinations(REPORTS, size):
                 ranks = evaluation.rank_next_locations(
                     params, FULL_VARIANT, ds, splits, part,
-                    {mode for mode, _ in subset},
-                    {user_slice for _, user_slice in subset})
+                    new_only=any(mode == "new-only" for mode, _ in subset))
                 for mode, user_slice in subset:
                     users = {}
                     report = eval_next_location(
@@ -382,16 +381,30 @@ def test_shared_ranks_reject_reports_they_do_not_hold():
     ds, splits = _revisiting_dataset(8, num_users=9)
     params = ModelParams.zeros(ds.num_users, ds.num_locations, 3)
     ranks = evaluation.rank_next_locations(params, FULL_VARIANT, ds, splits,
-                                           "test", ("general",), ("cold-start",))
+                                           "test")
     eval_next_location(params, FULL_VARIANT, ds, splits, mode="general",
                        user_slice="cold-start", ranks=ranks)
     for kwargs in ({"mode": "new-only", "user_slice": "cold-start"},
-                   {"mode": "general", "user_slice": "all"},
                    {"mode": "general", "user_slice": "cold-start",
                     "part": "validation"}):
         with pytest.raises(ValueError):
             eval_next_location(params, FULL_VARIANT, ds, splits, ranks=ranks,
                                **kwargs)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+@pytest.mark.parametrize("kwargs", [{"mode": "old-only"},
+                                    {"user_slice": "warm"}],
+                         ids=["mode", "slice"])
+def test_eval_next_location_rejects_unknown_mode_or_slice(kwargs, shared):
+    ds, splits = _revisiting_dataset(8, num_users=9)
+    params = ModelParams.zeros(ds.num_users, ds.num_locations, 3)
+    ranks = (evaluation.rank_next_locations(params, FULL_VARIANT, ds, splits,
+                                            "test", new_only=True)
+             if shared else None)
+    with pytest.raises(ValueError, match="unknown"):
+        eval_next_location(params, FULL_VARIANT, ds, splits, ranks=ranks,
+                           **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -101,23 +101,39 @@ def test_sample_negative_links_reproducible_and_valid():
 
 def test_sample_negative_locations_forced_all():
     rng = np.random.default_rng(0)
-    negs = sample_negative_locations(101, 17, 100, rng)
+    (negs,) = sample_negative_locations(101, [17], 100, rng)
     assert sorted(negs.tolist()) == [l for l in range(101) if l != 17]
 
 
 def test_sample_negative_locations_excludes_target_distinct():
     rng = np.random.default_rng(1)
-    negs = sample_negative_locations(1000, 3, 100, rng)
+    (negs,) = sample_negative_locations(1000, [3], 100, rng)
     assert len(negs) == 100 and len(set(negs.tolist())) == 100
     assert 3 not in negs
-    again = sample_negative_locations(1000, 3, 100, np.random.default_rng(1))
+    (again,) = sample_negative_locations(1000, [3], 100, np.random.default_rng(1))
     np.testing.assert_array_equal(negs, again)
+
+
+@pytest.mark.parametrize("n2", [0, 5, 100])
+def test_sampled_negative_rows_equal_successive_one_target_draws(n2):
+    # rows are drawn in target order, so the stream matches one call per target
+    targets = np.array([3, 3, 999, 0, 512])
+    rng, reference = np.random.default_rng(4), np.random.default_rng(4)
+    rows = sample_negative_locations(1000, targets, n2, rng)
+    assert rows.shape == (len(targets), n2) and rows.dtype == np.int64
+    for target, row in zip(targets, rows):
+        (expected,) = sample_negative_locations(1000, [target], n2, reference)
+        np.testing.assert_array_equal(row, expected)
+        assert target not in row and len(set(row.tolist())) == n2
+    assert rng.bit_generator.state == reference.bit_generator.state
+    empty = sample_negative_locations(1000, [], n2, rng)
+    assert empty.shape == (0, n2)
 
 
 @pytest.mark.parametrize("n2", [7, 8, 100])
 def test_enumerated_negatives_batch_equals_per_position_draws(n2):
     # |L| = 8: with n2 >= |L| - 1 every position's negatives are every
-    # location but its target, built per user and drawing nothing
+    # location but its target, one array per user, drawing nothing
     ds = toy_dataset(seed=5, num_users=4, num_locations=8)
     assert ds.num_locations - 1 <= n2
     splits = lbsn_data.full_train_splits(ds)
@@ -128,9 +144,12 @@ def test_enumerated_negatives_batch_equals_per_position_draws(n2):
     reference = np.random.default_rng(9)
     for u, (locs, _), negs in zip(batch.users, batch.views, batch.negatives):
         assert len(negs) == len(locs) > 0
+        np.testing.assert_array_equal(
+            negs, sample_negative_locations(ds.num_locations, locs, n2,
+                                            reference))
         for target, neg in zip(locs, negs):
-            expected = sample_negative_locations(ds.num_locations, int(target),
-                                                 n2, reference)
+            expected = np.array([l for l in range(ds.num_locations)
+                                 if l != target], dtype=np.int64)
             assert neg.dtype == expected.dtype
             np.testing.assert_array_equal(neg, expected)
     assert reference.bit_generator.state == state
@@ -229,7 +248,7 @@ def test_sampled_location_loss_grads_match_finite_differences():
     params = random_params(rng, 2, 20, 3, scale=0.5)
     context = rng.normal(size=12)
     target = 4
-    negs = sample_negative_locations(20, target, 6, rng)
+    (negs,) = sample_negative_locations(20, [target], 6, rng)
     loss, d_context, cands, d_scores = sampled_location_loss(
         params, context, target, negs)
     h = 1e-6
@@ -261,9 +280,8 @@ def test_block_location_loss_matches_per_position_oracle(num_locations, n2):
         contexts = rng.normal(size=(m, 12))
         targets = rng.integers(num_locations, size=m)
         targets[-1] = targets[0]    # one target at two positions when m > 1
-        negs = [sample_negative_locations(num_locations, int(t), n2, rng)
-                for t in targets]
-        cands = np.column_stack((targets, np.stack(negs)))
+        negs = sample_negative_locations(num_locations, targets, n2, rng)
+        cands = np.column_stack((targets, negs))
         loss, d_contexts, rows, d_rows = block_location_loss(params, contexts,
                                                              cands)
         want_loss = 0.0
@@ -375,8 +393,7 @@ def ragged_batch(rng, num_locations, n2):
         ends = np.cumsum(sizes, dtype=np.int64)
         locs = rng.integers(0, num_locations, size=sum(sizes))
         views.append((locs, [(int(e - n), int(e)) for n, e in zip(sizes, ends)]))
-        negatives.append([sample_negative_locations(num_locations, int(l), n2,
-                                                    rng) for l in locs])
+        negatives.append(sample_negative_locations(num_locations, locs, n2, rng))
     return training.TrajectoryBatch(users=np.array([4, 0, 8, 2, 5, 1, 7]),
                                     views=views, negatives=negatives)
 
@@ -762,3 +779,14 @@ def test_train_writes_log_and_decreases_loss(tmp_path):
     lines = log_path.read_text().strip().split("\n")
     assert lines[0] == "epoch,net_loss,traj_loss,val_recall5,seconds"
     assert len(lines) == 7
+
+
+def test_train_pass_times_lie_within_the_epoch(tmp_path):
+    ds = toy_dataset(seed=19, num_users=5)
+    splits = lbsn_data.make_splits(ds, link_train_ratio=0.5, seed=2)
+    records = train(ds, splits, toy_config(seed=4, max_iterations=3),
+                    tmp_path / "m.jntm")
+    assert records
+    for r in records:
+        assert 0 < r.net_seconds and 0 < r.traj_seconds
+        assert r.net_seconds + r.traj_seconds <= r.seconds
