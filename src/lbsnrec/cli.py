@@ -62,7 +62,11 @@ def _train_setup(args):
     split_kwargs = dict(SPLIT_DEFAULTS)
     for key in SPLIT_DEFAULTS:
         if key in raw:
-            split_kwargs[key] = raw.pop(key)
+            value = raw.pop(key)
+            if not training.is_number(value):
+                raise ConfigError(f"{key} must be a finite number, "
+                                  f"got {value!r}")
+            split_kwargs[key] = value
     use_short = raw.pop("use_short", True)
     use_long = raw.pop("use_long", True)
     if not isinstance(use_short, bool) or not isinstance(use_long, bool):
@@ -222,6 +226,8 @@ def cmd_bench(args):
     num_checkins = dataset.num_checkins
     net_seconds = min(r.net_seconds for r in records)
     traj_seconds = min(r.traj_seconds for r in records)
+    sample_seconds = min(r.sample_seconds for r in records)
+    update_seconds = min(r.update_seconds for r in records)
     per_checkin = traj_seconds / num_checkins if num_checkins else 0.0
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -232,7 +238,9 @@ def cmd_bench(args):
                          f"{repr(traj_seconds)},{repr(per_checkin)},"
                          f"{repr(peak_mb)}\n")
     print(f"bench |D|={num_checkins}: net={net_seconds:.3f}s "
-          f"traj={traj_seconds:.3f}s per-checkin={per_checkin:.2e}s -> {args.out}")
+          f"traj={traj_seconds:.3f}s sample={sample_seconds:.3f}s "
+          f"update={update_seconds:.3f}s per-checkin={per_checkin:.2e}s "
+          f"-> {args.out}")
     return 0
 
 

@@ -11,6 +11,7 @@ of users. All randomness flows from one seed split into per-purpose streams.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -20,6 +21,12 @@ from scipy.special import expit
 from .model import (EMBEDDING_NAMES, TENSOR_NAMES, ModelParams, VariantMask,
                     forward_groups, forward_trajectory, state_index,
                     tensor_shapes)
+
+
+def is_number(value):
+    """A finite real number that is not a bool (JSON true/false)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass
@@ -43,6 +50,11 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "init_range", "adagrad_epsilon"):
+            value = getattr(self, name)
+            if not is_number(value):
+                raise TypeError(f"{name} must be a finite number, "
+                                f"got {value!r}")
         if self.d <= 0 or self.batch_users <= 0:
             raise ValueError("d and batch_users must be positive")
         if self.learning_rate <= 0:
@@ -71,15 +83,17 @@ def rng_streams(seed):
 
 
 class Gradients:
-    """Gradient buffers shaped like ModelParams with touched-row bookkeeping.
+    """Gradient buffers shaped like ModelParams, with a boolean mask per
+    embedding tensor of the rows touched since the last zero().
 
-    Embedding rows outside the touched sets are exactly zero.
+    Embedding rows outside the masks are exactly zero.
     """
 
     def __init__(self, num_users, num_locations, dim):
         for name, shape in tensor_shapes(num_users, num_locations, dim).items():
             setattr(self, name, np.zeros(shape))
-        self.touched = {name: set() for name in EMBEDDING_NAMES}
+        self.touched = {name: np.zeros(len(getattr(self, name)), dtype=bool)
+                        for name in EMBEDDING_NAMES}
 
     @classmethod
     def like(cls, params):
@@ -89,7 +103,33 @@ class Gradients:
         return getattr(self, name)
 
     def touch(self, name, rows):
-        self.touched[name].update(np.unique(rows).tolist())
+        self.touched[name][rows] = True
+
+    def sparse_rows(self, name):
+        """The touched rows of an embedding tensor when fewer than
+        SPARSE_ROW_SHARE of its rows, else None (always for other tensors)."""
+        mask = self.touched.get(name)
+        if mask is None:
+            return None
+        rows = np.flatnonzero(mask)
+        return rows if len(rows) < SPARSE_ROW_SHARE * len(mask) else None
+
+    def zero(self):
+        """Zero every tensor, sparsely touched ones in their touched rows
+        only, and clear the masks."""
+        for name in TENSOR_NAMES:
+            rows = self.sparse_rows(name)
+            if rows is None:
+                self.tensor(name).fill(0.0)
+            else:
+                self.tensor(name)[rows] = 0.0
+        for mask in self.touched.values():
+            mask.fill(False)
+
+
+# An embedding tensor with fewer than this share of its rows touched is
+# updated and re-zeroed row by row; a more densely touched one as a whole.
+SPARSE_ROW_SHARE = 0.25
 
 
 # adagrad_update walks each tensor in chunks of whole rows, about this many
@@ -120,41 +160,135 @@ def init_params(config, num_users, num_locations):
     return ModelParams(**tensors)
 
 
-def _rejection_sample(count, population, excluded, rng):
-    """count distinct draws uniform over range(population) avoiding excluded."""
-    out = []
-    seen = set()
-    while len(out) < count:
-        draw = rng.integers(0, population, size=2 * (count - len(out)) + 8)
-        for v in draw:
-            v = int(v)
-            if v in excluded or v in seen:
-                continue
-            seen.add(v)
-            out.append(v)
-            if len(out) == count:
-                break
-    return np.array(out, dtype=np.int64)
+# sample_distinct_rows sifts at most about this many drawn values at once.
+SAMPLE_WINDOW_DRAWS = 1 << 18
 
 
-def sample_negative_links(graph, user, count, rng):
-    """Distinct users that are neither `user` nor its out-neighbors.
+def _sift(prefix, draws, count):
+    """Each row's first `count` draws, in draw order, that repeat neither an
+    earlier draw of the row nor a value of its prefix row.
 
-    Rejection-sampled from the uniform distribution over users; if fewer than
-    `count` users are eligible, all of them are returned (ascending).
+    Returns them (rows x count, padded with other values past the last one
+    found) and how many each row found, at most count.
     """
-    excluded = set(int(v) for v in graph.adjacency[user])
-    excluded.add(int(user))
-    eligible = graph.num_users - len(excluded)
-    if eligible <= count:
-        return np.array([v for v in range(graph.num_users) if v not in excluded],
-                        dtype=np.int64)
-    return _rejection_sample(count, graph.num_users, excluded, rng)
+    skip = prefix.shape[1]
+    cols = skip + draws.shape[1]
+    both = np.concatenate((prefix, draws), axis=1)
+    # Sorting value * cols + column orders each row by value, then by column,
+    # so each run of equal values starts at its earliest occurrence.
+    keys = both * cols
+    keys += np.arange(cols)
+    keys.sort(axis=1)
+    values = keys // cols
+    columns = keys - values * cols
+    first = np.empty(keys.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(values[:, 1:], values[:, :-1], out=first[:, 1:])
+    first &= columns >= skip
+    columns[~first] = cols - 1
+    columns.sort(axis=1)
+    found = np.minimum(first.sum(axis=1), count)
+    return both[np.arange(len(both))[:, None], columns[:, :count]], found
+
+
+def _extend(stream, size, population, rng):
+    """stream followed by the next draws of rng, at least size values."""
+    if len(stream) >= size:
+        return stream
+    return np.concatenate(
+        (stream, rng.integers(0, population, size=size - len(stream))))
+
+
+def sample_distinct_rows(population, excluded, count, rng):
+    """Row i: count distinct values uniform over range(population) outside
+    excluded[i], a (rows x k) array (k >= 1, repeats allowed).
+
+    Each row must have more than count eligible values. The rows, and the
+    state rng is left in, equal rejection sampling row after row: a row
+    draws rounds of 2 * (count - kept) + 8 values with rng.integers and
+    keeps, in draw order, those neither excluded nor kept before, until it
+    holds count. Bounded draws take one value at a time (Lemire's method),
+    so the stream does not depend on how it is cut into calls: the rows'
+    first rounds are drawn and sifted together, a window at a time, and
+    only values that loop would draw are drawn. A row that falls short
+    continues the stream right after its first round, and the window
+    shrinks around such rows.
+    """
+    rows = len(excluded)
+    out = np.empty((rows, count), dtype=np.int64)
+    if not count:
+        return out
+    width = 2 * count + 8
+    most = max(1, SAMPLE_WINDOW_DRAWS // width)
+    stream = np.empty(0, dtype=np.int64)    # drawn but not yet used
+    row, window = 0, most
+    while row < rows:
+        n = min(window, rows - row)
+        # every row uses its first round at least, so none of this is wasted
+        stream = _extend(stream, n * width, population, rng)
+        draws = stream[:n * width].reshape(n, width)
+        kept, found = _sift(excluded[row:row + n], draws, count)
+        full = found == count
+        good = n if full.all() else int(np.argmin(full))
+        out[row:row + good] = kept[:good]
+        stream = stream[good * width:]
+        row += good
+        if good == n:
+            window = min(2 * window, most)
+            continue
+        # This row falls short: its later rounds continue the stream right
+        # after its first round, one value at a time.
+        values = kept[good, :found[good]].tolist()
+        seen = set(values).union(excluded[row].tolist())
+        stream = stream[width:]
+        while len(values) < count:
+            size = 2 * (count - len(values)) + 8
+            stream = _extend(stream, size, population, rng)
+            for value in stream[:size].tolist():
+                if value not in seen:
+                    seen.add(value)
+                    values.append(value)
+                    if len(values) == count:
+                        break
+            stream = stream[size:]
+        out[row] = values
+        row += 1
+        window = 2 * (good + 1)
+    return out
+
+
+def sample_negative_links(graph, users, count, rng):
+    """Per user, distinct users that are neither the user nor its out-neighbors.
+
+    Rejection-sampled from the uniform distribution over users, one
+    sample_distinct_rows call for the batch; a user with at most `count`
+    eligible users gets all of them (ascending) and draws nothing.
+    """
+    users = np.asarray(users, dtype=np.int64)
+    neighbors = [graph.adjacency[u] for u in users.tolist()]
+    free = np.ones((len(users), graph.num_users), dtype=bool)
+    free[np.repeat(np.arange(len(users)), [len(n) for n in neighbors]),
+         np.concatenate([np.zeros(0, dtype=np.int64)] + neighbors)] = False
+    free[np.arange(len(users)), users] = False
+    listed = free.sum(axis=1) <= count
+    negatives = [np.flatnonzero(row) if whole else None
+                 for row, whole in zip(free, listed)]
+    sampled = np.flatnonzero(~listed)
+    if len(sampled):
+        # each row: the user, its out-neighbors, then repeats of the user
+        prefix = np.repeat(users[sampled, None],
+                           1 + max(len(neighbors[i]) for i in sampled), axis=1)
+        for row, i in zip(prefix, sampled):
+            row[1:1 + len(neighbors[i])] = neighbors[i]
+        rows = sample_distinct_rows(graph.num_users, prefix, count, rng)
+        for i, row in zip(sampled, rows):
+            negatives[i] = row
+    return negatives
 
 
 def sample_negative_locations(num_locations, targets, n2, rng):
     """Row i: n2 distinct locations uniform without replacement, excluding
-    targets[i], drawn in row order.
+    targets[i], drawn in row order (sample_distinct_rows).
 
     When n2 >= |L| - 1 each row is every location but its target, ascending,
     and nothing is drawn.
@@ -165,9 +299,7 @@ def sample_negative_locations(num_locations, targets, n2, rng):
                                (len(targets), num_locations))
         return grid[grid != targets[:, None]].reshape(len(targets),
                                                       num_locations - 1)
-    return np.array([_rejection_sample(n2, num_locations, {target}, rng)
-                     for target in targets.tolist()],
-                    dtype=np.int64).reshape(len(targets), n2)
+    return sample_distinct_rows(num_locations, targets[:, None], n2, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +324,8 @@ class TrajectoryBatch:
 
 def draw_network_batch(graph, users, n1, rng):
     users = np.asarray(users, dtype=np.int64)
-    negatives = [sample_negative_links(graph, int(u), n1, rng) for u in users]
-    return NetworkBatch(users=users, negatives=negatives)
+    return NetworkBatch(users=users,
+                        negatives=sample_negative_links(graph, users, n1, rng))
 
 
 def training_view(dataset, splits, user):
@@ -210,8 +342,12 @@ def training_view(dataset, splits, user):
 def draw_trajectory_batch(dataset, splits, users, n2, rng):
     users = np.asarray(users, dtype=np.int64)
     views = [training_view(dataset, splits, int(u)) for u in users]
-    negatives = [sample_negative_locations(dataset.num_locations, locs, n2, rng)
-                 for locs, _ in views]
+    targets = np.concatenate([np.zeros(0, dtype=np.int64)]
+                             + [locs for locs, _ in views])
+    drawn = sample_negative_locations(dataset.num_locations, targets, n2, rng)
+    ends = np.cumsum([len(locs) for locs, _ in views], dtype=np.int64)
+    negatives = [drawn[end - len(locs):end]
+                 for (locs, _), end in zip(views, ends)]
     return TrajectoryBatch(users=users, views=views, negatives=negatives)
 
 
@@ -514,35 +650,47 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
 def adagrad_update(params, grads, optimizer_state, learning_rate, epsilon):
     """In-place AdaGrad step over every tensor with a gradient.
 
-    Embedding tensors without touched rows are skipped. The others update as
-    whole tensors: their gradient rows outside the touched sets are exactly
-    zero, which leaves those rows and accumulators bit-for-bit unchanged, so
-    this equals the lazy row update. Each tensor is walked in chunks of
-    whole rows (ADAGRAD_CHUNK_ENTRIES) through the optimizer's scratch
-    buffers, checking each chunk for non-finite gradients before using it.
+    Embedding tensors without touched rows are skipped, and sparsely touched
+    ones (Gradients.sparse_rows) update only their touched rows. The others
+    update as whole tensors: their gradient rows outside the masks are
+    exactly zero, which leaves those rows and accumulators bit-for-bit
+    unchanged, so every path equals the lazy row update. Tensors are walked
+    in chunks of whole rows (ADAGRAD_CHUNK_ENTRIES) through the optimizer's
+    scratch buffers, checking each chunk for non-finite gradients before
+    using it.
     """
     denom_buf, step_buf, finite_buf = optimizer_state.scratch
     for name in TENSOR_NAMES:
-        if name in EMBEDDING_NAMES and not grads.touched[name]:
+        rows = grads.sparse_rows(name)
+        if rows is not None and not len(rows):
             continue
-        acc = optimizer_state.accumulators[name]
         g = grads.tensor(name)
+        acc = optimizer_state.accumulators[name]
         target = params.tensor(name)
-        rows = max(1, ADAGRAD_CHUNK_ENTRIES // math.prod(g.shape[1:]))
-        for s in range(0, len(g), rows):
-            gc = g[s:s + rows]
+        per_chunk = max(1, ADAGRAD_CHUNK_ENTRIES // math.prod(g.shape[1:]))
+        if rows is None:
+            chunks = (slice(s, s + per_chunk)
+                      for s in range(0, len(g), per_chunk))
+        else:
+            chunks = (rows[s:s + per_chunk]
+                      for s in range(0, len(rows), per_chunk))
+        for chunk in chunks:
+            # views of a slice; copies, written back below, of gathered rows
+            gc, acc_rows, target_rows = g[chunk], acc[chunk], target[chunk]
             shape, n = gc.shape, gc.size
             finite = finite_buf[:n].reshape(shape)
             if not np.isfinite(gc, out=finite).all():
                 raise FloatingPointError(f"non-finite gradient in tensor {name}")
             denom = np.multiply(gc, gc, out=denom_buf[:n].reshape(shape))
-            chunk = acc[s:s + rows]
-            chunk += denom
-            np.sqrt(chunk, out=denom)
+            acc_rows += denom
+            np.sqrt(acc_rows, out=denom)
             denom += epsilon
             step = np.multiply(learning_rate, gc, out=step_buf[:n].reshape(shape))
             step /= denom
-            target[s:s + rows] -= step
+            target_rows -= step
+            if rows is not None:
+                acc[chunk] = acc_rows
+                target[chunk] = target_rows
 
 
 @dataclass
@@ -554,6 +702,8 @@ class EpochRecord:
     seconds: float
     net_seconds: float      # the network pass, within seconds
     traj_seconds: float     # the trajectory pass, within seconds
+    sample_seconds: float   # drawing both passes' batches, within them
+    update_seconds: float   # AdaGrad steps and re-zeroing, within them
 
 
 def _format_float(x):
@@ -593,8 +743,17 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
     streams = rng_streams(config.seed)
     params = init_params(config, dataset.num_users, dataset.num_locations)
     state = OptimizerState(params)
+    grads = Gradients.like(params)      # zeroed after every update
     train_graph = build_graph(dataset.num_users, splits.train_edges)
     vocab_args = (dataset.user_vocab.ids, dataset.location_vocab.ids)
+
+    def update():
+        """AdaGrad step, then re-zero grads for the next batch; its seconds."""
+        begin = time.perf_counter()
+        adagrad_update(params, grads, state, config.learning_rate,
+                       config.adagrad_epsilon)
+        grads.zero()
+        return time.perf_counter() - begin
 
     save_checkpoint(checkpoint_path, params, config.variant, *vocab_args)
     records = []
@@ -602,25 +761,29 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
     stale = 0
     for epoch in range(1, config.max_iterations + 1):
         start = time.perf_counter()
+        sample_seconds = update_seconds = 0.0
         net_loss = 0.0
         order = streams.shuffle.permutation(dataset.num_users)
         for users in _chunks(order, config.batch_users):
+            begin = time.perf_counter()
             batch = draw_network_batch(train_graph, users, config.n1_per_user,
                                        streams.link_negatives)
-            loss, grads = network_loss_and_grads(params, train_graph, batch)
-            adagrad_update(params, grads, state, config.learning_rate,
-                           config.adagrad_epsilon)
+            sample_seconds += time.perf_counter() - begin
+            loss, _ = network_loss_and_grads(params, train_graph, batch, grads)
+            update_seconds += update()
             net_loss += loss
 
         net_end = time.perf_counter()
         traj_loss = 0.0
         order = streams.shuffle.permutation(dataset.num_users)
         for users in _chunks(order, config.batch_users):
+            begin = time.perf_counter()
             batch = draw_trajectory_batch(dataset, splits, users, config.n2,
                                           streams.location_negatives)
-            loss, grads = trajectory_loss_and_grads(params, config.variant, batch)
-            adagrad_update(params, grads, state, config.learning_rate,
-                           config.adagrad_epsilon)
+            sample_seconds += time.perf_counter() - begin
+            loss, _ = trajectory_loss_and_grads(params, config.variant, batch,
+                                                grads)
+            update_seconds += update()
             traj_loss += loss
 
         traj_end = time.perf_counter()
@@ -632,7 +795,9 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
                                    traj_loss=traj_loss, val_recall=recall,
                                    seconds=seconds,
                                    net_seconds=net_end - start,
-                                   traj_seconds=traj_end - net_end))
+                                   traj_seconds=traj_end - net_end,
+                                   sample_seconds=sample_seconds,
+                                   update_seconds=update_seconds))
         if recall is None:
             save_checkpoint(checkpoint_path, params, config.variant, *vocab_args)
             continue

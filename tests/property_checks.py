@@ -25,6 +25,40 @@ def random_params(rng, num_users, num_locations, dim, scale=0.5):
     return ModelParams(**tensors)
 
 
+def reference_rejection_sample(count, population, excluded, rng):
+    """count distinct draws uniform over range(population) avoiding excluded,
+    one value at a time: the sequential sampler the batch sampler
+    (training.sample_distinct_rows) reproduces, stream and all."""
+    out = []
+    seen = set()
+    while len(out) < count:
+        draw = rng.integers(0, population, size=2 * (count - len(out)) + 8)
+        for v in draw:
+            v = int(v)
+            if v in excluded or v in seen:
+                continue
+            seen.add(v)
+            out.append(v)
+            if len(out) == count:
+                break
+    return np.array(out, dtype=np.int64)
+
+
+def reference_negative_links(graph, users, count, rng):
+    """Per user, every eligible user (ascending) when at most count are
+    eligible, else one reference_rejection_sample call."""
+    negatives = []
+    for user in users:
+        excluded = set(graph.adjacency[user].tolist()) | {int(user)}
+        if graph.num_users - len(excluded) <= count:
+            negatives.append(np.array([v for v in range(graph.num_users)
+                                       if v not in excluded], dtype=np.int64))
+        else:
+            negatives.append(reference_rejection_sample(
+                count, graph.num_users, excluded, rng))
+    return negatives
+
+
 def format_timestamp(epoch):
     """Check-in time text that lbsnrec.data.parse_checkins reads back."""
     return datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime(

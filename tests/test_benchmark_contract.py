@@ -1,11 +1,62 @@
-"""The benchmark's traced run ends in one strictly parseable result line."""
+"""The benchmark's traced run ends in one strictly parseable result line, and
+its counting generator proxy leaves the negative samplers' streams unchanged."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from lbsnrec import data as lbsn_data
+from lbsnrec.training import sample_negative_links, sample_negative_locations
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def values_drawn(seed, population, final_state, limit=100_000):
+    """Single integers(0, population) draws that take a fresh generator from
+    seed to final_state."""
+    rng = np.random.default_rng(seed)
+    for drawn in range(limit):
+        if rng.bit_generator.state == final_state:
+            return drawn
+        rng.integers(0, population)
+    raise AssertionError(f"final state not reached in {limit} draws")
+
+
+TARGETS = np.random.default_rng(2).integers(0, 126, size=12)
+GRAPH = lbsn_data.build_graph(30, {(0, 1), (1, 0), (2, 0), (0, 2), (4, 5)})
+
+
+# |L| = 126, n2 = 100 often falls short of distinct values in a first round;
+# |L| = 20k does not
+@pytest.mark.parametrize("sample, population", [
+    (lambda rng: sample_negative_locations(126, TARGETS, 100, rng), 126),
+    (lambda rng: sample_negative_locations(20000, TARGETS, 100, rng), 20000),
+    (lambda rng: sample_negative_links(GRAPH, np.arange(30), 20, rng), 30)],
+    ids=["locations_short_rows", "locations", "links"])
+def test_counting_proxy_sees_every_draw_and_changes_none(sample, population):
+    tracing = load_tracing()
+    counts = defaultdict(float)
+    bare = np.random.default_rng(11)
+    proxy = tracing.CountingGenerator(np.random.default_rng(11), counts, "key")
+    for got, want in zip(sample(proxy), sample(bare), strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert proxy.bit_generator.state == bare.bit_generator.state
+    drawn = values_drawn(11, population, bare.bit_generator.state)
+    assert counts["key"] == drawn > 0
 
 
 def _reject_constant(name):

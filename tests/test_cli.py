@@ -407,7 +407,8 @@ def test_bench_writes_csv(tmp_path, synth_cache):
     assert float(fields[2]) > 0
 
 
-def test_bench_times_real_training_epochs(tmp_path, synth_cache, monkeypatch):
+def test_bench_times_real_training_epochs(tmp_path, synth_cache, monkeypatch,
+                                          capsys):
     runs = []
     train = training.train
 
@@ -430,6 +431,9 @@ def test_bench_times_real_training_epochs(tmp_path, synth_cache, monkeypatch):
     assert float(fields[1]) == min(r.net_seconds for r in records)
     assert float(fields[2]) == min(r.traj_seconds for r in records)
     assert float(fields[3]) == float(fields[2]) / int(fields[0])
+    out_line = capsys.readouterr().out
+    assert f"sample={min(r.sample_seconds for r in records):.3f}s" in out_line
+    assert f"update={min(r.update_seconds for r in records):.3f}s" in out_line
 
 
 def run_cli_exit_code(args):
@@ -442,7 +446,11 @@ def run_cli_exit_code(args):
 @pytest.mark.parametrize("bad", [
     {"validation_k": 0}, {"link_train_ratio": 1.0},
     {"trajectory_train_frac": 0}, {"seed": -1}, {"d": 4.5},
-    {"max_iterations": 1.5}, {"batch_users": True}, {"use_short": "false"}],
+    {"max_iterations": 1.5}, {"batch_users": True}, {"use_short": "false"},
+    {"link_train_ratio": "0.5"}, {"validation_frac_of_train": "0.1"},
+    {"trajectory_train_frac": True}, {"learning_rate": True},
+    {"init_range": False}, {"adagrad_epsilon": True},
+    {"init_range": float("inf")}],
     ids=lambda bad: json.dumps(bad))
 def test_train_rejects_bad_config_values(tmp_path, synth_cache, capsys, bad):
     cfg = tmp_path / "c.json"
@@ -452,6 +460,7 @@ def test_train_rejects_bad_config_values(tmp_path, synth_cache, capsys, bad):
                               "--out", tmp_path / "m.jntm"]) == 2
     err = capsys.readouterr().err
     assert "error: " in err and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "m.jntm").exists()
 
 

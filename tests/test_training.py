@@ -21,7 +21,8 @@ from lbsnrec.training import (Gradients, OptimizerState, TrainConfig,
                               train)
 
 from conftest import make_checkins
-from property_checks import random_params
+from property_checks import (random_params, reference_negative_links,
+                             reference_rejection_sample)
 
 
 def toy_config(**kwargs):
@@ -79,13 +80,14 @@ def test_sample_negative_links_complete_graph():
     edges = {(i, j) for i in range(4) for j in range(4) if i != j}
     graph = lbsn_data.build_graph(4, edges)
     rng = np.random.default_rng(0)
-    assert len(sample_negative_links(graph, 0, 100, rng)) == 0
+    (negs,) = sample_negative_links(graph, [0], 100, rng)
+    assert len(negs) == 0
 
 
 def test_sample_negative_links_edgeless():
     graph = lbsn_data.build_graph(200, set())
     rng = np.random.default_rng(0)
-    negs = sample_negative_links(graph, 7, 100, rng)
+    (negs,) = sample_negative_links(graph, [7], 100, rng)
     assert len(negs) == 100
     assert len(set(negs.tolist())) == 100
     assert 7 not in negs
@@ -93,8 +95,8 @@ def test_sample_negative_links_edgeless():
 
 def test_sample_negative_links_reproducible_and_valid():
     graph = lbsn_data.build_graph(50, {(0, 1), (1, 0), (0, 2), (2, 0)})
-    a = sample_negative_links(graph, 0, 10, np.random.default_rng(42))
-    b = sample_negative_links(graph, 0, 10, np.random.default_rng(42))
+    (a,) = sample_negative_links(graph, [0], 10, np.random.default_rng(42))
+    (b,) = sample_negative_links(graph, [0], 10, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
     assert not ({0, 1, 2} & set(a.tolist()))
 
@@ -153,6 +155,106 @@ def test_enumerated_negatives_batch_equals_per_position_draws(n2):
             assert neg.dtype == expected.dtype
             np.testing.assert_array_equal(neg, expected)
     assert reference.bit_generator.state == state
+
+
+class RoundCounter:
+    """Forwards integers() to a generator and counts the calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+def reference_location_rows(num_locations, targets, n2, rng):
+    """One reference_rejection_sample call per target, and each row's rounds."""
+    counter = RoundCounter(rng)
+    rows, rounds = [], []
+    for target in targets.tolist():
+        before = counter.calls
+        rows.append(reference_rejection_sample(n2, num_locations, {target},
+                                               counter))
+        rounds.append(counter.calls - before)
+    return np.array(rows, dtype=np.int64).reshape(len(targets), n2), rounds
+
+
+@pytest.mark.parametrize("window_rows", [None, 1, 2, 3])
+@pytest.mark.parametrize("n2", [0, 5, 100])
+@pytest.mark.parametrize("num_locations", [8, 126, 150, 1000, 20000])
+def test_batch_location_sampler_equals_sequential_draws(monkeypatch,
+                                                        num_locations, n2,
+                                                        window_rows):
+    if window_rows is not None:
+        # windows of that many rows at most: short rows land on window edges
+        monkeypatch.setattr(training, "SAMPLE_WINDOW_DRAWS",
+                            window_rows * (2 * n2 + 8))
+    rng = np.random.default_rng(num_locations + n2)
+    targets = rng.integers(0, num_locations, size=30)
+    got_rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+    rows = sample_negative_locations(num_locations, targets, n2, got_rng)
+    if num_locations - 1 <= n2:
+        want = np.array([[l for l in range(num_locations) if l != t]
+                         for t in targets.tolist()], dtype=np.int64)
+    else:
+        want, _ = reference_location_rows(num_locations, targets, n2,
+                                          reference)
+    assert rows.dtype == np.int64
+    np.testing.assert_array_equal(rows, want)
+    assert got_rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("window_rows", [None, 1, 2, 3, 5])
+def test_batch_location_sampler_continues_short_rows(monkeypatch, window_rows):
+    # |L| = 126, n2 = 100: a first round of 208 draws often holds fewer than
+    # 100 distinct non-targets; with this seed the first row takes five
+    # rounds, the last two, and a quarter of the rows more than one
+    if window_rows is not None:
+        monkeypatch.setattr(training, "SAMPLE_WINDOW_DRAWS",
+                            window_rows * 208)
+    rng = np.random.default_rng(2)
+    targets = rng.integers(0, 126, size=40)
+    reference = np.random.default_rng(2)
+    reference.bit_generator.state = rng.bit_generator.state
+    want, rounds = reference_location_rows(126, targets, 100, reference)
+    assert rounds[0] == 5 and rounds[-1] == 2 and sum(r > 1 for r in rounds) >= 10
+    rows = sample_negative_locations(126, targets, 100, rng)
+    np.testing.assert_array_equal(rows, want)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def varied_degree_graph(num_users, seed):
+    """Users with no, few and many out-neighbors, and one self-loop."""
+    rng = np.random.default_rng(seed)
+    edges = {(0, 0)}
+    for u in range(num_users):
+        for v in rng.choice(num_users, size=int(rng.integers(0, num_users)),
+                            replace=False).tolist():
+            if u % 5 and u != v:
+                edges |= {(u, v), (v, u)}
+    return lbsn_data.build_graph(num_users, edges)
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 20])
+@pytest.mark.parametrize("kind", ["varied", "edgeless"])
+def test_batch_link_sampler_equals_sequential_draws(kind, count):
+    graph = (varied_degree_graph(40, 3) if kind == "varied"
+             else lbsn_data.build_graph(40, set()))
+    users = np.random.default_rng(1).permutation(40)
+    eligible = [40 - len(set(graph.adjacency[u].tolist()) | {int(u)})
+                for u in users]
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    got = sample_negative_links(graph, users, count, rng)
+    want = reference_negative_links(graph, users, count, reference)
+    assert len(got) == len(want) == len(users)
+    for row, expected in zip(got, want):
+        assert row.dtype == np.int64
+        np.testing.assert_array_equal(row, expected)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    if graph.num_directed_edges and count:
+        # some users enumerate and some draw
+        assert min(eligible) <= count < max(eligible)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +410,12 @@ def test_block_location_loss_matches_per_position_oracle(num_locations, n2):
 # trajectory iteration / BPTT structure
 # ---------------------------------------------------------------------------
 
+def touched_rows(grads):
+    """{embedding tensor name: set of its touched rows}."""
+    return {name: set(np.flatnonzero(mask).tolist())
+            for name, mask in grads.touched.items()}
+
+
 def single_position_dataset():
     return lbsn_data.build_dataset(
         make_checkins({"u0": [["l0"]], "u1": [["l1"]]}), [("u0", "u1")])
@@ -328,9 +436,10 @@ def test_single_position_touches_expected_tensors():
     for name in ("W_i1", "W_i2", "W_f1", "W_f2", "W_c1", "W_c2",
                  "b_i", "b_f", "b_c"):
         assert np.all(grads.tensor(name) == 0.0)
-    assert grads.touched["U"] == set()
-    assert grads.touched["P"] == {0} and grads.touched["F"] == {0}
-    assert grads.touched["U_out"] == {0, 1}
+    touched = touched_rows(grads)
+    assert touched["U"] == set()
+    assert touched["P"] == {0} and touched["F"] == {0}
+    assert touched["U_out"] == {0, 1}
 
 
 def test_base_variant_recurrent_grads_exactly_zero():
@@ -426,7 +535,7 @@ def test_lockstep_batch_grads_match_one_user_batches(mask, order):
         got, expected = grads.tensor(name), want.tensor(name)
         scale = np.abs(expected).max()
         assert np.abs(got - expected).max() <= 1e-12 * scale, name
-    assert grads.touched == want.touched
+    assert touched_rows(grads) == touched_rows(want)
     if mask.use_short or mask.use_long:
         assert np.any(grads.U != 0.0)
 
@@ -452,7 +561,7 @@ def test_trajectory_grads_independent_of_forward_groups(monkeypatch, positions):
         scale = np.abs(grads.tensor(name)).max()
         assert np.abs(grouped.tensor(name) - grads.tensor(name)).max() <= \
             1e-12 * scale, name
-    assert grouped.touched == grads.touched
+    assert touched_rows(grouped) == touched_rows(grads)
 
 
 def rule_positions(num_locations, width):
@@ -526,7 +635,7 @@ def test_trajectory_grads_independent_of_softmax_blocks(monkeypatch, mask,
         scale = np.abs(grads.tensor(name)).max()
         assert np.abs(blocked.tensor(name) - grads.tensor(name)).max() <= \
             1e-12 * scale, name
-    assert blocked.touched == grads.touched
+    assert touched_rows(blocked) == touched_rows(grads)
 
 
 def test_planted_softmax_calls_follow_the_block_rule(monkeypatch):
@@ -586,7 +695,7 @@ def test_sparse_rows_outside_touched_are_zero():
     batch = draw_trajectory_batch(ds, splits, np.array([0, 2]), 3, rng)
     _, grads = trajectory_loss_and_grads(params, FULL_VARIANT, batch)
     for name in ("P", "F", "U", "U_out"):
-        touched = grads.touched[name]
+        touched = touched_rows(grads)[name]
         arr = grads.tensor(name)
         for row in range(arr.shape[0]):
             if row not in touched:
@@ -736,6 +845,70 @@ def test_adagrad_sparse_equals_dense_bit_for_bit():
                                       dense_state.accumulators[name])
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.0], ids=["gradients", "zeros"])
+def test_adagrad_touched_rows_equal_dense_bit_for_bit(scale):
+    # few touched rows of large embedding tensors take the row path
+    rng = np.random.default_rng(32)
+    params = random_params(rng, 60, 300, 4, scale=0.3)
+    grads = Gradients.like(params)
+    state = OptimizerState(params)
+    for name in TENSOR_NAMES:
+        state.accumulators[name][...] = rng.uniform(0, 1, params.tensor(name).shape)
+    touched = {"P": [3], "F": [0, 59], "F_ctx": [7, 8, 9], "U": [0, 5, 299],
+               "U_out": rng.choice(300, size=40, replace=False)}
+    for name, rows in touched.items():
+        grads.tensor(name)[rows] = scale * rng.normal(
+            size=grads.tensor(name)[rows].shape)
+        grads.touch(name, rows)
+        assert grads.sparse_rows(name) is not None
+    grads.W[...] = rng.normal(size=grads.W.shape)
+
+    dense_params = params.copy()
+    dense_acc = {name: acc.copy() for name, acc in state.accumulators.items()}
+    adagrad_update(params, grads, state, 0.1, 1e-8)
+    for name in TENSOR_NAMES:
+        g = grads.tensor(name)
+        acc = dense_acc[name]
+        acc += g * g
+        dense_params.tensor(name)[...] -= 0.1 * g / (np.sqrt(acc) + 1e-8)
+        np.testing.assert_array_equal(params.tensor(name),
+                                      dense_params.tensor(name))
+        np.testing.assert_array_equal(state.accumulators[name], acc)
+
+
+def test_adagrad_touched_rows_reject_non_finite():
+    params = ModelParams.zeros(2, 100, 2)
+    grads = Gradients.like(params)
+    grads.U[40, 1] = np.nan
+    grads.touch("U", [3, 40])
+    assert grads.sparse_rows("U") is not None
+    with pytest.raises(FloatingPointError, match="U"):
+        adagrad_update(params, grads, OptimizerState(params), 0.1, 1e-8)
+
+
+@pytest.mark.parametrize("n2", [3, 399])
+def test_gradients_zero_clears_every_tensor_and_mask(n2):
+    # n2 = 3 touches few U_out rows, n2 = 399 enumerates all 400
+    rng = np.random.default_rng(33)
+    ds = toy_dataset(seed=4, num_users=6, num_locations=400)
+    params = random_params(rng, ds.num_users, ds.num_locations, 3)
+    splits = lbsn_data.full_train_splits(ds)
+    grads = Gradients.like(params)
+    network_loss_and_grads(params, ds.graph,
+                           draw_network_batch(ds.graph, [1, 2], 2, rng), grads)
+    trajectory_loss_and_grads(
+        params, FULL_VARIANT,
+        draw_trajectory_batch(ds, splits, np.array([1, 3]), n2, rng), grads)
+    assert all(np.any(grads.tensor(name) != 0.0) for name in TENSOR_NAMES)
+    dense = grads.sparse_rows("U_out") is None
+    assert dense == (n2 == 399)
+    grads.zero()
+    for name in TENSOR_NAMES:
+        assert not np.any(grads.tensor(name)), name
+    for mask in grads.touched.values():
+        assert not mask.any()
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -781,6 +954,56 @@ def test_train_writes_log_and_decreases_loss(tmp_path):
     assert len(lines) == 7
 
 
+def test_train_equals_fresh_gradients_and_sequential_draws(tmp_path):
+    # one reused, row-masked Gradients, touched-row AdaGrad and batch-drawn
+    # negatives train bit for bit as a fresh Gradients per batch, whole-tensor
+    # AdaGrad and one sequential draw per row
+    ds = toy_dataset(seed=29, num_users=10, num_locations=300)
+    splits = lbsn_data.full_train_splits(ds)
+    cfg = toy_config(seed=9, max_iterations=2, batch_users=2, n2=5,
+                     n1_per_user=2)
+    train(ds, splits, cfg, tmp_path / "m.jntm")
+    got, _, _, _ = load_checkpoint(tmp_path / "m.jntm")
+
+    streams = rng_streams(cfg.seed)
+    params = init_params(cfg, ds.num_users, ds.num_locations)
+    state = OptimizerState(params)
+    graph = lbsn_data.build_graph(ds.num_users, splits.train_edges)
+    sparse_updates = 0
+
+    def update(grads):
+        nonlocal sparse_updates
+        sparse_updates += any(grads.sparse_rows(name) is not None
+                              and grads.touched[name].any()
+                              for name in grads.touched)
+        for mask in grads.touched.values():
+            mask[:] = True
+        adagrad_update(params, grads, state, cfg.learning_rate,
+                       cfg.adagrad_epsilon)
+
+    for _ in range(cfg.max_iterations):
+        order = streams.shuffle.permutation(ds.num_users)
+        for s in range(0, len(order), cfg.batch_users):
+            users = order[s:s + cfg.batch_users]
+            negatives = reference_negative_links(graph, users, cfg.n1_per_user,
+                                                 streams.link_negatives)
+            update(network_loss_and_grads(
+                params, graph, training.NetworkBatch(users, negatives))[1])
+        order = streams.shuffle.permutation(ds.num_users)
+        for s in range(0, len(order), cfg.batch_users):
+            users = order[s:s + cfg.batch_users]
+            views = [training.training_view(ds, splits, u) for u in users]
+            negatives = [reference_location_rows(ds.num_locations, locs, cfg.n2,
+                                                 streams.location_negatives)[0]
+                         for locs, _ in views]
+            update(trajectory_loss_and_grads(
+                params, cfg.variant,
+                training.TrajectoryBatch(users, views, negatives))[1])
+    assert sparse_updates
+    for name in TENSOR_NAMES:
+        np.testing.assert_array_equal(got.tensor(name), params.tensor(name))
+
+
 def test_train_pass_times_lie_within_the_epoch(tmp_path):
     ds = toy_dataset(seed=19, num_users=5)
     splits = lbsn_data.make_splits(ds, link_train_ratio=0.5, seed=2)
@@ -790,3 +1013,6 @@ def test_train_pass_times_lie_within_the_epoch(tmp_path):
     for r in records:
         assert 0 < r.net_seconds and 0 < r.traj_seconds
         assert r.net_seconds + r.traj_seconds <= r.seconds
+        assert 0 < r.sample_seconds and 0 < r.update_seconds
+        assert r.sample_seconds + r.update_seconds <= \
+            r.net_seconds + r.traj_seconds
