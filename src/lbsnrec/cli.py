@@ -254,6 +254,15 @@ def _count(minimum):
     return integer
 
 
+def _tolerance(text):
+    """argparse type: a finite number of at least 0."""
+    value = float(text)
+    if not (training.is_number(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def _add_train_config_flags(parser):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, default=None)
@@ -333,8 +342,8 @@ def build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference gradient oracle")
     p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--out", help="CSV report path")
-    p.add_argument("--tolerance-rel", type=float, default=1e-5)
-    p.add_argument("--tolerance-abs", type=float, default=1e-8)
+    p.add_argument("--tolerance-rel", type=_tolerance, default=1e-5)
+    p.add_argument("--tolerance-abs", type=_tolerance, default=1e-8)
     p.add_argument("--entries", type=_count(1), default=20)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -16,8 +16,9 @@ import numpy as np
 from . import data as lbsn_data
 from .model import TENSOR_NAMES, tensor_shapes
 from .training import (Gradients, TrainConfig, draw_network_batch,
-                       draw_trajectory_batch, network_loss_and_grads,
-                       rng_streams, trajectory_loss_and_grads, init_params)
+                       draw_trajectory_batch, init_params, is_number,
+                       network_loss_and_grads, rng_streams,
+                       trajectory_loss_and_grads)
 
 DEFAULT_STEP = 1e-5
 
@@ -97,8 +98,12 @@ def check_all(dataset, config, tolerance_rel=1e-5, tolerance_abs=1e-8,
     """Compare analytic gradients of the frozen sampled loss to differences.
 
     An entry passes when |analytic - numeric| <= max(tolerance_abs,
-    tolerance_rel * max(|analytic|, |numeric|)).
+    tolerance_rel * max(|analytic|, |numeric|)). A NaN or infinite
+    tolerance would pass every entry and a negative one fail every entry.
     """
+    if not all(is_number(t) and t >= 0 for t in (tolerance_rel, tolerance_abs)):
+        raise ValueError("tolerances must be finite numbers >= 0, got "
+                         f"{tolerance_rel!r} (rel) and {tolerance_abs!r} (abs)")
     streams = rng_streams(config.seed)
     params = init_params(config, dataset.num_users, dataset.num_locations)
     splits = lbsn_data.full_train_splits(dataset)

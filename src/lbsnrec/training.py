@@ -390,38 +390,47 @@ def sampled_location_loss(params, context, target, negatives):
 
     Returns (loss, grad wrt context, candidate indices, grad wrt the
     candidates' scores); the gradient of U_out[c] is grad_scores[c] * context.
+    With a leading batch axis (context (n, 4d), target (n,), negatives
+    (n, k)) each row is one position: the loss is summed over the rows, the
+    other three are per row.
     """
-    cands = np.concatenate(([int(target)], np.asarray(negatives, dtype=np.int64)))
-    scores = params.U_out[cands] @ context
-    m = scores.max()
+    cands = np.concatenate((np.asarray(target, dtype=np.int64)[..., None],
+                            np.asarray(negatives, dtype=np.int64)), axis=-1)
+    u_rows = params.U_out[cands]
+    scores = np.matmul(u_rows, context[..., None])[..., 0]
+    m = scores.max(axis=-1, keepdims=True)
     exps = np.exp(scores - m)
-    z = exps.sum()
-    loss = float(np.log(z) + m - scores[0])
+    z = exps.sum(axis=-1, keepdims=True)
+    loss = float((np.log(z) + m - scores[..., :1]).sum())
     grad_scores = exps / z
-    grad_scores[0] -= 1.0
-    grad_context = grad_scores @ params.U_out[cands]
+    grad_scores[..., 0] -= 1.0
+    grad_context = np.matmul(grad_scores[..., None, :], u_rows)[..., 0, :]
     return loss, grad_context, cands, grad_scores
 
 
 # Bounds on one block_location_loss call: its distinct candidates, and its
-# score-matrix entries (positions x distinct candidates).
+# score-matrix entries (positions x distinct candidates). With more
+# locations, blocks share few candidates and _gathered_softmax runs instead.
 BLOCK_CANDIDATES = 384
 BLOCK_SCORES = 1 << 14
 
+# _gathered_softmax works in chunks of about this many float64 entries
+# (640 KB), which stay in cache: positions x candidates x 4d gathered per
+# sampled_location_loss call, rows x 4d per slice of the U_out gradient.
+GATHER_CHUNK_ENTRIES = 5 << 14
+
 
 def block_positions(num_locations, width):
-    """Positions per block_location_loss call, for rows of `width` candidates.
+    """Positions per block_location_loss call, for rows of `width` candidates
+    out of num_locations <= BLOCK_CANDIDATES.
 
-    The largest p >= 1 whose block, with at most D = min(|L|, p * width)
-    distinct candidates, has D <= BLOCK_CANDIDATES and p * D <= BLOCK_SCORES.
-    Each position is scored against all D, so blocks stay short when few
-    candidates repeat (|L| >> n2) and grow to the score bound when all share L.
+    The largest p >= 1 whose p x D score matrix, D = min(|L|, p * width)
+    distinct candidates, has at most BLOCK_SCORES entries. Each position is
+    scored against all D, so blocks grow to the score bound when all share L.
     """
     # p * D = min(p * |L|, p * p * width) is within the bound if either is.
-    p = max(BLOCK_SCORES // num_locations, math.isqrt(BLOCK_SCORES // width))
-    if num_locations > BLOCK_CANDIDATES:
-        p = min(p, BLOCK_CANDIDATES // width)
-    return max(1, p)
+    return max(1, BLOCK_SCORES // num_locations,
+               math.isqrt(BLOCK_SCORES // width))
 
 
 def block_location_loss(params, contexts, cands):
@@ -449,6 +458,42 @@ def block_location_loss(params, contexts, cands):
     dense = np.zeros((len(cands), len(rows)))
     dense[at, inv] = grad_scores
     return loss, dense @ u_rows, rows, dense.T @ contexts
+
+
+def _gathered_softmax(params, contexts, targets, negatives, grads):
+    """Loss and context gradients of positions each scored against its own
+    gathered candidates, in batched sampled_location_loss calls.
+
+    The U_out gradient, one sparse product G @ contexts with G[c, i] the
+    gradient of position i's score of c, is added to grads in row slices:
+    over every location, or over the distinct candidates when there are
+    fewer candidate entries than locations.
+    """
+    # imported here: scipy.sparse adds about 1.7 MB of RSS, which runs that
+    # only take the block path (|L| <= BLOCK_CANDIDATES) never need
+    from scipy import sparse
+
+    chunk = max(1, GATHER_CHUNK_ENTRIES
+                // ((1 + negatives.shape[1]) * contexts.shape[1]))
+    losses, d_contexts, cands, d_scores = zip(*(
+        sampled_location_loss(params, contexts[s:s + chunk],
+                              targets[s:s + chunk], negatives[s:s + chunk])
+        for s in range(0, len(contexts), chunk)))
+    cands, d_scores = np.concatenate(cands), np.concatenate(d_scores)
+    (n, width), num_locations = cands.shape, len(params.U_out)
+    if cands.size < num_locations:
+        rows, local = np.unique(cands, return_inverse=True)
+    else:
+        rows, local = None, cands
+    g = sparse.csc_matrix(
+        (d_scores.ravel(), local.ravel(), np.arange(0, n * width + 1, width)),
+        shape=(num_locations if rows is None else len(rows), n)).tocsr()
+    step = max(1, GATHER_CHUNK_ENTRIES // contexts.shape[1])
+    for r in range(0, g.shape[0], step):
+        out = slice(r, r + step) if rows is None else rows[r:r + step]
+        grads.U_out[out] += g[r:r + step] @ contexts
+    grads.touch("U_out", cands.ravel())
+    return sum(losses), np.concatenate(d_contexts)
 
 
 def _short_term_backward(params, steps, d_states, states):
@@ -538,9 +583,12 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
     One forward_trajectory call runs the group's recurrences in lockstep;
     then, over all positions of the group at once:
 
-    - Softmax: consecutive blocks of the group's positions (block_positions
-      each, across subtrajectories and users), one block_location_loss call
-      per block, give the losses, context gradients and U_out gradient.
+    - Softmax: the losses, context gradients and U_out gradient of the
+      group's positions, across subtrajectories and users. Up to
+      BLOCK_CANDIDATES locations, positions share candidates: consecutive
+      blocks of block_positions each, one block_location_loss call per
+      block. Above it, _gathered_softmax scores each position against its
+      own candidates.
     - Context: the F and P blocks of the context gradients sum into F[v] and
       P[v]; the short-term block reaches the state consulted at each
       position; the long-term block reaches the hidden state frozen at the
@@ -568,18 +616,22 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
     contexts = trace.contexts.reshape(-1, 4 * d)
     drawn = np.concatenate(negatives)
     d_context = np.zeros((num * width, 4 * d))
-    total = 0.0
-    out_rows = []
-    block = block_positions(params.num_locations, 1 + drawn.shape[1])
-    for s in range(0, len(valid), block):
-        at = valid[s:s + block]
-        loss, d_context[at], rows, d_rows = block_location_loss(
-            params, contexts[at],
-            np.column_stack((flat_locations[at], drawn[s:s + block])))
-        total += loss
-        grads.U_out[rows] += d_rows
-        out_rows.append(rows)
-    grads.touch("U_out", np.concatenate(out_rows))
+    if params.num_locations > BLOCK_CANDIDATES:
+        total, d_context[valid] = _gathered_softmax(
+            params, contexts[valid], flat_locations[valid], drawn, grads)
+    else:
+        total = 0.0
+        out_rows = []
+        block = block_positions(params.num_locations, 1 + drawn.shape[1])
+        for s in range(0, len(valid), block):
+            at = valid[s:s + block]
+            loss, d_context[at], rows, d_rows = block_location_loss(
+                params, contexts[at],
+                np.column_stack((flat_locations[at], drawn[s:s + block])))
+            total += loss
+            grads.U_out[rows] += d_rows
+            out_rows.append(rows)
+        grads.touch("U_out", np.concatenate(out_rows))
 
     seen = lengths > 0
     per_user = d_context.reshape(num, width, 4 * d)[:, :, :2 * d].sum(axis=1)

@@ -77,3 +77,52 @@ def test_traced_planted_run_reports_every_per_layer_metric():
     assert result["correct"] is True and result["failed"] == 0, lines
     assert set(result["metrics"]) == {m["name"] for m in spec["per_layer"]}
     assert "# absent at this commit: none" in lines
+
+
+# Installs the unmodified tracer in a fresh interpreter, runs one trajectory
+# batch with |L| > BLOCK_CANDIDATES and prints each span's name and its
+# parent's name.
+TRACED_GATHERED_SOFTMAX = """
+import importlib.util, json, sys
+import numpy as np
+root = sys.argv[1]
+sys.path.insert(0, root + "/src")
+spec = importlib.util.spec_from_file_location(
+    "perfbench_tracing", root + "/perfbench/tracing.py")
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+from lbsnrec import training
+from lbsnrec.model import FULL_VARIANT, ModelParams, tensor_shapes
+num_locations = training.BLOCK_CANDIDATES + 16
+rng = np.random.default_rng(0)
+params = ModelParams(**{name: rng.uniform(-0.5, 0.5, size=shape)
+                        for name, shape in tensor_shapes(
+                            3, num_locations, 3).items()})
+views = [(rng.integers(0, num_locations, size=6), [(0, 2), (2, 6)])
+         for _ in range(3)]
+batch = training.TrajectoryBatch(
+    users=np.arange(3), views=views,
+    negatives=[training.sample_negative_locations(num_locations, locs, 100, rng)
+               for locs, _ in views])
+training.trajectory_loss_and_grads(params, FULL_VARIANT, batch)
+print(json.dumps({
+    "spans": [[name, tracer.spans[parent][0] if parent >= 0 else None]
+              for name, _, _, parent in tracer.spans],
+    "metrics": tracer.layer_metrics()}))
+"""
+
+
+def test_traced_gathered_softmax_records_sampled_location_loss_spans():
+    run = subprocess.run(
+        [sys.executable, "-c", TRACED_GATHERED_SOFTMAX, str(ROOT)],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout)
+    softmax = [parent for name, parent in result["spans"]
+               if name == "training.sampled_location_loss"]
+    assert softmax and set(softmax) == {"training.trajectory_loss_and_grads"}
+    assert result["metrics"]["training.sampled_location_loss.calls"] == \
+        len(softmax)
+    assert result["metrics"]["training.sampled_location_loss.s"] > 0

@@ -489,6 +489,24 @@ def test_commands_reject_bad_counts(tmp_path, synth_cache, capsys, argv):
     assert not paths["out"].exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--tolerance-abs", "nan"], ["--tolerance-abs", "inf"],
+    ["--tolerance-rel", "nan"], ["--tolerance-rel", "inf"],
+    ["--tolerance-abs", "-1"], ["--tolerance-rel", "-1"],
+    ["--tolerance-abs", "-1", "--tolerance-rel", "-1"]], ids=" ".join)
+def test_gradcheck_rejects_tolerances_that_decide_nothing(tmp_path, capsys,
+                                                          flags):
+    # a NaN or infinite tolerance passes every entry and a negative one fails
+    # every entry; both are usage errors, not check results
+    out = tmp_path / "gc.csv"
+    assert run_cli_exit_code(["gradcheck", *flags, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert "must be a finite number >= 0" in line
+    assert not out.exists()
+
+
 def test_bench_empty_dataset_zero_rows(tmp_path):
     empty = lbsn_data.build_dataset([], [])
     data_path = tmp_path / "empty.bin"

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from lbsnrec import gradcheck
+from lbsnrec import gradcheck, training
 from lbsnrec.model import ModelParams, VariantMask
 from lbsnrec.gradcheck import (check_all, default_toy_config,
                                finite_diff_gradient, make_toy_dataset,
@@ -53,6 +53,20 @@ def test_check_all_passes_on_toy():
     assert {c.tensor for c in report.checks} == set(TENSOR_NAMES)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_all_passes_on_gathered_softmax(monkeypatch, seed):
+    # the toy's 8 locations exceed a lowered BLOCK_CANDIDATES, so every
+    # position goes through the gathered softmax
+    monkeypatch.setattr(training, "BLOCK_CANDIDATES", 1)
+    calls = []
+    scored = training.sampled_location_loss
+    monkeypatch.setattr(training, "sampled_location_loss",
+                        lambda *args: calls.append(1) or scored(*args))
+    report = check_all(make_toy_dataset(seed=seed),
+                       default_toy_config(seed=seed))
+    assert calls and report.passed, report.failing_tensors()
+
+
 def test_check_all_fault_injection_names_tensor(monkeypatch):
     exact = gradcheck.trajectory_loss_and_grads
 
@@ -86,3 +100,13 @@ def test_report_csv(tmp_path):
     assert lines[0] == "tensor,max_rel,max_abs,worst_index,pass"
     assert len(lines) == 18
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tolerance_abs": math.nan}, {"tolerance_abs": math.inf},
+    {"tolerance_rel": math.nan}, {"tolerance_rel": math.inf},
+    {"tolerance_abs": -1e-8}, {"tolerance_rel": -1e-5}],
+    ids=str)
+def test_check_all_rejects_tolerances_that_decide_nothing(kwargs):
+    with pytest.raises(ValueError, match="tolerances must be finite"):
+        check_all(make_toy_dataset(0), default_toy_config(0), **kwargs)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,6 +374,27 @@ def test_sampled_location_loss_grads_match_finite_differences():
             assert analytic == pytest.approx(numeric, rel=1e-6, abs=1e-10)
 
 
+@pytest.mark.parametrize("n2", [0, 1, 6])
+def test_batched_sampled_location_loss_equals_its_rows(n2):
+    rng = np.random.default_rng(13)
+    params = random_params(rng, 2, 20, 3, scale=0.5)
+    contexts = rng.normal(size=(5, 12))
+    targets = rng.integers(20, size=5)
+    negs = sample_negative_locations(20, targets, n2, rng)
+    loss, d_contexts, cands, d_scores = sampled_location_loss(
+        params, contexts, targets, negs)
+    assert d_contexts.shape == (5, 12) and d_scores.shape == (5, 1 + n2)
+    want_loss = 0.0
+    for i in range(5):
+        l, d_ctx, c, d_s = sampled_location_loss(params, contexts[i],
+                                                 targets[i], negs[i])
+        want_loss += l
+        np.testing.assert_array_equal(cands[i], c)
+        np.testing.assert_allclose(d_contexts[i], d_ctx, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(d_scores[i], d_s, rtol=0, atol=1e-15)
+    assert abs(loss - want_loss) <= 1e-12 * want_loss
+
+
 @pytest.mark.parametrize("num_locations,n2", [(12, 4), (9, 8), (40, 0)],
                          ids=["sampled", "enumerated", "no_negatives"])
 def test_block_location_loss_matches_per_position_oracle(num_locations, n2):
@@ -588,21 +610,56 @@ def record_block_sizes(monkeypatch):
     return sizes
 
 
+def record_softmax_calls(monkeypatch):
+    """(path, contexts) of every softmax call in call order: "block" for
+    block_location_loss, "gathered" for sampled_location_loss."""
+    calls = []
+    for path, name in (("block", "block_location_loss"),
+                       ("gathered", "sampled_location_loss")):
+        def recorded(params, contexts, *rest, path=path,
+                     loss=getattr(training, name)):
+            calls.append((path, np.array(contexts, ndmin=2)))
+            return loss(params, contexts, *rest)
+        monkeypatch.setattr(training, name, recorded)
+    return calls
+
+
+def valid_contexts(params, mask, batch):
+    """The forward contexts of every position of the batch, in batch order."""
+    out = []
+    views = batch.views
+    for lo, hi in lbsn_model.forward_groups([len(locs) for locs, _ in views]):
+        trace = lbsn_model.forward_trajectory(params, mask, batch.users[lo:hi],
+                                              views[lo:hi])
+        width = trace.locations.shape[1]
+        valid = np.flatnonzero(np.arange(width) < trace.lengths[:, None])
+        out.append(trace.contexts.reshape(-1, 4 * params.dim)[valid])
+    return np.concatenate(out)
+
+
+def assert_each_position_scored_once(calls, params, mask, batch):
+    np.testing.assert_array_equal(
+        np.concatenate([contexts for _, contexts in calls]),
+        valid_contexts(params, mask, batch))
+
+
 def test_block_positions_is_the_largest_within_both_bounds():
-    for num_locations in (1, 2, 65, 66, 383, 384, 385, 400, 11498, 20000):
-        for width in (1, 2, 3, 6, 66, 101, 128, 384, 385):
+    # the block path only runs up to BLOCK_CANDIDATES locations, where the
+    # distinct-candidate bound always holds
+    for num_locations in (1, 2, 65, 66, 383, 384):
+        for width in (1, 2, 3, 6, 66, 101, 128, 384):
             if width <= num_locations:
                 assert training.block_positions(num_locations, width) == \
                     rule_positions(num_locations, width), (num_locations, width)
-    # |L| = 20k, n2 = 100 (bk_shape): three positions, each scored against
-    # every candidate of its block; |L| = 66 enumerated (planted): the score
-    # matrix bound alone
-    assert training.block_positions(20000, 101) == 3
+    # |L| = 66 enumerated (planted): the score matrix bound alone
     assert training.block_positions(66, 66) == 248
+    assert training.block_positions(384, 101) == 42
 
 
-# bounds that force one-position blocks and one block per forward group
-BLOCK_BOUNDS = {"one_position": {"BLOCK_SCORES": 1},
+# bounds that force one-position softmax calls (and one-row U_out slices)
+# and one block per forward group
+BLOCK_BOUNDS = {"one_position": {"BLOCK_SCORES": 1,
+                                 "GATHER_CHUNK_ENTRIES": 1},
                 "whole_group": {"BLOCK_CANDIDATES": 1 << 40,
                                 "BLOCK_SCORES": 1 << 40}}
 
@@ -619,17 +676,24 @@ def test_trajectory_grads_independent_of_softmax_blocks(monkeypatch, mask,
     rng = np.random.default_rng(23)
     params = random_params(rng, 9, num_locations, 3, scale=0.8)
     batch = ragged_batch(rng, num_locations, n2)
-    sizes = record_block_sizes(monkeypatch)
+    calls = record_softmax_calls(monkeypatch)
     loss, grads = trajectory_loss_and_grads(params, mask, batch)
-    # the 37 positions of lengths 7, 0, 3, 7, 11, 1, 8 form one forward group;
-    # default blocks of 3 at |L| = 400 cross subtrajectory and user
-    # boundaries, and the other cases fit one block
-    assert sizes == ([3] * 12 + [1] if n2 == 100 else [37])
+    # the 37 positions of lengths 7, 0, 3, 7, 11, 1, 8 form one forward group,
+    # one call across subtrajectory and user boundaries: gathered at
+    # |L| = 400 > BLOCK_CANDIDATES, one block otherwise
+    path = "gathered" if num_locations > training.BLOCK_CANDIDATES else "block"
+    assert [(p, len(c)) for p, c in calls] == [(path, 37)]
+    assert_each_position_scored_once(calls, params, mask, batch)
     for name, value in BLOCK_BOUNDS[bounds].items():
         monkeypatch.setattr(training, name, value)
-    sizes.clear()
+    calls.clear()
     blocked_loss, blocked = trajectory_loss_and_grads(params, mask, batch)
-    assert sizes == {"one_position": [1] * 37, "whole_group": [37]}[bounds]
+    # whole_group lifts BLOCK_CANDIDATES, so |L| = 400 takes the block path
+    path = "gathered" if bounds == "one_position" and num_locations == 400 \
+        else "block"
+    assert [(p, len(c)) for p, c in calls] == \
+        {"one_position": [(path, 1)] * 37, "whole_group": [(path, 37)]}[bounds]
+    assert_each_position_scored_once(calls, params, mask, batch)
     assert abs(blocked_loss - loss) <= 1e-12 * abs(loss)
     for name in TENSOR_NAMES:
         scale = np.abs(grads.tensor(name)).max()
@@ -661,14 +725,104 @@ def test_planted_softmax_calls_follow_the_block_rule(monkeypatch):
 @pytest.mark.parametrize("n2", [5, 100, 383])
 def test_softmax_blocks_bounded_when_locations_exceed_block_candidates(
         monkeypatch, n2):
+    # above BLOCK_CANDIDATES locations only the gathered path runs, in
+    # consecutive calls of GATHER_CHUNK_ENTRIES gathered entries at most
     num_locations = training.BLOCK_CANDIDATES + 16
     rng = np.random.default_rng(24)
     params = random_params(rng, 9, num_locations, 3, scale=0.8)
     batch = ragged_batch(rng, num_locations, n2)
-    sizes = record_block_sizes(monkeypatch)
-    trajectory_loss_and_grads(params, FULL_VARIANT, batch)
-    assert sum(sizes) == 37
-    assert max(sizes) <= training.BLOCK_CANDIDATES // (1 + n2)
+    loss, grads = trajectory_loss_and_grads(params, FULL_VARIANT, batch)
+    entries = (1 + n2) * 12     # one position's gathered U_out entries
+    calls = record_softmax_calls(monkeypatch)
+    for chunk in (training.GATHER_CHUNK_ENTRIES // entries, 1, 4, 36):
+        monkeypatch.setattr(training, "GATHER_CHUNK_ENTRIES", chunk * entries)
+        calls.clear()
+        chunked_loss, chunked = trajectory_loss_and_grads(params, FULL_VARIANT,
+                                                          batch)
+        assert [(p, len(c)) for p, c in calls] == \
+            [("gathered", chunk)] * (37 // chunk) + \
+            [("gathered", 37 % chunk)] * (37 % chunk > 0)
+        assert_each_position_scored_once(calls, params, FULL_VARIANT, batch)
+        assert abs(chunked_loss - loss) <= 1e-12 * abs(loss)
+        for name in TENSOR_NAMES:
+            scale = np.abs(grads.tensor(name)).max()
+            assert np.abs(chunked.tensor(name) - grads.tensor(name)).max() <= \
+                1e-12 * scale, name
+        assert touched_rows(chunked) == touched_rows(grads)
+
+
+@pytest.mark.parametrize("n2", [0, 5, 100])
+@pytest.mark.parametrize("num_locations", [385, 400, 20000])
+@pytest.mark.parametrize("mask", ALL_VARIANTS,
+                         ids=["full", "short_only", "long_only", "base"])
+def test_gathered_softmax_equals_block_softmax(monkeypatch, mask,
+                                               num_locations, n2):
+    # n2 = 0 scores one-candidate rows; at n2 = 100 and |L| <= 400 the U_out
+    # gradient runs over every location, otherwise over the distinct
+    # candidates only
+    rng = np.random.default_rng(25)
+    params = random_params(rng, 9, num_locations, 3, scale=0.8)
+    batch = ragged_batch(rng, num_locations, n2)
+    calls = record_softmax_calls(monkeypatch)
+    loss, grads = trajectory_loss_and_grads(params, mask, batch)
+    assert {p for p, _ in calls} == {"gathered"}
+    monkeypatch.setattr(training, "BLOCK_CANDIDATES", num_locations)
+    calls.clear()
+    block_loss, block = trajectory_loss_and_grads(params, mask, batch)
+    assert {p for p, _ in calls} == {"block"}
+    assert_each_position_scored_once(calls, params, mask, batch)
+    assert abs(block_loss - loss) <= 1e-12 * abs(loss)
+    for name in TENSOR_NAMES:
+        scale = np.abs(block.tensor(name)).max()
+        assert np.abs(grads.tensor(name) - block.tensor(name)).max() <= \
+            1e-12 * scale, name
+    assert touched_rows(grads) == touched_rows(block)
+
+
+def test_gathered_softmax_skips_groups_without_positions(monkeypatch):
+    # one user per forward group: the second user's empty view makes a group
+    # with no valid position, which calls no softmax
+    rng = np.random.default_rng(26)
+    params = random_params(rng, 9, 400, 3, scale=0.8)
+    batch = ragged_batch(rng, 400, 100)
+    loss, grads = trajectory_loss_and_grads(params, FULL_VARIANT, batch)
+    monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", 1)
+    calls = record_softmax_calls(monkeypatch)
+    grouped_loss, grouped = trajectory_loss_and_grads(params, FULL_VARIANT,
+                                                      batch)
+    assert [(p, len(c)) for p, c in calls] == \
+        [("gathered", n) for n in (7, 3, 7, 11, 1, 8)]
+    assert_each_position_scored_once(calls, params, FULL_VARIANT, batch)
+    assert abs(grouped_loss - loss) <= 1e-12 * abs(loss)
+    for name in TENSOR_NAMES:
+        scale = np.abs(grads.tensor(name)).max()
+        assert np.abs(grouped.tensor(name) - grads.tensor(name)).max() <= \
+            1e-12 * scale, name
+    assert touched_rows(grouped) == touched_rows(grads)
+
+
+def test_trajectory_softmax_memory_stays_below_half_of_u_out():
+    # bk_shape-sized: |L| = 20k, d = 50, 10 users of 90 check-ins, n2 = 100;
+    # a product over all of U_out at once would hold U_out.nbytes
+    rng = np.random.default_rng(27)
+    params = random_params(rng, 10, 20000, 50, scale=0.1)
+    views = [(rng.integers(0, 20000, size=90),
+              [(s, s + 3) for s in range(0, 90, 3)]) for _ in range(10)]
+    batch = training.TrajectoryBatch(
+        users=np.arange(10), views=views,
+        negatives=[sample_negative_locations(20000, locs, 100, rng)
+                   for locs, _ in views])
+    grads = Gradients.like(params)
+    tracemalloc.start()
+    try:
+        trajectory_loss_and_grads(params, FULL_VARIANT, batch, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.U_out.nbytes / 2
+    # each forward group has more candidate entries (about 450 x 101) than
+    # locations, so its U_out gradient ran over slices of all of U_out
+    assert grads.touched["U_out"].sum() > 0.9 * 20000
 
 
 def test_enumerated_trajectory_loss_equals_full_likelihood_oracle():
