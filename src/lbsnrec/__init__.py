@@ -12,7 +12,7 @@ from .data import (CheckIn, Dataset, SocialGraph, Splits, Trajectory,
                    save_dataset, split_into_subtrajectories)
 from .evaluation import EvalReport, eval_friend_rec, eval_next_location, recall_at_k
 from .model import (ForwardTrace, ModelParams, VariantMask, forward_trajectory,
-                    joint_log_likelihood_full, link_logit, load_checkpoint,
+                    joint_log_likelihood_full, load_checkpoint,
                     location_log_prob_full, network_log_likelihood_full,
                     save_checkpoint)
 from .synth import SynthConfig, chance_baselines, generate
@@ -26,8 +26,8 @@ __all__ = [
     "split_into_subtrajectories",
     "EvalReport", "eval_friend_rec", "eval_next_location", "recall_at_k",
     "ForwardTrace", "ModelParams", "VariantMask", "forward_trajectory",
-    "joint_log_likelihood_full", "link_logit", "load_checkpoint",
-    "location_log_prob_full", "network_log_likelihood_full", "save_checkpoint",
+    "joint_log_likelihood_full", "load_checkpoint", "location_log_prob_full",
+    "network_log_likelihood_full", "save_checkpoint",
     "SynthConfig", "chance_baselines", "generate",
     "Gradients", "OptimizerState", "TrainConfig", "adagrad_update",
     "init_params", "train",

@@ -85,11 +85,17 @@ def _evaluated_rows(params, mask, dataset, splits, new_only, part, width):
     evaluated = list(_evaluated_users(dataset, splits, part))
     empty = np.empty(0, dtype=np.int64)
     block, num_rows, num_new = [[], [], [], [empty], [empty], [empty]], 0, 0
-    for lo, hi in forward_groups([len(item[1]) for item in evaluated]):
+    for lo, hi in forward_groups([len(item[1]) for item in evaluated],
+                                 caches=False):
         group = evaluated[lo:hi]
-        trace = forward_trajectory(params, mask, [item[0] for item in group],
-                                   [item[1:3] for item in group])
-        for (user, locs, _, start), user_contexts in zip(group, trace.contexts):
+        padded = forward_trajectory(params, mask, [item[0] for item in group],
+                                    [item[1:3] for item in group],
+                                    caches=False).contexts
+        # copy the evaluated rows: the contexts go before the next forward
+        chosen = [row[start:len(locs)].copy()
+                  for (_, locs, _, start), row in zip(group, padded)]
+        del padded
+        for (user, locs, _, start), user_contexts in zip(group, chosen):
             positions = np.arange(start, len(locs))
             new = ex_rows = ex_cols = empty
             if new_only:
@@ -110,7 +116,7 @@ def _evaluated_rows(params, mask, dataset, splits, new_only, part, width):
                 block, num_rows, num_new = [[], [], [], [empty], [empty],
                                             [empty]], 0, 0
             for rows, user_rows in zip(block, (
-                    np.full(len(positions), user), user_contexts[positions],
+                    np.full(len(positions), user), user_contexts,
                     locs[positions], num_rows + new, num_new + ex_rows,
                     ex_cols)):
                 rows.append(user_rows)

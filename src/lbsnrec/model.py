@@ -109,10 +109,10 @@ class Lockstep:
     Sequence s occupies padded flat indices starts[s] .. starts[s] +
     lengths[s] - 1 (batch order, starts ascending). Step j advances the
     first live[j] sequences in order of descending length (ties in batch
-    order), a prefix of the sequences step j-1 advanced. Per-step state is
-    packed with step j at rows offsets[j] .. offsets[j + 1] - 1, so a step
-    reads its predecessors from a prefix of the previous step's rows; rows[r]
-    is the padded flat index of packed row r.
+    order), a prefix of the sequences step j-1 advanced. Step j's state is
+    packed at rows offsets[j] .. offsets[j + 1] - 1, so a step reads its
+    predecessors from a prefix of the previous step's rows. rows[r] is packed
+    row r's padded flat index, previous[r - live[0]] its predecessor row.
     """
 
     starts: np.ndarray
@@ -120,6 +120,7 @@ class Lockstep:
     live: list
     offsets: list
     rows: np.ndarray
+    previous: np.ndarray
 
 
 def lockstep(starts, lengths):
@@ -132,25 +133,31 @@ def lockstep(starts, lengths):
     offsets = np.concatenate(([0], np.cumsum(live)))
     step = np.repeat(np.arange(steps), live)
     rank = np.arange(offsets[-1]) - offsets[step]
+    previous = np.arange(offsets[1] if steps else 0, offsets[-1]) - np.repeat(
+        live[:-1], live[1:])
     return Lockstep(starts=starts, lengths=lengths, live=live.tolist(),
-                    offsets=offsets.tolist(), rows=starts[order][rank] + step)
+                    offsets=offsets.tolist(), rows=starts[order][rank] + step,
+                    previous=previous)
 
 
-# Callers run forward_trajectory over groups of users of at most this many
-# padded positions (users x longest history), or one user whose history is
-# longer. A group's trace and BPTT temporaries take a few hundred floats per
-# padded position at d=16, so this bounds the lockstep working set.
-FORWARD_GROUP_POSITIONS = 512
+# Callers run forward_trajectory over groups of users of at most
+# FORWARD_GROUP_POSITIONS padded positions (users x longest history), or one
+# user whose history is longer; a forward without caches, half the floats
+# per position, takes twice as many. A group pays one lockstep step per
+# position of its longest history; below 640, histories of 320 and 640
+# check-ins go one user a group and scale linearly (acceptance criterion 7).
+FORWARD_GROUP_POSITIONS = 630
 
 
-def forward_groups(lengths):
+def forward_groups(lengths, caches=True):
     """Split a batch of users with these history lengths into consecutive
     (start, stop) groups of at most FORWARD_GROUP_POSITIONS padded positions
-    each, or one user."""
+    each (twice that without caches), or one user."""
+    bound = FORWARD_GROUP_POSITIONS * (1 if caches else 2)
     start = width = 0
     for i, n in enumerate(lengths):
         grown = max(width, n)
-        if i > start and (i - start + 1) * grown > FORWARD_GROUP_POSITIONS:
+        if i > start and (i - start + 1) * grown > bound:
             yield start, i
             start, grown = i, n
         width = grown
@@ -158,35 +165,27 @@ def forward_groups(lengths):
         yield start, len(lengths)
 
 
-def state_index(index, width):
-    """Flat index into (B, width + 1) long-term state arrays of the state
-    before the position at flat index `index` into (B, width) arrays."""
-    return index + index // max(width, 1)
-
-
 @dataclass
 class ForwardTrace:
     """Activations of a batch of users, cached by forward_trajectory for BPTT.
 
-    Arrays are padded over the batch: row b holds user b's first lengths[b]
-    positions and is zero past them. locations[b, p] is the location visited
-    at position p and short_states[b, p] the short-term state consulted there
-    (S0 at each subtrajectory start). long_cells/long_hidden have T+1
-    columns: column t is the state after t locations, column 0 the initial
-    state. Gate column t-1 belongs to step t and holds the input, forget and
-    candidate gates side by side. Components disabled by the variant mask are
-    None. `subtrajectories` schedules the short-term chain and `positions`
-    (users stepped over their positions) the long-term one, over padded flat
-    indices b * T + p.
+    locations and contexts are padded over the batch (row b holds user b's
+    first lengths[b] positions, zero past them); contexts[b, p] predicts
+    locations[b, p], its third block the short-term state. `subtrajectories`
+    schedules the short-term chain and `positions` the long-term one over
+    padded flat indices b * T + p (see Lockstep). Long-term packed row r has
+    gates[r] ([input | forget | candidate]) and cells[r], the cell after it,
+    whose tanh is the hidden state; subtrajectory s consults the one of row
+    consulted[s] (-1: the initial one). These three are None when the mask
+    disables the chain or without caches.
     """
 
     lengths: np.ndarray
     locations: np.ndarray
     contexts: np.ndarray
-    short_states: np.ndarray | None
-    long_cells: np.ndarray | None
-    long_hidden: np.ndarray | None
     gates: np.ndarray | None
+    cells: np.ndarray | None
+    consulted: np.ndarray | None
     subtrajectories: Lockstep
     positions: Lockstep
 
@@ -194,11 +193,6 @@ class ForwardTrace:
 def log_sigmoid(s):
     """log(sigmoid(s)), overflow-safe for large |s|."""
     return -np.logaddexp(0.0, -np.asarray(s, dtype=np.float64))
-
-
-def link_logit(params, i, j):
-    """Inner product of i's network embedding with j's context embedding."""
-    return float(np.dot(params.F[i], params.F_ctx[j]))
 
 
 def network_log_likelihood_full(params, graph):
@@ -214,33 +208,10 @@ def network_log_likelihood_full(params, graph):
     return float(total.sum())
 
 
-def rnn_step(params, s_prev, loc):
-    """Advance the short-term state over one just-visited location.
-
-    This and gru_step define one step of each recurrence; forward_trajectory
-    runs the same steps over a whole trajectory.
-    """
-    return np.tanh(params.U[loc] + params.W @ s_prev)
-
-
 def gru_initial(params):
     """Initial (cell, hidden) pair of the long-term chain."""
     c0 = params.C0
     return c0, np.tanh(c0)
-
-
-def gru_step(params, c_prev, h_prev, loc):
-    """Advance the gated long-term cell over one just-visited location.
-
-    Returns (cell, hidden, input_gate, forget_gate, candidate).
-    """
-    x = params.U[loc]
-    candidate = np.tanh(params.W_c1 @ x + params.W_c2 @ h_prev + params.b_c)
-    i_gate = expit(params.W_i1 @ x + params.W_i2 @ h_prev + params.b_i)
-    f_gate = expit(params.W_f1 @ x + params.W_f2 @ h_prev + params.b_f)
-    cell = i_gate * candidate + f_gate * c_prev
-    hidden = np.tanh(cell)
-    return cell, hidden, i_gate, f_gate, candidate
 
 
 def location_log_prob_full(params, context, target):
@@ -250,24 +221,75 @@ def location_log_prob_full(params, context, target):
     return float(scores[target] - m - np.log(np.exp(scores - m).sum()))
 
 
-def forward_trajectory(params, mask, users, views):
+def short_term_chain(params, steps, locations):
+    """Packed short-term states of the schedule `steps` over padded flat
+    `locations`, one GEMM per in-subtrajectory position."""
+    states = np.empty((len(steps.rows), params.dim))
+    first = steps.live[0] if steps.live else 0
+    states[:first] = params.S0
+    inputs = params.U[locations[steps.rows[first:] - 1]]
+    w_t = params.W.T
+    for j in range(1, len(steps.live)):
+        a, p, k = steps.offsets[j], steps.offsets[j - 1], steps.live[j]
+        state = states[a:a + k]
+        np.matmul(states[p:p + k], w_t, out=state)
+        state += inputs[a - first:a - first + k]
+        np.tanh(state, out=state)
+    return states
+
+
+def long_term_chain(params, steps, locations):
+    """Packed gates, cells and hidden states of the long-term schedule `steps`
+    over padded flat `locations`: the input projections of all positions at
+    once, then one stacked [W_i2; W_f2; W_c2] GEMM per step, in place."""
+    d = params.dim
+    gates = params.U[locations[steps.rows]] @ np.vstack(
+        (params.W_i1, params.W_f1, params.W_c1)).T
+    gates += np.concatenate((params.b_i, params.b_f, params.b_c))
+    recur_t = np.vstack((params.W_i2, params.W_f2, params.W_c2)).T
+    cells = np.empty((len(steps.rows), d))
+    hidden = np.empty((len(steps.rows), d))
+    c0, h0 = gru_initial(params)
+    carry = np.empty((len(steps.starts), d))
+    recurrent = np.empty((len(steps.starts), 3 * d))
+    for t, k in enumerate(steps.live):
+        a = steps.offsets[t]
+        if t:
+            p = steps.offsets[t - 1]
+            c_prev, h_prev = cells[p:p + k], hidden[p:p + k]
+        else:
+            c_prev, h_prev = c0, h0[None]
+        g = gates[a:a + k]
+        np.matmul(h_prev, recur_t, out=recurrent[:len(h_prev)])
+        g += recurrent[:len(h_prev)]
+        expit(g[:, :2 * d], out=g[:, :2 * d])
+        np.tanh(g[:, 2 * d:], out=g[:, 2 * d:])
+        cell = cells[a:a + k]
+        np.multiply(g[:, :d], g[:, 2 * d:], out=cell)
+        np.multiply(g[:, d:2 * d], c_prev, out=carry[:k])
+        cell += carry[:k]
+        np.tanh(cell, out=hidden[a:a + k])
+    return gates, cells, hidden
+
+
+def forward_trajectory(params, mask, users, views, caches=True):
     """Run the recurrent forward pass of a batch of users in lockstep.
 
     views[b] = (locations, bounds) of users[b]; the bounds partition the
     locations into non-empty subtrajectories, in order. The short-term state
-    resets to S0 at each subtrajectory and advances as rnn_step inside it;
-    the long-term chain advances as gru_step over every location in order,
-    and predictions inside subtrajectory j consult the hidden state reached
-    after subtrajectory j-1 (the initial tanh(C0) for j=0). Returns a padded
-    ForwardTrace with one context per position.
+    s resets to S0 at each subtrajectory and steps inside it over each
+    just-visited location x as s' = tanh(U[x] + W s). The long-term chain
+    starts from cell C0 and hidden state tanh(C0) (gru_initial) and steps
+    over every location x in order: input gate i = sigmoid(W_i1 U[x] + W_i2 h
+    + b_i), forget gate f = sigmoid(W_f1 U[x] + W_f2 h + b_f) and candidate
+    g = tanh(W_c1 U[x] + W_c2 h + b_c) give the cell c' = i * g + f * c and
+    hidden state h' = tanh(c'). Predictions inside subtrajectory j consult
+    the hidden state reached after subtrajectory j-1 (tanh(C0) for j=0).
+    Returns a ForwardTrace with one context per position; without caches
+    (ranking only) it keeps none of the packed long-term chain.
 
     Each chain steps all of its sequences together, longest first (see
-    Lockstep): the short-term one every subtrajectory of the batch by
-    in-subtrajectory position, one (live x d) GEMM per position; the
-    long-term one every user by position, one stacked [W_i2; W_f2; W_c2] GEMM
-    per step, with the input projections U[loc] @ [W_i1; W_f1; W_c1].T plus
-    biases formed for all positions at once and gates, cell and hidden state
-    written in place.
+    Lockstep); the contexts are filled last, from the packed states.
     """
     users = np.asarray(users, dtype=np.int64)
     d = params.dim
@@ -285,73 +307,33 @@ def forward_trajectory(params, mask, users, views):
     subtrajectories = lockstep(spans[:, 0], spans[:, 1] - spans[:, 0])
     positions = lockstep(np.arange(num) * width, lengths)
 
+    states = (short_term_chain(params, subtrajectories, flat_locations)
+              if mask.use_short else None)
+    gates = cells = consulted = long_states = None
+    if mask.use_long:
+        gates, cells, hidden = long_term_chain(params, positions, flat_locations)
+        packed = np.empty(num * width, dtype=np.int64)
+        packed[positions.rows] = np.arange(len(positions.rows))
+        starts = subtrajectories.starts
+        consulted = np.where(starts % max(width, 1) > 0, packed[starts - 1], -1)
+        long_states = hidden[consulted]
+        long_states[consulted < 0] = gru_initial(params)[1]
+        del hidden
+        if not caches:
+            gates = cells = consulted = None
+
     contexts = np.zeros((num, width, 4 * d))
     flat = contexts.reshape(-1, 4 * d)
     owner = users[valid // max(width, 1)]
     flat[valid, 0:d] = params.F[owner]
     flat[valid, d:2 * d] = params.P[owner]
-
-    short_states = None
-    if mask.use_short:
-        steps = subtrajectories
-        states = np.empty((len(steps.rows), d))
-        first = steps.live[0] if steps.live else 0
-        states[:first] = params.S0
-        inputs = params.U[flat_locations[steps.rows[first:] - 1]]
-        w_t = params.W.T
-        for j in range(1, len(steps.live)):
-            a, p, k = steps.offsets[j], steps.offsets[j - 1], steps.live[j]
-            state = states[a:a + k]
-            np.matmul(states[p:p + k], w_t, out=state)
-            state += inputs[a - first:a - first + k]
-            np.tanh(state, out=state)
-        flat[steps.rows, 2 * d:3 * d] = states
-        short_states = contexts[:, :, 2 * d:3 * d]
-
-    long_cells = long_hidden = gates = None
-    if mask.use_long:
-        steps = positions
-        packed = params.U[flat_locations[steps.rows]] @ np.vstack(
-            (params.W_i1, params.W_f1, params.W_c1)).T
-        packed += np.concatenate((params.b_i, params.b_f, params.b_c))
-        recur_t = np.vstack((params.W_i2, params.W_f2, params.W_c2)).T
-        cells = np.empty((len(steps.rows), d))
-        hidden = np.empty((len(steps.rows), d))
-        c0, h0 = gru_initial(params)
-        carry = np.empty((num, d))
-        recurrent = np.empty((num, 3 * d))
-        for t, k in enumerate(steps.live):
-            a = steps.offsets[t]
-            if t:
-                p = steps.offsets[t - 1]
-                c_prev, h_prev = cells[p:p + k], hidden[p:p + k]
-            else:
-                c_prev, h_prev = c0, h0[None]
-            g = packed[a:a + k]
-            np.matmul(h_prev, recur_t, out=recurrent[:len(h_prev)])
-            g += recurrent[:len(h_prev)]
-            expit(g[:, :2 * d], out=g[:, :2 * d])
-            np.tanh(g[:, 2 * d:], out=g[:, 2 * d:])
-            cell = cells[a:a + k]
-            np.multiply(g[:, :d], g[:, 2 * d:], out=cell)
-            np.multiply(g[:, d:2 * d], c_prev, out=carry[:k])
-            cell += carry[:k]
-            np.tanh(cell, out=hidden[a:a + k])
-        after = state_index(steps.rows, width) + 1
-        long_cells = np.zeros((num, width + 1, d))
-        long_hidden = np.zeros((num, width + 1, d))
-        long_cells[:, 0] = c0
-        long_hidden[:, 0] = h0
-        long_cells.reshape(-1, d)[after] = cells
-        long_hidden.reshape(-1, d)[after] = hidden
-        gates = np.zeros((num, width, 3 * d))
-        gates.reshape(-1, 3 * d)[steps.rows] = packed
-        start = np.repeat(subtrajectories.starts, subtrajectories.lengths)
-        flat[valid, 3 * d:4 * d] = long_hidden.reshape(-1, d)[
-            state_index(start, width)]
+    if states is not None:
+        flat[subtrajectories.rows, 2 * d:3 * d] = states
+    if long_states is not None:
+        flat[valid, 3 * d:] = np.repeat(long_states, subtrajectories.lengths,
+                                        axis=0)
     return ForwardTrace(lengths=lengths, locations=locations, contexts=contexts,
-                        short_states=short_states, long_cells=long_cells,
-                        long_hidden=long_hidden, gates=gates,
+                        gates=gates, cells=cells, consulted=consulted,
                         subtrajectories=subtrajectories, positions=positions)
 
 
@@ -427,6 +409,8 @@ def load_checkpoint(path):
             struct.unpack("<IQQQBB", header)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
+        if use_short > 1 or use_long > 1:
+            raise CheckpointError(f"{path}: variant flags must be 0 or 1")
         mask = VariantMask(use_short=bool(use_short), use_long=bool(use_long))
         tensors = {}
         for name, shape in tensor_shapes(num_users, num_locations, dim).items():

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import expit
 
 from .model import (EMBEDDING_NAMES, TENSOR_NAMES, ModelParams, VariantMask,
-                    forward_groups, forward_trajectory, state_index,
-                    tensor_shapes)
+                    forward_groups, forward_trajectory, gru_initial,
+                    short_term_chain, tensor_shapes)
 
 
 def is_number(value):
@@ -444,19 +444,26 @@ def block_location_loss(params, contexts, cands):
     candidate rows, grad wrt U_out[rows]); it equals summing
     sampled_location_loss over the positions.
     """
-    rows, inv = np.unique(cands, return_inverse=True)
-    inv = inv.reshape(cands.shape)
+    present = np.zeros(len(params.U_out), dtype=bool)
+    present[cands] = True
+    rows = np.flatnonzero(present)
     u_rows = params.U_out[rows]
-    at = np.arange(len(cands))[:, None]
-    scores = (contexts @ u_rows.T)[at, inv]
-    m = scores.max(axis=1, keepdims=True)
-    exps = np.exp(scores - m)
-    z = exps.sum(axis=1, keepdims=True)
-    loss = float((np.log(z) + m - scores[:, :1]).sum())
-    grad_scores = exps / z
+    # flat[i, j]: flat index into (positions x distinct candidates) of the
+    # score of cands[i, j]; dense holds those scores, then their gradients.
+    flat = (np.cumsum(present) - 1)[cands]
+    flat += np.arange(len(cands))[:, None] * len(rows)
+    dense = contexts @ u_rows.T
+    grad_scores = np.take(dense, flat)
+    m = grad_scores.max(axis=1, keepdims=True)
+    target = grad_scores[:, :1].copy()
+    np.exp(np.subtract(grad_scores, m, out=grad_scores), out=grad_scores)
+    z = grad_scores.sum(axis=1, keepdims=True)
+    loss = float((np.log(z) + m - target).sum())
+    grad_scores /= z
     grad_scores[:, 0] -= 1.0
-    dense = np.zeros((len(cands), len(rows)))
-    dense[at, inv] = grad_scores
+    dense.fill(0.0)
+    np.put(dense, flat, grad_scores)
+    del flat, grad_scores   # before the two products
     return loss, dense @ u_rows, rows, dense.T @ contexts
 
 
@@ -516,39 +523,47 @@ def _short_term_backward(params, steps, d_states, states):
     return d_pre, d_states[:first].sum(axis=0)
 
 
-def _long_term_backward(params, steps, gates, cells_before, hidden, d_hidden,
-                        d_initial):
+def _before(steps, after, initial):
+    """Per packed row of the schedule `steps`, the state before its step:
+    `initial` at the first step, else its predecessor row of `after`."""
+    first = len(after) - len(steps.previous)
+    return np.concatenate((np.broadcast_to(initial, (first, len(initial))),
+                           after[steps.previous]))
+
+
+def _long_term_backward(params, steps, gates, cells, consulted, d_consulted):
     """Lockstep BPTT of the gated long-term chain, newest step first.
 
-    Packed row r of the schedule `steps` holds one step: its gates [i | f | c],
-    the cell before it and the hidden state after it. d_hidden[r] is the
-    gradient injected at that hidden state (modified in place) and d_initial
-    the total injected at the initial one. Returns (pre-activation gradients
+    Packed row r of the schedule `steps` holds one step's gates [i | f | c]
+    and the cell after it; d_consulted[s] reaches the hidden state of packed
+    row consulted[s] (-1: the initial one). Returns (pre-activation gradients
     [i | f | c] per packed row, the C0 gradient).
     """
     d = params.dim
+    d_hidden = np.zeros((len(gates), d))
+    later = consulted >= 0
+    d_hidden[consulted[later]] = d_consulted[later]
+    d_h0 = d_consulted[~later].sum(axis=0)
     i_gate, f_gate, cand = gates[:, :d], gates[:, d:2 * d], gates[:, 2 * d:]
-    # d_pre[r] = d_cell * local[r], d_cell tiled over the three gates:
-    # local = [cand * i * (1 - i) | c_prev * f * (1 - f) | i * (1 - cand^2)].
-    local = np.empty((len(gates), 3, d))
-    np.multiply(cand, i_gate, out=local[:, 0])
-    local[:, 0] *= 1.0 - i_gate
-    np.multiply(cells_before, f_gate, out=local[:, 1])
-    local[:, 1] *= 1.0 - f_gate
-    np.square(cand, out=local[:, 2])
-    np.subtract(1.0, local[:, 2], out=local[:, 2])
-    local[:, 2] *= i_gate
-    tanh_grad = 1.0 - hidden ** 2
-    recur = np.vstack((params.W_i2, params.W_f2, params.W_c2))
+    # d_pre[r] = d_cell * local[r] (d_cell tiled over the gates), local =
+    # [cand * i * (1 - i) | c_prev * f * (1 - f) | i * (1 - cand^2)] first
     d_pre = np.empty((len(gates), 3, d))
+    np.multiply(cand, i_gate, out=d_pre[:, 0])
+    d_pre[:, 0] *= 1.0 - i_gate
+    np.multiply(_before(steps, cells, params.C0), f_gate, out=d_pre[:, 1])
+    d_pre[:, 1] *= 1.0 - f_gate
+    np.square(cand, out=d_pre[:, 2])
+    np.subtract(1.0, d_pre[:, 2], out=d_pre[:, 2])
+    d_pre[:, 2] *= i_gate
+    tanh_grad = 1.0 - np.tanh(cells) ** 2
+    recur = np.vstack((params.W_i2, params.W_f2, params.W_c2))
     d_cell = np.zeros((steps.live[0] if steps.live else 0, d))
-    d_h0 = d_initial
     for t in range(len(steps.live) - 1, -1, -1):
         a, k = steps.offsets[t], steps.live[t]
         dc = d_cell[:k]
         dc += d_hidden[a:a + k] * tanh_grad[a:a + k]
         g = d_pre[a:a + k]
-        np.multiply(local[a:a + k], dc[:, None, :], out=g)
+        g *= dc[:, None, :]
         back = g.reshape(k, 3 * d) @ recur
         if t:
             p = steps.offsets[t - 1]
@@ -583,23 +598,19 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
     One forward_trajectory call runs the group's recurrences in lockstep;
     then, over all positions of the group at once:
 
-    - Softmax: the losses, context gradients and U_out gradient of the
-      group's positions, across subtrajectories and users. Up to
-      BLOCK_CANDIDATES locations, positions share candidates: consecutive
-      blocks of block_positions each, one block_location_loss call per
-      block. Above it, _gathered_softmax scores each position against its
-      own candidates.
+    - Softmax: losses, context gradients (written over the contexts) and the
+      U_out gradient. Up to BLOCK_CANDIDATES locations, consecutive blocks
+      of block_positions positions share candidates (block_location_loss);
+      above it, _gathered_softmax scores each position against its own.
     - Context: the F and P blocks of the context gradients sum into F[v] and
       P[v]; the short-term block reaches the state consulted at each
-      position; the long-term block reaches the hidden state frozen at the
-      position's subtrajectory start.
-    - Short-term BPTT runs backward over every subtrajectory in lockstep, by
-      in-subtrajectory position, to S0. The per-step pre-activation gradients
-      give W as one GEMM.
+      position, the long-term block the hidden state its subtrajectory
+      consults. The contexts are freed before BPTT.
+    - Short-term BPTT reruns the short chain, then runs backward over every
+      subtrajectory in lockstep to S0; W is one GEMM.
     - Long-term BPTT runs backward over every user in lockstep, by position,
-      to C0. Steps past a user's last consulted boundary receive no gradient
-      and contribute exact zeros. The per-step gate pre-activation gradients
-      give the six gate matrices as one GEMM and the biases as one sum.
+      to C0. Steps past a user's last consulted boundary contribute exact
+      zeros. The six gate matrices are one GEMM and the biases one sum.
     - U rows of both recurrences are summed per position and reduced per
       location once.
 
@@ -613,12 +624,12 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
     if not len(valid):
         return 0.0
     flat_locations = trace.locations.reshape(-1)
-    contexts = trace.contexts.reshape(-1, 4 * d)
+    # the softmax overwrites each context with its gradient
+    d_context = trace.contexts.reshape(-1, 4 * d)
     drawn = np.concatenate(negatives)
-    d_context = np.zeros((num * width, 4 * d))
     if params.num_locations > BLOCK_CANDIDATES:
         total, d_context[valid] = _gathered_softmax(
-            params, contexts[valid], flat_locations[valid], drawn, grads)
+            params, d_context[valid], flat_locations[valid], drawn, grads)
     else:
         total = 0.0
         out_rows = []
@@ -626,7 +637,7 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
         for s in range(0, len(valid), block):
             at = valid[s:s + block]
             loss, d_context[at], rows, d_rows = block_location_loss(
-                params, contexts[at],
+                params, d_context[at],
                 np.column_stack((flat_locations[at], drawn[s:s + block])))
             total += loss
             grads.U_out[rows] += d_rows
@@ -640,39 +651,38 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
     grads.touch("F", users[seen])
     grads.touch("P", users[seen])
 
+    sub = trace.subtrajectories
+    # BPTT needs only these blocks and the packed chain: free the contexts
+    d_states = d_context[sub.rows, 2 * d:3 * d] if mask.use_short else None
+    d_consulted = (np.add.reduceat(d_context[:, 3 * d:], sub.starts, axis=0)
+                   if mask.use_long else None)
+    trace.contexts = d_context = drawn = None
+
     # d_u[i] collects the gradient of U[locations at padded index i] from both
     # recurrences; stepped marks positions whose location a recurrence
     # consumed toward a consulted state.
     d_u = np.zeros((num * width, d))
     stepped = np.zeros(num * width, dtype=bool)
     if mask.use_short:
-        steps = trace.subtrajectories
-        states = contexts[:, 2 * d:3 * d]
-        d_pre, d_s0 = _short_term_backward(
-            params, steps, d_context[steps.rows, 2 * d:3 * d],
-            states[steps.rows])
+        # a few steps per subtrajectory: rerun rather than cached
+        states = short_term_chain(params, sub, flat_locations)
+        d_pre, d_s0 = _short_term_backward(params, sub, d_states, states)
         grads.S0 += d_s0
-        before = steps.rows[len(steps.rows) - len(d_pre):] - 1
-        grads.W += d_pre.T @ states[before]
+        before = sub.rows[len(sub.rows) - len(d_pre):] - 1
+        grads.W += d_pre.T @ states[sub.previous]
         d_u[before] += d_pre
         stepped[before] = True
+        states = d_states = d_pre = None
 
     if mask.use_long:
-        steps, sub = trace.positions, trace.subtrajectories
-        d_hidden = np.zeros((num * (width + 1), d))
-        d_hidden[state_index(sub.starts, width)] = np.add.reduceat(
-            d_context[:, 3 * d:], sub.starts, axis=0)
-        before = state_index(steps.rows, width)
-        cells = trace.long_cells.reshape(-1, d)
-        hidden = trace.long_hidden.reshape(-1, d)
-        gates = trace.gates.reshape(-1, 3 * d)[steps.rows]
-        d_initial = d_hidden[::width + 1].sum(axis=0)
-        d_pre, d_c0 = _long_term_backward(
-            params, steps, gates, cells[before], hidden[before + 1],
-            d_hidden[before + 1], d_initial)
+        steps = trace.positions
+        d_pre, d_c0 = _long_term_backward(params, steps, trace.gates,
+                                          trace.cells, trace.consulted,
+                                          d_consulted)
         grads.C0 += d_c0
         w1 = d_pre.T @ params.U[flat_locations[steps.rows]]
-        w2 = d_pre.T @ hidden[before]
+        w2 = d_pre.T @ _before(steps, np.tanh(trace.cells),
+                               gru_initial(params)[1])
         bias = d_pre.sum(axis=0)
         for k, (g1, g2, b_gate) in enumerate(
                 ((grads.W_i1, grads.W_i2, grads.b_i),

@@ -12,10 +12,22 @@ import numpy as np
 
 from lbsnrec import data as lbsn_data
 from lbsnrec import evaluation, training
+from scipy.special import expit
+
 from lbsnrec.model import (ModelParams, VariantMask, forward_trajectory,
-                           gru_initial, gru_step, log_sigmoid, rnn_step,
-                           tensor_shapes)
+                           gru_initial, log_sigmoid, tensor_shapes)
+from lbsnrec import synth
 from lbsnrec.synth import community_of_user
+
+
+def planted_instance(seed, dim=16):
+    """The planted benchmark's instance (the default SynthConfig), with its
+    default splits and initial parameters at d = dim."""
+    dataset = synth.generate(synth.SynthConfig(seed=seed))
+    splits = lbsn_data.make_splits(dataset, seed=seed)
+    params = training.init_params(training.TrainConfig(d=dim, seed=seed),
+                                  dataset.num_users, dataset.num_locations)
+    return dataset, splits, params
 
 
 def random_params(rng, num_users, num_locations, dim, scale=0.5):
@@ -80,17 +92,77 @@ def write_edges_tsv(pairs, path):
             handle.write(f"{a}\t{b}\n")
 
 
+def link_logit(params, i, j):
+    """Inner product of i's network embedding with j's context embedding."""
+    return float(np.dot(params.F[i], params.F_ctx[j]))
+
+
+def rnn_step(params, s_prev, loc):
+    """One short-term step over a just-visited location, as forward_trajectory
+    defines it, for one sequence."""
+    return np.tanh(params.U[loc] + params.W @ s_prev)
+
+
+def gru_step(params, c_prev, h_prev, loc):
+    """One long-term step over a just-visited location, as forward_trajectory
+    defines it, for one sequence.
+
+    Returns (cell, hidden, input_gate, forget_gate, candidate).
+    """
+    x = params.U[loc]
+    candidate = np.tanh(params.W_c1 @ x + params.W_c2 @ h_prev + params.b_c)
+    i_gate = expit(params.W_i1 @ x + params.W_i2 @ h_prev + params.b_i)
+    f_gate = expit(params.W_f1 @ x + params.W_f2 @ h_prev + params.b_f)
+    cell = i_gate * candidate + f_gate * c_prev
+    hidden = np.tanh(cell)
+    return cell, hidden, i_gate, f_gate, candidate
+
+
+def unpack_trace(params, mask, trace):
+    """The recurrent states of a ForwardTrace in the padded batch layout.
+
+    short_states (B, T, d) holds the short-term state consulted at each
+    position (the contexts' third block); long_cells and long_hidden (B, T +
+    1, d) the long-term state after t locations in column t (column 0 the
+    initial state); gates (B, T, 3d) the gates of the step over each
+    position. Entries past a user's length are zero; states the mask
+    disables or the trace does not hold are None.
+    """
+    num, width = trace.locations.shape
+    d = params.dim
+
+    def padded(packed, shift):
+        out = np.zeros((num, width + shift, packed.shape[1]))
+        user, step = np.divmod(trace.positions.rows, max(width, 1))
+        out[user, step + shift] = packed
+        return out
+
+    unpacked = SimpleNamespace(short_states=None, long_cells=None,
+                               long_hidden=None, gates=None)
+    if mask.use_short:
+        unpacked.short_states = trace.contexts[:, :, 2 * d:3 * d]
+    if trace.gates is not None:
+        c0, h0 = gru_initial(params)
+        unpacked.long_cells = padded(trace.cells, 1)
+        unpacked.long_cells[:, 0] = c0
+        unpacked.long_hidden = padded(np.tanh(trace.cells), 1)
+        unpacked.long_hidden[:, 0] = h0
+        unpacked.gates = padded(trace.gates, 0)
+    return unpacked
+
+
 def forward_one(params, mask, user, locations, bounds):
     """forward_trajectory over a one-user batch, unpadded.
 
     Returns the trace's arrays for row 0 (contexts, short_states, long_cells,
-    long_hidden, input_gates, forget_gates, candidate_states), None where the
-    mask disables a chain.
+    long_hidden, input_gates, forget_gates, candidate_states; see
+    unpack_trace), None where the mask disables a chain.
     """
     trace = forward_trajectory(params, mask, [user], [(locations, bounds)])
-    rows = {name: None if getattr(trace, name) is None else getattr(trace, name)[0]
-            for name in ("contexts", "short_states", "long_cells",
-                         "long_hidden", "gates")}
+    unpacked = vars(unpack_trace(params, mask, trace))
+    unpacked["contexts"] = trace.contexts
+    rows = {name: None if array is None else array[0]
+            for name, array in unpacked.items()}
     gates, d = rows.pop("gates"), params.dim
     for k, name in enumerate(("input_gates", "forget_gates",
                               "candidate_states")):

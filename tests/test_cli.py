@@ -217,15 +217,16 @@ def test_eval_forwards_each_test_group_once(tmp_path, synth_cache,
         cli.SPLIT_DEFAULTS, trajectory_train_frac=0.5))
     lengths = [len(item[1]) for item in
                evaluation._evaluated_users(ds, splits, "test")]
-    # groups of two users
-    monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", 2 * max(lengths))
-    groups = list(forward_groups(lengths))
+    # rank-only groups of two users
+    monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", max(lengths))
+    groups = list(forward_groups(lengths, caches=False))
+    assert max(hi - lo for lo, hi in groups) == 2
     calls = []
     forward = evaluation.forward_trajectory
 
-    def counting_forward(params, mask, users, views):
+    def counting_forward(params, mask, users, views, **caches):
         calls.append(list(users))
-        return forward(params, mask, users, views)
+        return forward(params, mask, users, views, **caches)
 
     monkeypatch.setattr(evaluation, "forward_trajectory", counting_forward)
     assert run_cli(["eval", "--model", model, "--data", synth_cache,
@@ -362,6 +363,28 @@ def test_eval_rejects_corrupt_checkpoint_count(tmp_path, synth_cache, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("value", [2, 7, 255])
+@pytest.mark.parametrize("offset", [32, 33], ids=["use_short", "use_long"])
+def test_eval_rejects_bad_checkpoint_variant_flag(tmp_path, synth_cache, capsys,
+                                                  offset, value):
+    # the header's two variant flag bytes, after magic, version and sizes
+    ds = lbsn_data.load_dataset(synth_cache)
+    model = tmp_path / "m.jntm"
+    save_checkpoint(model, ModelParams.zeros(ds.num_users, ds.num_locations, 2),
+                    VariantMask(), ds.user_vocab.ids, ds.location_vocab.ids)
+    assert model.read_bytes()[32:34] == b"\x01\x01"
+    bad = _patched_copy(model, offset, "B", value, tmp_path / "bad.jntm")
+    with pytest.raises(lbsn_model.CheckpointError, match="variant flags"):
+        lbsn_model.load_checkpoint(bad)
+    code = run_cli(["eval", "--model", bad, "--data", synth_cache,
+                    "--out", tmp_path / "r.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "variant flags" in err
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from lbsnrec.evaluation import (eval_friend_rec, eval_next_location,
 from lbsnrec.model import FULL_VARIANT, BASE_VARIANT, ModelParams, VariantMask
 
 from conftest import make_checkins
-from property_checks import (random_params, reference_eval_friend_rec,
-                             reference_eval_next_location)
+from property_checks import (planted_instance, random_params,
+                             reference_eval_friend_rec,
+                             reference_eval_next_location, unpack_trace)
 
 
 def test_recall_at_k_examples():
@@ -152,15 +154,18 @@ def test_teacher_forcing_consumes_ground_truth(monkeypatch):
     consumed = []
     forward = evaluation.forward_trajectory
 
-    def recording_forward(params, mask, users, views):
+    def recording_forward(params, mask, users, views, **caches):
+        # ranking asks for no BPTT caches; the cached trace shows the states
+        assert caches == {"caches": False}
         trace = forward(params, mask, users, views)
+        padded = unpack_trace(params, mask, trace)
         for b, (locations, bounds) in enumerate(views):
             consumed.extend(locations.tolist())
             # every consumed location advances the recurrences in the trace
             assert bounds[-1][1] == len(locations) == trace.lengths[b]
-            assert np.all(trace.long_hidden[b, len(locations) + 1:] == 0.0)
-            assert np.any(trace.long_hidden[b, len(locations)] != 0.0)
-        return trace
+            assert np.all(padded.long_hidden[b, len(locations) + 1:] == 0.0)
+            assert np.any(padded.long_hidden[b, len(locations)] != 0.0)
+        return forward(params, mask, users, views, **caches)
 
     monkeypatch.setattr(evaluation, "forward_trajectory", recording_forward)
     eval_next_location(params, FULL_VARIANT, ds, splits, part="test")
@@ -272,8 +277,9 @@ def test_batched_eval_score_blocks_hold_whole_users(monkeypatch, mode,
     ds, splits = _revisiting_dataset(7, num_users=9)
     monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES",
                         rows_per_block * ds.num_locations)
+    # rank-only groups of two users
     monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS",
-                        2 * max(len(t) for t in ds.trajectories))
+                        max(len(t) for t in ds.trajectories))
     blocks = []
     evaluated_rows = evaluation._evaluated_rows
 
@@ -305,14 +311,15 @@ def test_batched_eval_forward_groups_straddle_score_blocks(monkeypatch, mode,
                                                            users_per_group):
     ds, splits = _revisiting_dataset(6, num_users=9)
     bound = users_per_group * max(len(t) for t in ds.trajectories)
-    monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", bound)
+    # a rank-only forward takes groups of twice FORWARD_GROUP_POSITIONS
+    monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", bound / 2)
     monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES", 2 * ds.num_locations)
     groups = []
     forward = evaluation.forward_trajectory
 
-    def recording_forward(params, mask, users, views):
+    def recording_forward(params, mask, users, views, **caches):
         groups.append((list(users), [len(locs) for locs, _ in views]))
-        return forward(params, mask, users, views)
+        return forward(params, mask, users, views, **caches)
 
     monkeypatch.setattr(evaluation, "forward_trajectory", recording_forward)
     params = random_params(np.random.default_rng(6), ds.num_users,
@@ -345,7 +352,7 @@ def test_shared_ranks_match_reference_for_every_report_subset(
     if straddle:
         # two-user forward groups, three-row score blocks
         monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS",
-                            2 * max(len(t) for t in ds.trajectories))
+                            max(len(t) for t in ds.trajectories))
         monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES",
                             3 * ds.num_locations)
     params = (ModelParams.zeros(ds.num_users, ds.num_locations, 3) if zero
@@ -541,3 +548,17 @@ def test_reports_csv(tmp_path):
     assert lines[0] == "task,mode,slice,K,recall,num_events"
     assert lines[1] == "friend,-,all,5,0.25,8"
     assert lines[3] == "next-location,new-only,all,,,0"
+
+
+def test_planted_validation_ranking_memory_below_the_padded_trace_peak():
+    # with 512-position groups and the trace kept padded, BPTT caches
+    # included, this ranking peaked at 1.57 MiB
+    dataset, splits, params = planted_instance(5)
+    tracemalloc.start()
+    try:
+        evaluation.rank_next_locations(params, FULL_VARIANT, dataset, splits,
+                                       "validation")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.57 * 2**20

@@ -6,14 +6,15 @@ from scipy.special import expit
 
 from lbsnrec import data as lbsn_data
 from lbsnrec.model import (BASE_VARIANT, FULL_VARIANT, ModelParams, VariantMask,
-                           forward_trajectory, gru_initial, gru_step,
-                           joint_log_likelihood_full, link_logit,
-                           load_checkpoint, location_log_prob_full,
-                           log_sigmoid, network_log_likelihood_full, rnn_step,
-                           save_checkpoint, tensor_shapes)
+                           forward_trajectory, gru_initial,
+                           joint_log_likelihood_full, load_checkpoint,
+                           location_log_prob_full, log_sigmoid,
+                           network_log_likelihood_full, save_checkpoint,
+                           tensor_shapes)
 
 from conftest import make_checkins
-from property_checks import forward_one, random_params
+from property_checks import (forward_one, gru_step, link_logit, random_params,
+                             rnn_step, unpack_trace)
 
 
 def params_with(rng=None, num_users=3, num_locations=5, dim=2, scale=0.0):
@@ -275,14 +276,16 @@ def test_lockstep_batch_matches_one_user_calls(mask, order):
     users = np.array([4, 0, 8, 2, 5, 1, 7])
     perm = {"given": np.arange(7), "reversed": np.arange(7)[::-1],
             "shuffled": rng.permutation(7)}[order]
-    batch = forward_trajectory(p, mask, users[perm], [views[i] for i in perm])
+    traced = forward_trajectory(p, mask, users[perm], [views[i] for i in perm])
     width = max(len(locs) for locs, _ in views)
-    assert batch.contexts.shape == (7, width, 12)
+    assert traced.contexts.shape == (7, width, 12)
+    batch = unpack_trace(p, mask, traced)
     for b, i in enumerate(perm):
         n = len(views[i][0])
-        one = forward_trajectory(p, mask, users[i:i + 1], [views[i]])
-        assert batch.lengths[b] == one.lengths[0] == n
-        pairs = [(batch.contexts, one.contexts, n)]
+        alone = forward_trajectory(p, mask, users[i:i + 1], [views[i]])
+        one = unpack_trace(p, mask, alone)
+        assert traced.lengths[b] == alone.lengths[0] == n
+        pairs = [(traced.contexts, alone.contexts, n)]
         if mask.use_short:
             pairs.append((batch.short_states, one.short_states, n))
         else:
@@ -299,6 +302,22 @@ def test_lockstep_batch_matches_one_user_calls(mask, order):
             assert np.abs(padded[b, :m] - single[0]).max(initial=0.0) <= \
                 1e-12 * scale
             np.testing.assert_array_equal(padded[b, m:], 0.0)
+
+
+@pytest.mark.parametrize("mask", ALL_VARIANTS,
+                         ids=["full", "short_only", "long_only", "base"])
+def test_forward_without_caches_keeps_only_contexts(mask):
+    rng = np.random.default_rng(13)
+    p = params_with(rng, num_users=9, num_locations=12, dim=3, scale=0.8)
+    views = ragged_views(rng, 12)
+    users = np.array([4, 0, 8, 2, 5, 1, 7])
+    cached = forward_trajectory(p, mask, users, views)
+    ranked = forward_trajectory(p, mask, users, views, caches=False)
+    np.testing.assert_array_equal(ranked.contexts, cached.contexts)
+    np.testing.assert_array_equal(ranked.lengths, cached.lengths)
+    for name in ("gates", "cells", "consulted"):
+        assert getattr(ranked, name) is None, name
+        assert (getattr(cached, name) is not None) == mask.use_long, name
 
 
 def test_forward_empty_batch_and_empty_views():

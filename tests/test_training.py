@@ -6,7 +6,7 @@ import pytest
 
 from lbsnrec import data as lbsn_data
 from lbsnrec import model as lbsn_model
-from lbsnrec import synth, training
+from lbsnrec import evaluation, synth, training
 from lbsnrec.model import (BASE_VARIANT, FULL_VARIANT, ModelParams,
                            TENSOR_NAMES, VariantMask, joint_log_likelihood_full,
                            load_checkpoint, location_log_prob_full,
@@ -22,7 +22,8 @@ from lbsnrec.training import (Gradients, OptimizerState, TrainConfig,
                               train)
 
 from conftest import make_checkins
-from property_checks import (random_params, reference_negative_links,
+from property_checks import (planted_instance, random_params,
+                             reference_negative_links,
                              reference_rejection_sample)
 
 
@@ -562,22 +563,47 @@ def test_lockstep_batch_grads_match_one_user_batches(mask, order):
         assert np.any(grads.U != 0.0)
 
 
-@pytest.mark.parametrize("positions", [1, 20])
-def test_trajectory_grads_independent_of_forward_groups(monkeypatch, positions):
-    rng = np.random.default_rng(22)
-    params = random_params(rng, 9, 12, 3, scale=0.8)
-    batch = ragged_batch(rng, 12, 5)
+def planted_batch(seed, num_users=32, scale=0.3):
+    """Random planted-shaped params (d = 16) and a frozen batch with n2 = 100
+    (every other location a negative)."""
+    ds, splits, _ = planted_instance(seed)
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, ds.num_users, ds.num_locations, 16, scale=scale)
+    users = rng.permutation(ds.num_users)[:num_users]
+    return params, draw_trajectory_batch(ds, splits, users, 100, rng)
+
+
+# (batch shape, positions per forward group, forward calls). Ragged lengths
+# are 7, 0, 3, 7, 11, 1, 8: at 20 positions the groups are users (0, 1), (2,
+# 3), (4,) and (5, 6). Planted users have 102 training positions each, so 102
+# positions make one group per user and 512 positions groups of 5.
+FORWARD_GROUP_CASES = [
+    pytest.param("ragged", 1, 7, id="1"), pytest.param("ragged", 20, 4, id="20"),
+    pytest.param("planted", 102, 32, id="planted-102"),
+    pytest.param("planted", 512, 7, id="planted-512")]
+
+
+@pytest.mark.parametrize("shape, positions, calls", FORWARD_GROUP_CASES)
+def test_trajectory_grads_independent_of_forward_groups(monkeypatch, shape,
+                                                        positions, calls):
+    if shape == "ragged":
+        rng = np.random.default_rng(22)
+        params = random_params(rng, 9, 12, 3, scale=0.8)
+        batch = ragged_batch(rng, 12, 5)
+    else:
+        params, batch = planted_batch(5)
+        # the default bound: 6 planted users a group
+        assert [hi - lo for lo, hi in lbsn_model.forward_groups(
+            [len(locs) for locs, _ in batch.views])] == [6, 6, 6, 6, 6, 2]
     loss, grads = trajectory_loss_and_grads(params, FULL_VARIANT, batch)
     monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", positions)
-    calls = []
+    recorded = []
     forward = training.forward_trajectory
     monkeypatch.setattr(training, "forward_trajectory",
-                        lambda *args: calls.append(args) or forward(*args))
+                        lambda *args: recorded.append(args) or forward(*args))
     grouped_loss, grouped = trajectory_loss_and_grads(params, FULL_VARIANT,
                                                       batch)
-    # lengths 7, 0, 3, 7, 11, 1, 8: at 20 positions the groups are users
-    # (0, 1), (2, 3), (4,) and (5, 6)
-    assert len(calls) == {1: 7, 20: 4}[positions]
+    assert len(recorded) == calls
     assert abs(grouped_loss - loss) <= 1e-12 * abs(loss)
     for name in TENSOR_NAMES:
         scale = np.abs(grads.tensor(name)).max()
@@ -799,6 +825,44 @@ def test_gathered_softmax_skips_groups_without_positions(monkeypatch):
         assert np.abs(grouped.tensor(name) - grads.tensor(name)).max() <= \
             1e-12 * scale, name
     assert touched_rows(grouped) == touched_rows(grads)
+
+
+def test_planted_training_batch_memory_below_the_padded_trace_peak():
+    # with 512-position groups and the trace also kept padded, this batch
+    # peaked at 2.19 MiB
+    dataset, splits, params = planted_instance(5)
+    rng = np.random.default_rng(5)
+    batch = draw_trajectory_batch(dataset, splits,
+                                  rng.permutation(dataset.num_users)[:32], 100,
+                                  rng)
+    grads = Gradients.like(params)
+    tracemalloc.start()
+    try:
+        trajectory_loss_and_grads(params, FULL_VARIANT, batch, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.18 * 2**20
+
+
+def test_planted_training_lockstep_steps(monkeypatch, tmp_path):
+    # one planted training at the benchmark's config, validation included:
+    # 7,992 long-term lockstep steps with 512-position groups throughout
+    dataset, splits, _ = planted_instance(5)
+    steps = []
+    forward = lbsn_model.forward_trajectory
+
+    def counted(*args, **kwargs):
+        trace = forward(*args, **kwargs)
+        steps.append(len(trace.positions.live))
+        return trace
+
+    monkeypatch.setattr(training, "forward_trajectory", counted)
+    monkeypatch.setattr(evaluation, "forward_trajectory", counted)
+    config = TrainConfig(d=16, learning_rate=0.3, max_iterations=4, patience=4,
+                         seed=5)
+    train(dataset, splits, config, tmp_path / "m.jntm")
+    assert sum(steps) <= 4992
 
 
 def test_trajectory_softmax_memory_stays_below_half_of_u_out():
