@@ -224,22 +224,24 @@ def cmd_bench(args):
             dataset, splits, dataclasses.replace(config, max_iterations=args.reps),
             os.path.join(work, "bench.jntm"))
     num_checkins = dataset.num_checkins
-    net_seconds = min(r.net_seconds for r in records)
-    traj_seconds = min(r.traj_seconds for r in records)
-    sample_seconds = min(r.sample_seconds for r in records)
-    update_seconds = min(r.update_seconds for r in records)
+    fastest = {name: min(getattr(r, name) for r in records) for name in (
+        "net_seconds", "traj_seconds", "sample_seconds", "update_seconds",
+        "forward_seconds", "bptt_seconds", "lockstep_steps")}
+    traj_seconds = fastest["traj_seconds"]
     per_checkin = traj_seconds / num_checkins if num_checkins else 0.0
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("num_checkins,net_iter_seconds,traj_iter_seconds,"
                      "seconds_per_checkin,peak_rss_mb\n")
         if num_checkins:
-            handle.write(f"{num_checkins},{repr(net_seconds)},"
+            handle.write(f"{num_checkins},{fastest['net_seconds']!r},"
                          f"{repr(traj_seconds)},{repr(per_checkin)},"
                          f"{repr(peak_mb)}\n")
-    print(f"bench |D|={num_checkins}: net={net_seconds:.3f}s "
-          f"traj={traj_seconds:.3f}s sample={sample_seconds:.3f}s "
-          f"update={update_seconds:.3f}s per-checkin={per_checkin:.2e}s "
+    phases = " ".join(f"{name[:-len('_seconds')]}={value:.3f}s"
+                      for name, value in fastest.items()
+                      if name.endswith("_seconds"))
+    print(f"bench |D|={num_checkins}: {phases} "
+          f"steps={fastest['lockstep_steps']} per-checkin={per_checkin:.2e}s "
           f"-> {args.out}")
     return 0
 
@@ -265,26 +267,17 @@ def _tolerance(text):
 
 def _add_train_config_flags(parser):
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--d", type=int, default=None)
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float,
-                        default=None)
-    parser.add_argument("--max-iterations", dest="max_iterations", type=int,
-                        default=None)
-    parser.add_argument("--batch-users", dest="batch_users", type=int,
-                        default=None)
-    parser.add_argument("--n1-per-user", dest="n1_per_user", type=int,
-                        default=None)
-    parser.add_argument("--n2", type=int, default=None)
-    parser.add_argument("--patience", type=int, default=None)
-    parser.add_argument("--link-train-ratio", dest="link_train_ratio",
-                        type=float, default=None)
-    parser.add_argument("--use-short", dest="use_short", default=None,
-                        action="store_true")
-    parser.add_argument("--no-short", dest="use_short", action="store_false")
-    parser.add_argument("--use-long", dest="use_long", default=None,
-                        action="store_true")
-    parser.add_argument("--no-long", dest="use_long", action="store_false")
+    for name, kind in (("seed", int), ("d", int), ("learning_rate", float),
+                       ("max_iterations", int), ("batch_users", int),
+                       ("n1_per_user", int), ("n2", int), ("patience", int),
+                       ("link_train_ratio", float)):
+        parser.add_argument("--" + name.replace("_", "-"), dest=name,
+                            type=kind, default=None)
+    for name in ("short", "long"):
+        parser.add_argument(f"--use-{name}", dest=f"use_{name}", default=None,
+                            action="store_true")
+        parser.add_argument(f"--no-{name}", dest=f"use_{name}",
+                            action="store_false")
 
 
 def build_parser():

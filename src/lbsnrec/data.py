@@ -129,50 +129,45 @@ def _parse_timestamp(text):
     return calendar.timegm(parsed)
 
 
+def _tsv_rows(path, width):
+    """Yield (line number, fields) of each non-blank line of a TSV whose lines
+    must hold `width` tab-separated fields."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            fields = line.split("\t")
+            if len(fields) != width:
+                raise ParseError(path, line_number, f"expected {width} "
+                                 f"tab-separated fields, got {len(fields)}")
+            yield line_number, fields
+
+
 def parse_checkins(path):
     """Parse a check-in TSV (user, ISO-8601 UTC time, lat, lon, location).
 
     Latitude/longitude are validated as floats and discarded.
     """
     checkins = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise ParseError(path, line_number,
-                                 f"expected 5 tab-separated fields, got {len(fields)}")
-            user, stamp, lat, lon, location = fields
-            try:
-                epoch = _parse_timestamp(stamp)
-            except ValueError as exc:
-                raise ParseError(path, line_number, f"bad timestamp {stamp!r}") from exc
-            try:
-                float(lat), float(lon)
-            except ValueError as exc:
-                raise ParseError(path, line_number, "bad coordinate") from exc
-            if epoch < 0:
-                raise ParseError(path, line_number, f"negative epoch from {stamp!r}")
-            checkins.append(CheckIn(user=user, location=location, timestamp=epoch))
+    for line_number, (user, stamp, lat, lon, location) in _tsv_rows(path, 5):
+        try:
+            epoch = _parse_timestamp(stamp)
+        except ValueError as exc:
+            raise ParseError(path, line_number, f"bad timestamp {stamp!r}") from exc
+        try:
+            float(lat), float(lon)
+        except ValueError as exc:
+            raise ParseError(path, line_number, "bad coordinate") from exc
+        if epoch < 0:
+            raise ParseError(path, line_number, f"negative epoch from {stamp!r}")
+        checkins.append(CheckIn(user=user, location=location, timestamp=epoch))
     return checkins
 
 
 def parse_edges(path):
     """Parse an edge TSV of tab-separated user-id pairs (raw, undeduplicated)."""
-    pairs = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(path, line_number,
-                                 f"expected 2 tab-separated fields, got {len(fields)}")
-            pairs.append((fields[0], fields[1]))
-    return pairs
+    return [(a, b) for _, (a, b) in _tsv_rows(path, 2)]
 
 
 def filter_dataset(checkins, edges, min_user_checkins, min_loc_checkins):

@@ -77,9 +77,6 @@ class ModelParams:
     def tensor(self, name):
         return getattr(self, name)
 
-    def tensors(self):
-        return {name: getattr(self, name) for name in TENSOR_NAMES}
-
     def copy(self):
         return ModelParams(**{name: getattr(self, name).copy()
                               for name in TENSOR_NAMES})
@@ -172,19 +169,19 @@ class ForwardTrace:
     locations and contexts are padded over the batch (row b holds user b's
     first lengths[b] positions, zero past them); contexts[b, p] predicts
     locations[b, p], its third block the short-term state. `subtrajectories`
-    schedules the short-term chain and `positions` the long-term one over
-    padded flat indices b * T + p (see Lockstep). Long-term packed row r has
-    gates[r] ([input | forget | candidate]) and cells[r], the cell after it,
-    whose tanh is the hidden state; subtrajectory s consults the one of row
-    consulted[s] (-1: the initial one). These three are None when the mask
-    disables the chain or without caches.
+    and `positions` schedule the short- and long-term chains over padded flat
+    indices b * T + p (see Lockstep); a user's long-term chain stops where
+    their last subtrajectory starts. chain[r] is long-term packed row r's
+    slab [input | forget | candidate gates | cell | hidden state], the cell
+    and hidden state those before its step, and subtrajectory s
+    consults the hidden state after packed row consulted[s] (-1: the initial
+    one); both are None when the mask disables the chain or without caches.
     """
 
     lengths: np.ndarray
     locations: np.ndarray
     contexts: np.ndarray
-    gates: np.ndarray | None
-    cells: np.ndarray | None
+    chain: np.ndarray | None
     consulted: np.ndarray | None
     subtrajectories: Lockstep
     positions: Lockstep
@@ -238,38 +235,54 @@ def short_term_chain(params, steps, locations):
     return states
 
 
-def long_term_chain(params, steps, locations):
-    """Packed gates, cells and hidden states of the long-term schedule `steps`
-    over padded flat `locations`: the input projections of all positions at
-    once, then one stacked [W_i2; W_f2; W_c2] GEMM per step, in place."""
+def long_term_chain(params, steps, locations, consulted, caches):
+    """The long-term schedule `steps` over padded flat `locations`: the
+    hidden states after packed rows `consulted` (unset where negative) and,
+    with caches, every packed row's slab (ForwardTrace.chain).
+
+    A run of n steps with equal live count k is one (n + 1, 6d + 1, k)
+    block: block[j] holds step j's slabs as columns, then U[x] and a one;
+    block[n] the state after the run, whose first columns start the next
+    run. A step is one GEMM of [W_2 | W_1 | b] (gates stacked i, f, c) with
+    [h; x; 1], then ufuncs over whole rows of block[j], the last two writing
+    c and h.
+    """
     d = params.dim
-    gates = params.U[locations[steps.rows]] @ np.vstack(
-        (params.W_i1, params.W_f1, params.W_c1)).T
-    gates += np.concatenate((params.b_i, params.b_f, params.b_c))
-    recur_t = np.vstack((params.W_i2, params.W_f2, params.W_c2)).T
-    cells = np.empty((len(steps.rows), d))
-    hidden = np.empty((len(steps.rows), d))
-    c0, h0 = gru_initial(params)
-    carry = np.empty((len(steps.starts), d))
-    recurrent = np.empty((len(steps.starts), 3 * d))
-    for t, k in enumerate(steps.live):
-        a = steps.offsets[t]
-        if t:
-            p = steps.offsets[t - 1]
-            c_prev, h_prev = cells[p:p + k], hidden[p:p + k]
-        else:
-            c_prev, h_prev = c0, h0[None]
-        g = gates[a:a + k]
-        np.matmul(h_prev, recur_t, out=recurrent[:len(h_prev)])
-        g += recurrent[:len(h_prev)]
-        expit(g[:, :2 * d], out=g[:, :2 * d])
-        np.tanh(g[:, 2 * d:], out=g[:, 2 * d:])
-        cell = cells[a:a + k]
-        np.multiply(g[:, :d], g[:, 2 * d:], out=cell)
-        np.multiply(g[:, d:2 * d], c_prev, out=carry[:k])
-        cell += carry[:k]
-        np.tanh(cell, out=hidden[a:a + k])
-    return gates, cells, hidden
+    weights = np.block([[params.tensor(f"W_{g}2"), params.tensor(f"W_{g}1"),
+                         params.tensor(f"b_{g}")[:, None]] for g in "ifc"])
+    live = np.asarray(steps.live, dtype=np.int64)
+    ends = np.flatnonzero(np.diff(live, prepend=-1, append=-1))
+    state = np.concatenate(gru_initial(params))[:, None]
+    hidden = np.empty((len(consulted), d))
+    slabs = np.empty((len(steps.rows), 5 * d)) if caches else None
+    for t0, t1 in zip(ends[:-1].tolist(), ends[1:].tolist()):
+        n, k = t1 - t0, int(live[t0])
+        a, b = steps.offsets[t0], steps.offsets[t1]
+        block = np.empty((n + 1, 6 * d + 1, k))
+        block[0, 3 * d:5 * d] = state[:, :k]
+        block[:n, 5 * d:6 * d] = params.U[locations[steps.rows[a:b]]].reshape(
+            n, k, d).transpose(0, 2, 1)
+        block[:n, 6 * d] = 1.0
+        terms = np.empty((2 * d, k))    # [i * g; f * c]
+        i_terms, f_terms = terms[:d], terms[d:]
+        for pre, gates, cand, pairs, operand, cell, after in zip(
+                block[:n, :3 * d], block[:n, :2 * d], block[:n, 2 * d:3 * d],
+                block[:n, 2 * d:4 * d], block[:n, 4 * d:],
+                block[1:, 3 * d:4 * d], block[1:, 4 * d:5 * d]):
+            np.matmul(weights, operand, out=pre)
+            expit(gates, out=gates)
+            np.tanh(cand, out=cand)
+            np.multiply(gates, pairs, out=terms)
+            np.add(i_terms, f_terms, out=cell)
+            np.tanh(cell, out=after)
+        inside = (consulted >= a) & (consulted < b)
+        slab, column = np.divmod(consulted[inside] - a, k)
+        hidden[inside] = block[slab + 1, 4 * d:5 * d, column]
+        if caches:
+            slabs[a:b].reshape(n, k, -1)[...] = block[:n, :5 * d].transpose(
+                0, 2, 1)
+        state = block[-1, 3 * d:5 * d]
+    return hidden, slabs
 
 
 def forward_trajectory(params, mask, users, views, caches=True):
@@ -284,12 +297,14 @@ def forward_trajectory(params, mask, users, views, caches=True):
     + b_i), forget gate f = sigmoid(W_f1 U[x] + W_f2 h + b_f) and candidate
     g = tanh(W_c1 U[x] + W_c2 h + b_c) give the cell c' = i * g + f * c and
     hidden state h' = tanh(c'). Predictions inside subtrajectory j consult
-    the hidden state reached after subtrajectory j-1 (tanh(C0) for j=0).
-    Returns a ForwardTrace with one context per position; without caches
-    (ranking only) it keeps none of the packed long-term chain.
+    the hidden state reached after subtrajectory j-1 (tanh(C0) for j=0), so
+    the chain stops where the last subtrajectory starts. Returns a
+    ForwardTrace with one context per position; without caches (ranking
+    only) it keeps none of the long-term chain.
 
     Each chain steps all of its sequences together, longest first (see
-    Lockstep); the contexts are filled last, from the packed states.
+    Lockstep), the long-term one in contiguous blocks (long_term_chain); the
+    contexts are filled last, from the packed states.
     """
     users = np.asarray(users, dtype=np.int64)
     d = params.dim
@@ -305,22 +320,20 @@ def forward_trajectory(params, mask, users, views, caches=True):
              for b, (_, bounds) in enumerate(views)]
     spans = np.concatenate(spans) if spans else np.zeros((0, 2), dtype=np.int64)
     subtrajectories = lockstep(spans[:, 0], spans[:, 1] - spans[:, 0])
-    positions = lockstep(np.arange(num) * width, lengths)
+    positions = lockstep(np.arange(num) * width, [
+        bounds[-1][0] if len(bounds) else 0 for _, bounds in views])
 
     states = (short_term_chain(params, subtrajectories, flat_locations)
               if mask.use_short else None)
-    gates = cells = consulted = long_states = None
+    chain = consulted = long_states = None
     if mask.use_long:
-        gates, cells, hidden = long_term_chain(params, positions, flat_locations)
         packed = np.empty(num * width, dtype=np.int64)
         packed[positions.rows] = np.arange(len(positions.rows))
         starts = subtrajectories.starts
         consulted = np.where(starts % max(width, 1) > 0, packed[starts - 1], -1)
-        long_states = hidden[consulted]
+        long_states, chain = long_term_chain(params, positions, flat_locations,
+                                             consulted, caches)
         long_states[consulted < 0] = gru_initial(params)[1]
-        del hidden
-        if not caches:
-            gates = cells = consulted = None
 
     contexts = np.zeros((num, width, 4 * d))
     flat = contexts.reshape(-1, 4 * d)
@@ -333,7 +346,8 @@ def forward_trajectory(params, mask, users, views, caches=True):
         flat[valid, 3 * d:] = np.repeat(long_states, subtrajectories.lengths,
                                         axis=0)
     return ForwardTrace(lengths=lengths, locations=locations, contexts=contexts,
-                        gates=gates, cells=cells, consulted=consulted,
+                        chain=chain,
+                        consulted=None if chain is None else consulted,
                         subtrajectories=subtrajectories, positions=positions)
 
 

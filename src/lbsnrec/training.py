@@ -13,14 +13,15 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
 from .model import (EMBEDDING_NAMES, TENSOR_NAMES, ModelParams, VariantMask,
-                    forward_groups, forward_trajectory, gru_initial,
-                    short_term_chain, tensor_shapes)
+                    forward_groups, forward_trajectory, short_term_chain,
+                    tensor_shapes)
 
 
 def is_number(value):
@@ -523,76 +524,70 @@ def _short_term_backward(params, steps, d_states, states):
     return d_pre, d_states[:first].sum(axis=0)
 
 
-def _before(steps, after, initial):
-    """Per packed row of the schedule `steps`, the state before its step:
-    `initial` at the first step, else its predecessor row of `after`."""
-    first = len(after) - len(steps.previous)
-    return np.concatenate((np.broadcast_to(initial, (first, len(initial))),
-                           after[steps.previous]))
-
-
-def _long_term_backward(params, steps, gates, cells, consulted, d_consulted):
-    """Lockstep BPTT of the gated long-term chain, newest step first.
-
-    Packed row r of the schedule `steps` holds one step's gates [i | f | c]
-    and the cell after it; d_consulted[s] reaches the hidden state of packed
-    row consulted[s] (-1: the initial one). Returns (pre-activation gradients
-    [i | f | c] per packed row, the C0 gradient).
-    """
+def _long_term_backward(params, steps, slabs, consulted, d_consulted):
+    """Lockstep BPTT of the gated long-term chain over the `slabs` of the
+    schedule `steps` (ForwardTrace.chain), newest step first; d_consulted[s]
+    reaches the cell of packed row consulted[s] (-1: C0). Returns (the
+    pre-activation gradients [i | f | c] per packed row, the C0 gradient)."""
     d = params.dim
-    d_hidden = np.zeros((len(gates), d))
+    i_gate, f_gate, cand, c_prev, h_prev = np.split(slabs, 5, axis=1)
+    ext = np.zeros((len(slabs), d))
     later = consulted >= 0
-    d_hidden[consulted[later]] = d_consulted[later]
-    d_h0 = d_consulted[~later].sum(axis=0)
-    i_gate, f_gate, cand = gates[:, :d], gates[:, d:2 * d], gates[:, 2 * d:]
+    ext[consulted[later]] = d_consulted[later]
+    forget = np.ascontiguousarray(f_gate)
+    held = 1.0 - h_prev ** 2    # tanh' of the hidden state each step reads
     # d_pre[r] = d_cell * local[r] (d_cell tiled over the gates), local =
     # [cand * i * (1 - i) | c_prev * f * (1 - f) | i * (1 - cand^2)] first
-    d_pre = np.empty((len(gates), 3, d))
+    d_pre = np.empty((len(slabs), 3, d))
     np.multiply(cand, i_gate, out=d_pre[:, 0])
     d_pre[:, 0] *= 1.0 - i_gate
-    np.multiply(_before(steps, cells, params.C0), f_gate, out=d_pre[:, 1])
+    np.multiply(c_prev, f_gate, out=d_pre[:, 1])
     d_pre[:, 1] *= 1.0 - f_gate
     np.square(cand, out=d_pre[:, 2])
     np.subtract(1.0, d_pre[:, 2], out=d_pre[:, 2])
     d_pre[:, 2] *= i_gate
-    tanh_grad = 1.0 - np.tanh(cells) ** 2
     recur = np.vstack((params.W_i2, params.W_f2, params.W_c2))
+    # d_cell[j]: the gradient of the cell after step t of sequence j, then
+    # of the cell before it, through the forget gate and the hidden state
     d_cell = np.zeros((steps.live[0] if steps.live else 0, d))
+    back = np.empty_like(d_cell)
     for t in range(len(steps.live) - 1, -1, -1):
         a, k = steps.offsets[t], steps.live[t]
-        dc = d_cell[:k]
-        dc += d_hidden[a:a + k] * tanh_grad[a:a + k]
+        dc, carried = d_cell[:k], back[:k]
+        dc += ext[a:a + k]
         g = d_pre[a:a + k]
         g *= dc[:, None, :]
-        back = g.reshape(k, 3 * d) @ recur
-        if t:
-            p = steps.offsets[t - 1]
-            d_hidden[p:p + k] += back
-        else:
-            d_h0 = d_h0 + back.sum(axis=0)
-        dc *= f_gate[a:a + k]
+        np.matmul(g.reshape(k, 3 * d), recur, out=carried)
+        carried *= held[a:a + k]
+        dc *= forget[a:a + k]
+        dc += carried
     return (d_pre.reshape(-1, 3 * d),
-            d_cell.sum(axis=0) + d_h0 * (1.0 - np.tanh(params.C0) ** 2))
+            d_cell.sum(axis=0) + d_consulted[~later].sum(axis=0))
 
 
-def trajectory_loss_and_grads(params, mask, batch, grads=None):
+def trajectory_loss_and_grads(params, mask, batch, grads=None, phases=None):
     """Sampled next-location loss over a frozen batch, with full BPTT gradients.
 
     The batch runs in consecutive groups of users (model.forward_groups, which
     bounds the working set); each group is one _lockstep_loss_and_grads call.
+    Their forward_seconds, bptt_seconds and lockstep_steps (see EpochRecord)
+    are added to the Counter `phases` if given.
     """
     if grads is None:
         grads = Gradients.like(params)
+    phases = Counter() if phases is None else phases
     users = np.asarray(batch.users, dtype=np.int64)
     total = 0.0
     for lo, hi in forward_groups([len(locs) for locs, _ in batch.views]):
         total += _lockstep_loss_and_grads(params, mask, users[lo:hi],
                                           batch.views[lo:hi],
-                                          batch.negatives[lo:hi], grads)
+                                          batch.negatives[lo:hi], grads,
+                                          phases)
     return float(total), grads
 
 
-def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
+def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads,
+                             phases):
     """Loss and gradients of a group of users, accumulated into grads.
 
     One forward_trajectory call runs the group's recurrences in lockstep;
@@ -609,23 +604,28 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
     - Short-term BPTT reruns the short chain, then runs backward over every
       subtrajectory in lockstep to S0; W is one GEMM.
     - Long-term BPTT runs backward over every user in lockstep, by position,
-      to C0. Steps past a user's last consulted boundary contribute exact
-      zeros. The six gate matrices are one GEMM and the biases one sum.
+      to C0; a user's schedule ends at their last consulted boundary. The six
+      gate matrices are two GEMMs and the biases one sum.
     - U rows of both recurrences are summed per position and reduced per
       location once.
 
     Only the recursions themselves loop, over steps.
     """
     d = params.dim
+    begin = time.perf_counter()
     trace = forward_trajectory(params, mask, users, views)
+    phases["forward_seconds"] += time.perf_counter() - begin
+    phases["lockstep_steps"] += len(trace.positions.live) * mask.use_long
     lengths = trace.lengths
     num, width = trace.locations.shape
     valid = np.flatnonzero(np.arange(width) < lengths[:, None])
     if not len(valid):
         return 0.0
     flat_locations = trace.locations.reshape(-1)
-    # the softmax overwrites each context with its gradient
+    sub = trace.subtrajectories
+    # the softmax overwrites the contexts: keep the consulted hidden states
     d_context = trace.contexts.reshape(-1, 4 * d)
+    long_states = d_context[sub.starts, 3 * d:] if mask.use_long else None
     drawn = np.concatenate(negatives)
     if params.num_locations > BLOCK_CANDIDATES:
         total, d_context[valid] = _gathered_softmax(
@@ -651,16 +651,18 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
     grads.touch("F", users[seen])
     grads.touch("P", users[seen])
 
-    sub = trace.subtrajectories
-    # BPTT needs only these blocks and the packed chain: free the contexts
+    # BPTT needs only these blocks and the chain: free the contexts
     d_states = d_context[sub.rows, 2 * d:3 * d] if mask.use_short else None
-    d_consulted = (np.add.reduceat(d_context[:, 3 * d:], sub.starts, axis=0)
-                   if mask.use_long else None)
+    if mask.use_long:
+        # the gradients reaching the consulted hidden states, then their cells
+        d_consulted = np.add.reduceat(d_context[:, 3 * d:], sub.starts, axis=0)
+        d_consulted *= 1.0 - long_states ** 2
     trace.contexts = d_context = drawn = None
 
     # d_u[i] collects the gradient of U[locations at padded index i] from both
     # recurrences; stepped marks positions whose location a recurrence
     # consumed toward a consulted state.
+    begin = time.perf_counter()
     d_u = np.zeros((num * width, d))
     stepped = np.zeros(num * width, dtype=bool)
     if mask.use_short:
@@ -675,29 +677,21 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
         states = d_states = d_pre = None
 
     if mask.use_long:
-        steps = trace.positions
-        d_pre, d_c0 = _long_term_backward(params, steps, trace.gates,
-                                          trace.cells, trace.consulted,
-                                          d_consulted)
+        steps, slabs = trace.positions, trace.chain
+        d_pre, d_c0 = _long_term_backward(params, steps, slabs,
+                                          trace.consulted, d_consulted)
         grads.C0 += d_c0
+        w2 = d_pre.T @ slabs[:, 4 * d:]
         w1 = d_pre.T @ params.U[flat_locations[steps.rows]]
-        w2 = d_pre.T @ _before(steps, np.tanh(trace.cells),
-                               gru_initial(params)[1])
         bias = d_pre.sum(axis=0)
-        for k, (g1, g2, b_gate) in enumerate(
-                ((grads.W_i1, grads.W_i2, grads.b_i),
-                 (grads.W_f1, grads.W_f2, grads.b_f),
-                 (grads.W_c1, grads.W_c2, grads.b_c))):
-            gate = slice(k * d, (k + 1) * d)
-            g1 += w1[gate]
-            g2 += w2[gate]
-            b_gate += bias[gate]
+        for k, gate in enumerate("ifc"):
+            part = slice(k * d, (k + 1) * d)
+            grads.tensor(f"W_{gate}2")[:] += w2[part]
+            grads.tensor(f"W_{gate}1")[:] += w1[part]
+            grads.tensor(f"b_{gate}")[:] += bias[part]
         d_u[steps.rows] += d_pre @ np.vstack((params.W_i1, params.W_f1,
                                               params.W_c1))
-        last_start = np.array([bounds[-1][0] if bounds else 0
-                               for _, bounds in views], dtype=np.int64)
-        owner = steps.rows // width
-        stepped[steps.rows[steps.rows - owner * width < last_start[owner]]] = True
+        stepped[steps.rows] = True
 
     if stepped.any():
         at = np.flatnonzero(stepped)
@@ -706,6 +700,7 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads):
         rows, first = np.unique(flat_locations[at], return_index=True)
         grads.U[rows] += np.add.reduceat(d_u[at], first, axis=0)
         grads.touch("U", rows)
+    phases["bptt_seconds"] += time.perf_counter() - begin
     return total
 
 
@@ -766,20 +761,19 @@ class EpochRecord:
     traj_seconds: float     # the trajectory pass, within seconds
     sample_seconds: float   # drawing both passes' batches, within them
     update_seconds: float   # AdaGrad steps and re-zeroing, within them
-
-
-def _format_float(x):
-    return repr(float(x))
+    forward_seconds: float  # the trajectory pass's forward_trajectory calls
+    bptt_seconds: float     # the trajectory pass's BPTT, within it
+    lockstep_steps: int     # long-term lockstep steps of the trajectory pass
 
 
 def write_training_log(records, path):
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("epoch,net_loss,traj_loss,val_recall5,seconds\n")
         for r in records:
-            recall = _format_float(r.val_recall) if r.val_recall is not None else "nan"
-            handle.write(f"{r.epoch},{_format_float(r.net_loss)},"
-                         f"{_format_float(r.traj_loss)},{recall},"
-                         f"{_format_float(r.seconds)}\n")
+            recall = "nan" if r.val_recall is None else repr(float(r.val_recall))
+            handle.write(f"{r.epoch},{float(r.net_loss)!r},"
+                         f"{float(r.traj_loss)!r},{recall},"
+                         f"{float(r.seconds)!r}\n")
 
 
 def _chunks(order, size):
@@ -837,6 +831,8 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
 
         net_end = time.perf_counter()
         traj_loss = 0.0
+        phases = Counter(forward_seconds=0.0, bptt_seconds=0.0,
+                         lockstep_steps=0)
         order = streams.shuffle.permutation(dataset.num_users)
         for users in _chunks(order, config.batch_users):
             begin = time.perf_counter()
@@ -844,7 +840,7 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
                                           streams.location_negatives)
             sample_seconds += time.perf_counter() - begin
             loss, _ = trajectory_loss_and_grads(params, config.variant, batch,
-                                                grads)
+                                                grads, phases)
             update_seconds += update()
             traj_loss += loss
 
@@ -859,7 +855,8 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
                                    net_seconds=net_end - start,
                                    traj_seconds=traj_end - net_end,
                                    sample_seconds=sample_seconds,
-                                   update_seconds=update_seconds))
+                                   update_seconds=update_seconds,
+                                   **phases))
         if recall is None:
             save_checkpoint(checkpoint_path, params, config.variant, *vocab_args)
             continue

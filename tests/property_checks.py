@@ -118,22 +118,47 @@ def gru_step(params, c_prev, h_prev, loc):
     return cell, hidden, i_gate, f_gate, candidate
 
 
+def reference_contexts(params, mask, user, locations, bounds):
+    """One user's contexts, position by position with rnn_step and gru_step;
+    the long-term chain steps over every location, the last subtrajectory's
+    included, as the model defines it."""
+    d = params.dim
+    contexts = np.zeros((len(locations), 4 * d))
+    cell, hidden = gru_initial(params)
+    for b, e in bounds:
+        state, consulted = params.S0, hidden
+        for p in range(b, e):
+            contexts[p, :d] = params.F[user]
+            contexts[p, d:2 * d] = params.P[user]
+            if mask.use_short:
+                contexts[p, 2 * d:3 * d] = state
+            if mask.use_long:
+                contexts[p, 3 * d:] = consulted
+            state = rnn_step(params, state, locations[p])
+            cell, hidden = gru_step(params, cell, hidden, locations[p])[:2]
+    return contexts
+
+
 def unpack_trace(params, mask, trace):
     """The recurrent states of a ForwardTrace in the padded batch layout.
 
     short_states (B, T, d) holds the short-term state consulted at each
     position (the contexts' third block); long_cells and long_hidden (B, T +
     1, d) the long-term state after t locations in column t (column 0 the
-    initial state); gates (B, T, 3d) the gates of the step over each
-    position. Entries past a user's length are zero; states the mask
-    disables or the trace does not hold are None.
+    initial state), for t up to the start of the user's last subtrajectory
+    (where the long-term schedule ends); gates (B, T, 3d) the gates of the
+    step over each position before that start. Entries past the schedule are
+    zero; states the mask disables or the trace does not hold are None.
+
+    Also asserts that each long-term slab's state before its step is the
+    state after the step before it.
     """
     num, width = trace.locations.shape
     d = params.dim
+    user, step = np.divmod(trace.positions.rows, max(width, 1))
 
     def padded(packed, shift):
         out = np.zeros((num, width + shift, packed.shape[1]))
-        user, step = np.divmod(trace.positions.rows, max(width, 1))
         out[user, step + shift] = packed
         return out
 
@@ -141,13 +166,22 @@ def unpack_trace(params, mask, trace):
                                long_hidden=None, gates=None)
     if mask.use_short:
         unpacked.short_states = trace.contexts[:, :, 2 * d:3 * d]
-    if trace.gates is not None:
+    if trace.chain is not None:
+        i_gate, f_gate, cand, c_prev, h_prev = (
+            trace.chain[:, k * d:(k + 1) * d] for k in range(5))
+        # the cell after each step, with long_term_chain's operations
+        cells = i_gate * cand + f_gate * c_prev
         c0, h0 = gru_initial(params)
-        unpacked.long_cells = padded(trace.cells, 1)
+        unpacked.long_cells = padded(cells, 1)
         unpacked.long_cells[:, 0] = c0
-        unpacked.long_hidden = padded(np.tanh(trace.cells), 1)
+        unpacked.long_hidden = padded(np.tanh(cells), 1)
         unpacked.long_hidden[:, 0] = h0
-        unpacked.gates = padded(trace.gates, 0)
+        unpacked.gates = padded(trace.chain[:, :3 * d], 0)
+        np.testing.assert_array_equal(c_prev,
+                                      unpacked.long_cells[user, step])
+        np.testing.assert_allclose(h_prev, unpacked.long_hidden[user, step],
+                                   rtol=0, atol=1e-15)
+        assert trace.chain.shape[1] == 5 * d
     return unpacked
 
 
@@ -156,7 +190,8 @@ def forward_one(params, mask, user, locations, bounds):
 
     Returns the trace's arrays for row 0 (contexts, short_states, long_cells,
     long_hidden, input_gates, forget_gates, candidate_states; see
-    unpack_trace), None where the mask disables a chain.
+    unpack_trace, zero past the long-term schedule), None where the mask
+    disables a chain.
     """
     trace = forward_trajectory(params, mask, [user], [(locations, bounds)])
     unpacked = vars(unpack_trace(params, mask, trace))
@@ -407,13 +442,17 @@ def check_gate_and_tanh_ranges(cases=100, seed=3):
         ok &= np.all((i_gate > 0) & (i_gate < 1))
         ok &= np.all((f_gate > 0) & (f_gate < 1))
         ok &= np.all(np.abs(cand) <= 1.0) and np.all(np.abs(hidden) <= 1.0)
-        locs = rng.integers(0, 5, size=6).astype(np.int64)
-        trace = forward_one(params, VariantMask(), 0, locs, [(0, 3), (3, 6)])
-        # positions 0 and 3 hold the raw initial state S0, not a tanh output
+        # the long-term chain steps over the six locations before the last
+        # subtrajectory starts
+        locs = rng.integers(0, 5, size=7).astype(np.int64)
+        trace = forward_one(params, VariantMask(), 0, locs,
+                            [(0, 3), (3, 6), (6, 7)])
+        # positions 0, 3 and 6 hold the raw initial state S0, not a tanh output
         ok &= np.all(np.abs(trace.short_states[[1, 2, 4, 5]]) <= 1.0)
         ok &= np.all(np.abs(trace.long_hidden) <= 1.0)
-        ok &= np.all((trace.input_gates > 0) & (trace.input_gates < 1))
-        ok &= np.all((trace.forget_gates > 0) & (trace.forget_gates < 1))
+        for gate in (trace.input_gates[:6], trace.forget_gates[:6]):
+            ok &= np.all((gate > 0) & (gate < 1))
+        ok &= np.all(np.abs(trace.candidate_states[:6]) <= 1.0)
         failures += not ok
     return failures
 

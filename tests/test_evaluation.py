@@ -161,10 +161,13 @@ def test_teacher_forcing_consumes_ground_truth(monkeypatch):
         padded = unpack_trace(params, mask, trace)
         for b, (locations, bounds) in enumerate(views):
             consumed.extend(locations.tolist())
-            # every consumed location advances the recurrences in the trace
+            # every consumed location advances the short-term chain, and the
+            # long-term one up to the last consulted boundary
             assert bounds[-1][1] == len(locations) == trace.lengths[b]
-            assert np.all(padded.long_hidden[b, len(locations) + 1:] == 0.0)
-            assert np.any(padded.long_hidden[b, len(locations)] != 0.0)
+            last = bounds[-1][0]
+            assert np.all(padded.long_hidden[b, last + 1:] == 0.0)
+            assert np.any(padded.long_hidden[b, last] != 0.0)
+            assert np.all(padded.gates[b, :last, :2 * params.dim] > 0.0)
         return forward(params, mask, users, views, **caches)
 
     monkeypatch.setattr(evaluation, "forward_trajectory", recording_forward)

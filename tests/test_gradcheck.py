@@ -2,11 +2,14 @@ import math
 
 import pytest
 
+from lbsnrec import data as lbsn_data
 from lbsnrec import gradcheck, training
 from lbsnrec.model import ModelParams, VariantMask
 from lbsnrec.gradcheck import (check_all, default_toy_config,
                                finite_diff_gradient, make_toy_dataset,
                                write_report_csv)
+
+from conftest import make_checkins
 
 
 def test_finite_diff_quadratic():
@@ -51,6 +54,24 @@ def test_check_all_passes_on_toy():
     report = check_all(make_toy_dataset(seed=0), default_toy_config(seed=0))
     assert report.passed
     assert {c.tensor for c in report.checks} == set(TENSOR_NAMES)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_all_passes_on_ragged_last_subtrajectories(seed):
+    # last subtrajectories of one to five check-ins end the users' long-term
+    # schedules at different steps, so the chain runs in several blocks; u2's
+    # single subtrajectory takes no long-term step
+    sizes = {"u0": [3, 2, 4], "u1": [2, 1], "u2": [5], "u3": [1, 3, 2, 2],
+             "u4": [4, 3], "u5": [2, 2, 1, 5]}
+    names = iter(f"l{i % 8}" for i in range(100))
+    layout = {user: [[next(names) for _ in range(n)] for n in subs]
+              for user, subs in sizes.items()}
+    dataset = lbsn_data.build_dataset(
+        make_checkins(layout), [("u0", "u1"), ("u2", "u3"), ("u4", "u5")])
+    assert [len(t.subtrajectory_bounds) for t in dataset.trajectories] == \
+        [3, 2, 1, 4, 2, 4]
+    report = check_all(dataset, default_toy_config(seed=seed))
+    assert report.passed, report.failing_tensors()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -14,7 +14,7 @@ from lbsnrec.model import (BASE_VARIANT, FULL_VARIANT, ModelParams, VariantMask,
 
 from conftest import make_checkins
 from property_checks import (forward_one, gru_step, link_logit, random_params,
-                             rnn_step, unpack_trace)
+                             reference_contexts, rnn_step, unpack_trace)
 
 
 def params_with(rng=None, num_users=3, num_locations=5, dim=2, scale=0.0):
@@ -238,11 +238,16 @@ def test_forward_chains_match_step_functions():
         gates.append(np.concatenate((i_gate, f_gate, cand)))
     fused_gates = np.hstack((trace.input_gates, trace.forget_gates,
                              trace.candidate_states))
-    for fused, stepped in ((trace.long_cells, cells),
-                           (trace.long_hidden, hiddens), (fused_gates, gates)):
+    # the chain stops where the last subtrajectory starts: 392 steps
+    last = bounds[-1][0]
+    for fused, stepped, m in ((trace.long_cells, cells, last + 1),
+                              (trace.long_hidden, hiddens, last + 1),
+                              (fused_gates, gates, last)):
         # relative to the chain's scale: single entries may cancel to ~0
-        stepped = np.asarray(stepped)
-        assert np.abs(fused - stepped).max() <= 1e-12 * np.abs(stepped).max()
+        stepped = np.asarray(stepped[:m])
+        assert np.abs(fused[:m] - stepped).max() <= \
+            1e-12 * np.abs(stepped).max()
+        np.testing.assert_array_equal(fused[m:], 0.0)
     for b, e in bounds:
         state = p.S0
         for q in range(b, e):
@@ -294,6 +299,11 @@ def test_lockstep_batch_matches_one_user_calls(mask, order):
             pairs += [(batch.long_cells, one.long_cells, n + 1),
                       (batch.long_hidden, one.long_hidden, n + 1),
                       (batch.gates, one.gates, n)]
+            # the chain stops where the last subtrajectory starts
+            last = views[i][1][-1][0] if views[i][1] else 0
+            np.testing.assert_array_equal(one.long_hidden[0, last + 1:], 0.0)
+            np.testing.assert_array_equal(one.gates[0, last:], 0.0)
+            assert np.all(one.gates[0, :last, :2 * p.dim] > 0.0)
         else:
             assert batch.long_hidden is None and batch.gates is None
         for padded, single, m in pairs:
@@ -302,6 +312,31 @@ def test_lockstep_batch_matches_one_user_calls(mask, order):
             assert np.abs(padded[b, :m] - single[0]).max(initial=0.0) <= \
                 1e-12 * scale
             np.testing.assert_array_equal(padded[b, m:], 0.0)
+
+
+@pytest.mark.parametrize("caches", [True, False], ids=["cached", "ranking"])
+@pytest.mark.parametrize("mask", ALL_VARIANTS,
+                         ids=["full", "short_only", "long_only", "base"])
+def test_long_term_schedule_ends_at_the_last_consulted_boundary(mask, caches):
+    rng = np.random.default_rng(14)
+    p = params_with(rng, num_users=9, num_locations=12, dim=3, scale=0.8)
+    views = ragged_views(rng, 12)
+    users = np.array([4, 0, 8, 2, 5, 1, 7])
+    trace = forward_trajectory(p, mask, users, views, caches=caches)
+    width = trace.locations.shape[1]
+    # users 3 and 5 have a single subtrajectory, user 1 none: no steps
+    last = [bounds[-1][0] if bounds else 0 for _, bounds in views]
+    assert last == [6, 0, 2, 0, 10, 0, 2]
+    np.testing.assert_array_equal(trace.positions.lengths, last)
+    np.testing.assert_array_equal(
+        np.sort(trace.positions.rows),
+        [b * width + t for b, n in enumerate(last) for t in range(n)])
+    for b, (locs, bounds) in enumerate(views):
+        expected = reference_contexts(p, mask, users[b], locs, bounds)
+        scale = max(np.abs(expected).max(initial=0.0), 1.0)
+        assert np.abs(trace.contexts[b, :len(locs)] - expected).max(
+            initial=0.0) <= 1e-12 * scale
+        np.testing.assert_array_equal(trace.contexts[b, len(locs):], 0.0)
 
 
 @pytest.mark.parametrize("mask", ALL_VARIANTS,
@@ -315,7 +350,7 @@ def test_forward_without_caches_keeps_only_contexts(mask):
     ranked = forward_trajectory(p, mask, users, views, caches=False)
     np.testing.assert_array_equal(ranked.contexts, cached.contexts)
     np.testing.assert_array_equal(ranked.lengths, cached.lengths)
-    for name in ("gates", "cells", "consulted"):
+    for name in ("chain", "consulted"):
         assert getattr(ranked, name) is None, name
         assert (getattr(cached, name) is not None) == mask.use_long, name
 

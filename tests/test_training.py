@@ -847,22 +847,24 @@ def test_planted_training_batch_memory_below_the_padded_trace_peak():
 
 def test_planted_training_lockstep_steps(monkeypatch, tmp_path):
     # one planted training at the benchmark's config, validation included:
-    # 7,992 long-term lockstep steps with 512-position groups throughout
+    # 7,992 long-term lockstep steps with 512-position groups throughout,
+    # 4,992 with 630-position groups and chains over whole histories
     dataset, splits, _ = planted_instance(5)
-    steps = []
+    steps = {True: [], False: []}
     forward = lbsn_model.forward_trajectory
 
-    def counted(*args, **kwargs):
-        trace = forward(*args, **kwargs)
-        steps.append(len(trace.positions.live))
+    def counted(*args, caches=True, **kwargs):
+        trace = forward(*args, caches=caches, **kwargs)
+        steps[caches].append(len(trace.positions.live))
         return trace
 
     monkeypatch.setattr(training, "forward_trajectory", counted)
     monkeypatch.setattr(evaluation, "forward_trajectory", counted)
     config = TrainConfig(d=16, learning_rate=0.3, max_iterations=4, patience=4,
                          seed=5)
-    train(dataset, splits, config, tmp_path / "m.jntm")
-    assert sum(steps) <= 4992
+    records = train(dataset, splits, config, tmp_path / "m.jntm")
+    assert sum(steps[True]) + sum(steps[False]) <= 4704
+    assert sum(r.lockstep_steps for r in records) == sum(steps[True]) <= 3072
 
 
 def test_trajectory_softmax_memory_stays_below_half_of_u_out():
@@ -1234,3 +1236,6 @@ def test_train_pass_times_lie_within_the_epoch(tmp_path):
         assert 0 < r.sample_seconds and 0 < r.update_seconds
         assert r.sample_seconds + r.update_seconds <= \
             r.net_seconds + r.traj_seconds
+        assert 0 < r.forward_seconds and 0 < r.bptt_seconds
+        assert r.forward_seconds + r.bptt_seconds <= r.traj_seconds
+        assert r.lockstep_steps > 0
