@@ -24,6 +24,20 @@ LOW_DEGREE_MAX_FRIENDS = 5
 SCORE_BLOCK_ENTRIES = 1 << 20
 
 
+def score_block_rows(num_columns):
+    """Rows per score block of num_columns columns (SCORE_BLOCK_ENTRIES)."""
+    return max(1, SCORE_BLOCK_ENTRIES // max(1, num_columns))
+
+
+def score_blocks(contexts, u_out):
+    """Yield (rows, contexts[rows] @ u_out.T) per block of consecutive rows
+    of contexts, rows a slice of at most score_block_rows(len(u_out))."""
+    width = score_block_rows(len(u_out))
+    for a in range(0, len(contexts), width):
+        rows = slice(a, a + width)
+        yield rows, contexts[rows] @ u_out.T
+
+
 @dataclass
 class EvalReport:
     task: str               # "next-location" | "friend"
@@ -188,27 +202,25 @@ def rank_next_locations(params, mask, dataset, splits, part="test",
 
     Every user with events in the part is forwarded once, in one
     forward_trajectory call per group of users (see model.forward_groups),
-    and the rows of consecutive users are scored in blocks of at most
-    SCORE_BLOCK_ENTRIES scores: one GEMM against U_out per block. General
-    rows are ranked on these scores. New-only rows (first visits) are ranked
-    on a copy of theirs with each row's previously visited locations set to
-    -inf.
+    and the rows of consecutive users are scored in score_blocks: one GEMM
+    against U_out per block. General rows are ranked on these scores.
+    New-only rows (first visits) are ranked on a copy of theirs with each
+    row's previously visited locations set to -inf.
     """
-    width = max(1, SCORE_BLOCK_ENTRIES // max(1, params.num_locations))
     empty = np.empty(0, dtype=np.int64)
     owners, ranks, new_owners, new_ranks = [empty], [empty], [empty], [empty]
     for users, contexts, targets, new, ex_rows, ex_cols in _evaluated_rows(
-            params, mask, dataset, splits, new_only, part, width):
+            params, mask, dataset, splits, new_only, part,
+            score_block_rows(params.num_locations)):
         owners.append(users)
         new_owners.append(users[new])
-        for a in range(0, len(targets), width):
-            scores = contexts[a:a + width] @ params.U_out.T
-            block_targets = targets[a:a + width]
+        for block, scores in score_blocks(contexts, params.U_out):
+            block_targets = targets[block]
             ranks.append(_rank_rows(scores, block_targets))
-            i, j = np.searchsorted(new, (a, a + width))
+            i, j = np.searchsorted(new, (block.start, block.stop))
             if i == j:
                 continue
-            rows = new[i:j] - a
+            rows = new[i:j] - block.start
             scores = scores[rows]
             lo, hi = np.searchsorted(ex_rows, (i, j))
             scores[ex_rows[lo:hi] - i, ex_cols[lo:hi]] = -np.inf
@@ -281,7 +293,7 @@ def eval_friend_rec(params, dataset, splits, ks=(5, 10), user_slice="all",
                        [len(test_adj[v]) for v in users])
     targets = np.concatenate([np.empty(0, dtype=np.int64)]
                              + [test_adj[v] for v in users])
-    width = max(1, SCORE_BLOCK_ENTRIES // max(1, num_users))
+    width = score_block_rows(num_users)
     ranks = []
     for a in range(0, len(targets), width):
         block, rows = np.unique(owners[a:a + width], return_inverse=True)

@@ -430,6 +430,9 @@ def load_checkpoint(path):
         for name, shape in tensor_shapes(num_users, num_locations, dim).items():
             tensors[name] = _read_into(handle, shape, "<f8", f"tensor {name}",
                                        CheckpointError)
+            if not np.isfinite(tensors[name]).all():
+                raise CheckpointError(f"{path}: non-finite value in tensor "
+                                      f"{name}")
         user_ids = _read_string_table(handle, CheckpointError)
         location_ids = _read_string_table(handle, CheckpointError)
     if len(user_ids) != num_users or len(location_ids) != num_locations:

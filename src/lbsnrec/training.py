@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
+from .evaluation import eval_next_location, score_blocks
 from .model import (EMBEDDING_NAMES, TENSOR_NAMES, ModelParams, VariantMask,
                     forward_groups, forward_trajectory, short_term_chain,
                     tensor_shapes)
@@ -409,11 +410,10 @@ def sampled_location_loss(params, context, target, negatives):
     return loss, grad_context, cands, grad_scores
 
 
-# Bounds on one block_location_loss call: its distinct candidates, and its
-# score-matrix entries (positions x distinct candidates). With more
-# locations, blocks share few candidates and _gathered_softmax runs instead.
-BLOCK_CANDIDATES = 384
-BLOCK_SCORES = 1 << 14
+# A forward group's softmax scores all of L (_dense_softmax) when |L| is at
+# most this many times a position's candidates (target and drawn negatives),
+# else each position's own (_gathered_softmax); measured, see CHANGES.md.
+DENSE_SOFTMAX_RATIO = 4
 
 # _gathered_softmax works in chunks of about this many float64 entries
 # (640 KB), which stay in cache: positions x candidates x 4d gathered per
@@ -421,51 +421,37 @@ BLOCK_SCORES = 1 << 14
 GATHER_CHUNK_ENTRIES = 5 << 14
 
 
-def block_positions(num_locations, width):
-    """Positions per block_location_loss call, for rows of `width` candidates
-    out of num_locations <= BLOCK_CANDIDATES.
+def _dense_softmax(params, contexts, targets, negatives, grads):
+    """Loss and context gradients of positions scored against all of L.
 
-    The largest p >= 1 whose p x D score matrix, D = min(|L|, p * width)
-    distinct candidates, has at most BLOCK_SCORES entries. Each position is
-    scored against all D, so blocks grow to the score bound when all share L.
+    Scores come in evaluation.score_blocks row blocks of contexts @ U_out.T.
+    negatives holds each row's drawn negatives (its non-candidates then
+    score -inf), or None when they are all other locations. Per block, with
+    G its score gradients, G.T @ C adds to the U_out gradient and G @ U_out
+    is written over the block's contexts, which are returned.
     """
-    # p * D = min(p * |L|, p * p * width) is within the bound if either is.
-    return max(1, BLOCK_SCORES // num_locations,
-               math.isqrt(BLOCK_SCORES // width))
-
-
-def block_location_loss(params, contexts, cands):
-    """Candidate-softmax loss of a block of positions, all at once.
-
-    Row i of cands is position i's target followed by its frozen negatives
-    (distinct within a row; rows may share candidates), scored against
-    contexts[i]. The block's distinct candidates are gathered once, so scores,
-    context gradients and the U_out gradient are three small GEMMs over them.
-    Returns (loss summed over the block, grad wrt each context, the distinct
-    candidate rows, grad wrt U_out[rows]); it equals summing
-    sampled_location_loss over the positions.
-    """
-    present = np.zeros(len(params.U_out), dtype=bool)
-    present[cands] = True
-    rows = np.flatnonzero(present)
-    u_rows = params.U_out[rows]
-    # flat[i, j]: flat index into (positions x distinct candidates) of the
-    # score of cands[i, j]; dense holds those scores, then their gradients.
-    flat = (np.cumsum(present) - 1)[cands]
-    flat += np.arange(len(cands))[:, None] * len(rows)
-    dense = contexts @ u_rows.T
-    grad_scores = np.take(dense, flat)
-    m = grad_scores.max(axis=1, keepdims=True)
-    target = grad_scores[:, :1].copy()
-    np.exp(np.subtract(grad_scores, m, out=grad_scores), out=grad_scores)
-    z = grad_scores.sum(axis=1, keepdims=True)
-    loss = float((np.log(z) + m - target).sum())
-    grad_scores /= z
-    grad_scores[:, 0] -= 1.0
-    dense.fill(0.0)
-    np.put(dense, flat, grad_scores)
-    del flat, grad_scores   # before the two products
-    return loss, dense @ u_rows, rows, dense.T @ contexts
+    total = 0.0
+    for block, scores in score_blocks(contexts, params.U_out):
+        rows = np.arange(len(scores))
+        at = targets[block]
+        if negatives is not None:
+            drop = np.ones(scores.shape, dtype=bool)
+            drop[rows, at] = False
+            drop[rows[:, None], negatives[block]] = False
+            scores[drop] = -np.inf
+        m = scores.max(axis=1)
+        target = scores[rows, at]
+        np.exp(np.subtract(scores, m[:, None], out=scores), out=scores)
+        z = scores.sum(axis=1)
+        total += float((np.log(z) + m - target).sum())
+        scores /= z[:, None]
+        scores[rows, at] -= 1.0
+        grads.U_out += scores.T @ contexts[block]
+        np.matmul(scores, params.U_out, out=contexts[block])
+    grads.touch("U_out", slice(None) if negatives is None else targets)
+    if negatives is not None:
+        grads.touch("U_out", negatives)
+    return total, contexts
 
 
 def _gathered_softmax(params, contexts, targets, negatives, grads):
@@ -478,7 +464,7 @@ def _gathered_softmax(params, contexts, targets, negatives, grads):
     fewer candidate entries than locations.
     """
     # imported here: scipy.sparse adds about 1.7 MB of RSS, which runs that
-    # only take the block path (|L| <= BLOCK_CANDIDATES) never need
+    # only take the dense path never need
     from scipy import sparse
 
     chunk = max(1, GATHER_CHUNK_ENTRIES
@@ -570,8 +556,8 @@ def trajectory_loss_and_grads(params, mask, batch, grads=None, phases=None):
 
     The batch runs in consecutive groups of users (model.forward_groups, which
     bounds the working set); each group is one _lockstep_loss_and_grads call.
-    Their forward_seconds, bptt_seconds and lockstep_steps (see EpochRecord)
-    are added to the Counter `phases` if given.
+    Their forward_seconds, softmax_seconds, bptt_seconds and lockstep_steps
+    (see EpochRecord) are added to the Counter `phases` if given.
     """
     if grads is None:
         grads = Gradients.like(params)
@@ -594,9 +580,9 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads,
     then, over all positions of the group at once:
 
     - Softmax: losses, context gradients (written over the contexts) and the
-      U_out gradient. Up to BLOCK_CANDIDATES locations, consecutive blocks
-      of block_positions positions share candidates (block_location_loss);
-      above it, _gathered_softmax scores each position against its own.
+      U_out gradient. With |L| at most DENSE_SOFTMAX_RATIO times a
+      position's candidates, _dense_softmax scores every location;
+      otherwise _gathered_softmax scores each position against its own.
     - Context: the F and P blocks of the context gradients sum into F[v] and
       P[v]; the short-term block reaches the state consulted at each
       position, the long-term block the hidden state its subtrajectory
@@ -626,23 +612,14 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads,
     # the softmax overwrites the contexts: keep the consulted hidden states
     d_context = trace.contexts.reshape(-1, 4 * d)
     long_states = d_context[sub.starts, 3 * d:] if mask.use_long else None
-    drawn = np.concatenate(negatives)
-    if params.num_locations > BLOCK_CANDIDATES:
-        total, d_context[valid] = _gathered_softmax(
-            params, d_context[valid], flat_locations[valid], drawn, grads)
-    else:
-        total = 0.0
-        out_rows = []
-        block = block_positions(params.num_locations, 1 + drawn.shape[1])
-        for s in range(0, len(valid), block):
-            at = valid[s:s + block]
-            loss, d_context[at], rows, d_rows = block_location_loss(
-                params, d_context[at],
-                np.column_stack((flat_locations[at], drawn[s:s + block])))
-            total += loss
-            grads.U_out[rows] += d_rows
-            out_rows.append(rows)
-        grads.touch("U_out", np.concatenate(out_rows))
+    begin = time.perf_counter()
+    drawn = negatives[0].shape[1]   # negatives per position
+    dense = params.num_locations <= DENSE_SOFTMAX_RATIO * (1 + drawn)
+    total, d_context[valid] = (_dense_softmax if dense else _gathered_softmax)(
+        params, d_context[valid], flat_locations[valid],
+        None if dense and drawn >= params.num_locations - 1
+        else np.concatenate(negatives), grads)
+    phases["softmax_seconds"] += time.perf_counter() - begin
 
     seen = lengths > 0
     per_user = d_context.reshape(num, width, 4 * d)[:, :, :2 * d].sum(axis=1)
@@ -657,7 +634,7 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads,
         # the gradients reaching the consulted hidden states, then their cells
         d_consulted = np.add.reduceat(d_context[:, 3 * d:], sub.starts, axis=0)
         d_consulted *= 1.0 - long_states ** 2
-    trace.contexts = d_context = drawn = None
+    trace.contexts = d_context = None
 
     # d_u[i] collects the gradient of U[locations at padded index i] from both
     # recurrences; stepped marks positions whose location a recurrence
@@ -762,13 +739,15 @@ class EpochRecord:
     sample_seconds: float   # drawing both passes' batches, within them
     update_seconds: float   # AdaGrad steps and re-zeroing, within them
     forward_seconds: float  # the trajectory pass's forward_trajectory calls
+    softmax_seconds: float  # its softmax, U_out gradient included
     bptt_seconds: float     # the trajectory pass's BPTT, within it
     lockstep_steps: int     # long-term lockstep steps of the trajectory pass
 
 
-def write_training_log(records, path):
+def write_training_log(records, path, k=5):
+    """CSV rows: epoch,net_loss,traj_loss,val_recall{k},seconds."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("epoch,net_loss,traj_loss,val_recall5,seconds\n")
+        handle.write(f"epoch,net_loss,traj_loss,val_recall{k},seconds\n")
         for r in records:
             recall = "nan" if r.val_recall is None else repr(float(r.val_recall))
             handle.write(f"{r.epoch},{float(r.net_loss)!r},"
@@ -793,7 +772,6 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
     epoch checkpoints and only max_iterations stops the loop.
     """
     from .data import build_graph
-    from .evaluation import eval_next_location
     from .model import save_checkpoint
 
     streams = rng_streams(config.seed)
@@ -831,8 +809,8 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
 
         net_end = time.perf_counter()
         traj_loss = 0.0
-        phases = Counter(forward_seconds=0.0, bptt_seconds=0.0,
-                         lockstep_steps=0)
+        phases = Counter(forward_seconds=0.0, softmax_seconds=0.0,
+                         bptt_seconds=0.0, lockstep_steps=0)
         order = streams.shuffle.permutation(dataset.num_users)
         for users in _chunks(order, config.batch_users):
             begin = time.perf_counter()
@@ -869,5 +847,5 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
             if stale >= config.patience:
                 break
     if log_path is not None:
-        write_training_log(records, log_path)
+        write_training_log(records, log_path, config.validation_k)
     return records

@@ -80,8 +80,8 @@ def test_traced_planted_run_reports_every_per_layer_metric():
 
 
 # Installs the unmodified tracer in a fresh interpreter, runs one trajectory
-# batch with |L| > BLOCK_CANDIDATES and prints each span's name and its
-# parent's name.
+# batch with |L| > DENSE_SOFTMAX_RATIO (1 + n2), n2 = 100 (the gathered
+# path), and prints each span's name and its parent's name.
 TRACED_GATHERED_SOFTMAX = """
 import importlib.util, json, sys
 import numpy as np
@@ -95,7 +95,7 @@ tracer = tracing.Tracer()
 tracer.install()
 from lbsnrec import training
 from lbsnrec.model import FULL_VARIANT, ModelParams, tensor_shapes
-num_locations = training.BLOCK_CANDIDATES + 16
+num_locations = training.DENSE_SOFTMAX_RATIO * 101 + 16
 rng = np.random.default_rng(0)
 params = ModelParams(**{name: rng.uniform(-0.5, 0.5, size=shape)
                         for name, shape in tensor_shapes(

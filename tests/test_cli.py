@@ -458,6 +458,7 @@ def test_bench_times_real_training_epochs(tmp_path, synth_cache, monkeypatch,
     assert f"sample={min(r.sample_seconds for r in records):.3f}s" in out_line
     assert f"update={min(r.update_seconds for r in records):.3f}s" in out_line
     assert f"forward={min(r.forward_seconds for r in records):.3f}s" in out_line
+    assert f"softmax={min(r.softmax_seconds for r in records):.3f}s" in out_line
     assert f"bptt={min(r.bptt_seconds for r in records):.3f}s" in out_line
     assert f"steps={min(r.lockstep_steps for r in records)} " in out_line
 

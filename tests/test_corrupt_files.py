@@ -94,3 +94,39 @@ def test_every_bit_flip_loads_or_raises_named_error(small_files, kind):
     # both outcomes occur: most header and count flips are rejected, most
     # payload flips load
     assert 0 < rejected < 8 * len(raw)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("tensor", ["U_out", "W_f1", "C0"])
+def test_non_finite_checkpoint_tensor_raises_named_error(tmp_path, tensor,
+                                                         value):
+    # a NaN target score would rank first, so such a checkpoint must not load
+    rng = np.random.default_rng(1)
+    params = random_params(rng, 3, 5, 2)
+    params.tensor(tensor).flat[1] = value
+    path = tmp_path / "m.jntm"
+    save_checkpoint(path, params, FULL_VARIANT, ["a", "b", "c"],
+                    ["l0", "l1", "l2", "l3", "l4"])
+    with pytest.raises(CheckpointError, match=f"non-finite value in tensor "
+                                              f"{tensor}$"):
+        load_checkpoint(path)
+
+
+def test_eval_exits_2_on_non_finite_checkpoint(tmp_path, capsys):
+    # a trained synth model with U_out set to NaN and saved again
+    from lbsnrec import cli
+
+    cache, model = tmp_path / "d.bin", tmp_path / "m.jntm"
+    lbsn_data.save_dataset(synth.generate(synth.SynthConfig(seed=3)), cache)
+    assert cli.main(["train", "--data", str(cache), "--out", str(model),
+                     "--d", "8", "--max-iterations", "1"]) == 0
+    params, mask, user_ids, location_ids = load_checkpoint(model)
+    params.U_out[:] = np.nan
+    save_checkpoint(model, params, mask, user_ids, location_ids)
+    capsys.readouterr()
+    assert cli.main(["eval", "--model", str(model), "--data", str(cache),
+                     "--task", "both", "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "non-finite value in tensor U_out" in err
+    assert not (tmp_path / "r.csv").exists()

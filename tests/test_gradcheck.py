@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -74,18 +75,41 @@ def test_check_all_passes_on_ragged_last_subtrajectories(seed):
     assert report.passed, report.failing_tensors()
 
 
+def record_softmax_paths(monkeypatch):
+    """(path, whether its rows are masked) of every trajectory softmax call."""
+    calls = []
+    for path in ("dense", "gathered"):
+        softmax = getattr(training, f"_{path}_softmax")
+
+        def recorded(params, contexts, targets, negatives, grads, path=path,
+                     softmax=softmax):
+            calls.append((path, negatives is not None))
+            return softmax(params, contexts, targets, negatives, grads)
+        monkeypatch.setattr(training, f"_{path}_softmax", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_check_all_passes_on_gathered_softmax(monkeypatch, seed):
-    # the toy's 8 locations exceed a lowered BLOCK_CANDIDATES, so every
+    # with DENSE_SOFTMAX_RATIO 0 the toy's 8 locations exceed it, so every
     # position goes through the gathered softmax
-    monkeypatch.setattr(training, "BLOCK_CANDIDATES", 1)
-    calls = []
-    scored = training.sampled_location_loss
-    monkeypatch.setattr(training, "sampled_location_loss",
-                        lambda *args: calls.append(1) or scored(*args))
+    monkeypatch.setattr(training, "DENSE_SOFTMAX_RATIO", 0)
+    calls = record_softmax_paths(monkeypatch)
     report = check_all(make_toy_dataset(seed=seed),
                        default_toy_config(seed=seed))
-    assert calls and report.passed, report.failing_tensors()
+    assert report.passed, report.failing_tensors()
+    assert calls and {path for path, _ in calls} == {"gathered"}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_all_passes_on_masked_dense_softmax(monkeypatch, seed):
+    # 8 locations <= DENSE_SOFTMAX_RATIO (1 + 3): the dense path, with each
+    # row's 4 candidates kept and the other 4 locations masked
+    calls = record_softmax_paths(monkeypatch)
+    config = dataclasses.replace(default_toy_config(seed=seed), n2=3)
+    report = check_all(make_toy_dataset(seed=seed), config)
+    assert report.passed, report.failing_tensors()
+    assert calls and set(calls) == {("dense", True)}
 
 
 def test_check_all_fault_injection_names_tensor(monkeypatch):

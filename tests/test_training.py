@@ -12,8 +12,7 @@ from lbsnrec.model import (BASE_VARIANT, FULL_VARIANT, ModelParams,
                            load_checkpoint, location_log_prob_full,
                            network_log_likelihood_full)
 from lbsnrec.training import (Gradients, OptimizerState, TrainConfig,
-                              adagrad_update, block_location_loss,
-                              draw_network_batch,
+                              adagrad_update, draw_network_batch,
                               draw_trajectory_batch, init_params,
                               network_loss_and_grads,
                               rng_streams, sample_negative_links,
@@ -398,7 +397,8 @@ def test_batched_sampled_location_loss_equals_its_rows(n2):
 
 @pytest.mark.parametrize("num_locations,n2", [(12, 4), (9, 8), (40, 0)],
                          ids=["sampled", "enumerated", "no_negatives"])
-def test_block_location_loss_matches_per_position_oracle(num_locations, n2):
+def test_dense_softmax_matches_per_position_oracle(monkeypatch, num_locations,
+                                                   n2):
     rng = np.random.default_rng(14)
     params = random_params(rng, 2, num_locations, 3, scale=0.5)
     for m in (1, 2, 5, 9):
@@ -406,9 +406,6 @@ def test_block_location_loss_matches_per_position_oracle(num_locations, n2):
         targets = rng.integers(num_locations, size=m)
         targets[-1] = targets[0]    # one target at two positions when m > 1
         negs = sample_negative_locations(num_locations, targets, n2, rng)
-        cands = np.column_stack((targets, negs))
-        loss, d_contexts, rows, d_rows = block_location_loss(params, contexts,
-                                                             cands)
         want_loss = 0.0
         want_contexts = np.zeros_like(contexts)
         want_u_out = np.zeros_like(params.U_out)
@@ -418,15 +415,37 @@ def test_block_location_loss_matches_per_position_oracle(num_locations, n2):
             want_loss += l
             want_contexts[i] = d_ctx
             want_u_out[c] += np.outer(d_scores, contexts[i])
-        assert np.all(np.diff(rows) > 0)
-        assert set(rows.tolist()) == set(cands.ravel().tolist())
-        if m > 1:
-            assert len(rows) < cands.size   # candidates repeat across positions
-        got_u_out = np.zeros_like(params.U_out)
-        got_u_out[rows] = d_rows
-        assert abs(loss - want_loss) <= 1e-12
-        np.testing.assert_allclose(d_contexts, want_contexts, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got_u_out, want_u_out, rtol=0, atol=1e-12)
+        # one score block of all rows, then blocks of two rows
+        for entries in (evaluation.SCORE_BLOCK_ENTRIES, 2 * num_locations):
+            monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES", entries)
+            grads = Gradients.like(params)
+            loss, d_contexts = training._dense_softmax(
+                params, contexts.copy(), targets,
+                None if n2 >= num_locations - 1 else negs, grads)
+            # the U_out rows touched are exactly the rows' candidates
+            assert touched_rows(grads)["U_out"] == \
+                set(np.column_stack((targets, negs)).ravel().tolist())
+            assert abs(loss - want_loss) <= 1e-12
+            np.testing.assert_allclose(d_contexts, want_contexts, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(grads.U_out, want_u_out, rtol=0,
+                                       atol=1e-12)
+
+
+def test_enumerated_dense_softmax_equals_full_softmax_oracle():
+    # rows whose negatives are all other locations take no mask: each row's
+    # loss is minus model.location_log_prob_full of its target
+    rng = np.random.default_rng(15)
+    params = random_params(rng, 2, 66, 4, scale=0.5)
+    contexts = rng.normal(size=(40, 16))
+    targets = rng.integers(66, size=40)
+    grads = Gradients.like(params)
+    loss, _ = training._dense_softmax(params, contexts.copy(), targets, None,
+                                      grads)
+    want = -sum(location_log_prob_full(params, c, t)
+                for c, t in zip(contexts, targets.tolist()))
+    assert abs(loss - want) <= 1e-12 * abs(want)
+    assert grads.touched["U_out"].all()
 
 
 # ---------------------------------------------------------------------------
@@ -612,42 +631,31 @@ def test_trajectory_grads_independent_of_forward_groups(monkeypatch, shape,
     assert touched_rows(grouped) == touched_rows(grads)
 
 
-def rule_positions(num_locations, width):
-    """Largest p >= 1 whose D(p) = min(|L|, p * width) distinct candidates
-    obey D(p) <= BLOCK_CANDIDATES and p * D(p) <= BLOCK_SCORES."""
-    p = 1
-    while True:
-        distinct = min(num_locations, (p + 1) * width)
-        if (distinct > training.BLOCK_CANDIDATES
-                or (p + 1) * distinct > training.BLOCK_SCORES):
-            return p
-        p += 1
-
-
-def record_block_sizes(monkeypatch):
-    sizes = []
-    block_loss = training.block_location_loss
-
-    def counted(params, contexts, cands):
-        sizes.append(len(cands))
-        return block_loss(params, contexts, cands)
-
-    monkeypatch.setattr(training, "block_location_loss", counted)
-    return sizes
-
-
 def record_softmax_calls(monkeypatch):
-    """(path, contexts) of every softmax call in call order: "block" for
-    block_location_loss, "gathered" for sampled_location_loss."""
+    """(path, contexts) of every softmax call in call order: "dense" per
+    score_blocks row block, "gathered" per sampled_location_loss call."""
     calls = []
-    for path, name in (("block", "block_location_loss"),
-                       ("gathered", "sampled_location_loss")):
-        def recorded(params, contexts, *rest, path=path,
-                     loss=getattr(training, name)):
-            calls.append((path, np.array(contexts, ndmin=2)))
-            return loss(params, contexts, *rest)
-        monkeypatch.setattr(training, name, recorded)
+    score_blocks = training.score_blocks
+    scored = training.sampled_location_loss
+
+    def dense(contexts, u_out):
+        for block, scores in score_blocks(contexts, u_out):
+            calls.append(("dense", contexts[block].copy()))
+            yield block, scores
+
+    def gathered(params, contexts, *rest):
+        calls.append(("gathered", np.array(contexts, ndmin=2)))
+        return scored(params, contexts, *rest)
+
+    monkeypatch.setattr(training, "score_blocks", dense)
+    monkeypatch.setattr(training, "sampled_location_loss", gathered)
     return calls
+
+
+def softmax_path(num_locations, n2):
+    """The path the shape rule routes n2 drawn negatives per position to."""
+    dense = num_locations <= training.DENSE_SOFTMAX_RATIO * (1 + n2)
+    return "dense" if dense else "gathered"
 
 
 def valid_contexts(params, mask, batch):
@@ -669,25 +677,45 @@ def assert_each_position_scored_once(calls, params, mask, batch):
         valid_contexts(params, mask, batch))
 
 
-def test_block_positions_is_the_largest_within_both_bounds():
-    # the block path only runs up to BLOCK_CANDIDATES locations, where the
-    # distinct-candidate bound always holds
-    for num_locations in (1, 2, 65, 66, 383, 384):
-        for width in (1, 2, 3, 6, 66, 101, 128, 384):
-            if width <= num_locations:
-                assert training.block_positions(num_locations, width) == \
-                    rule_positions(num_locations, width), (num_locations, width)
-    # |L| = 66 enumerated (planted): the score matrix bound alone
-    assert training.block_positions(66, 66) == 248
-    assert training.block_positions(384, 101) == 42
+@pytest.mark.parametrize("num_locations, n2, path", [
+    (66, 100, "dense"), (66, 20, "dense"), (384, 5, "gathered"),
+    (384, 95, "dense"), (384, 94, "gathered"), (12, 2, "dense"),
+    (12, 1, "gathered")],
+    ids=["planted", "planted_sampled", "small_n2", "ratio_at", "ratio_above",
+         "toy_at", "toy_above"])
+def test_softmax_route_follows_the_shape_rule(monkeypatch, num_locations, n2,
+                                              path):
+    # dense when |L| <= DENSE_SOFTMAX_RATIO (1 + n2') for n2' = min(n2,
+    # |L| - 1) drawn negatives per position, gathered otherwise; the planted
+    # shape enumerates, so it scores every location with no mask
+    assert training.DENSE_SOFTMAX_RATIO == 4
+    assert softmax_path(num_locations, min(n2, num_locations - 1)) == path
+    rng = np.random.default_rng(22)
+    params = random_params(rng, 9, num_locations, 3, scale=0.8)
+    batch = ragged_batch(rng, num_locations, n2)
+    routed = []
+    for name in ("_dense_softmax", "_gathered_softmax"):
+        softmax = getattr(training, name)
+
+        def recorded(params, contexts, targets, negatives, grads,
+                     name=name, softmax=softmax):
+            routed.append((name, negatives is None))
+            return softmax(params, contexts, targets, negatives, grads)
+        monkeypatch.setattr(training, name, recorded)
+    calls = record_softmax_calls(monkeypatch)
+    trajectory_loss_and_grads(params, FULL_VARIANT, batch)
+    assert routed == [(f"_{path}_softmax",
+                       path == "dense" and n2 >= num_locations - 1)]
+    assert {p for p, _ in calls} == {path}
+    assert_each_position_scored_once(calls, params, FULL_VARIANT, batch)
 
 
-# bounds that force one-position softmax calls (and one-row U_out slices)
-# and one block per forward group
-BLOCK_BOUNDS = {"one_position": {"BLOCK_SCORES": 1,
+# bounds that force one-position softmax calls (one-row score blocks, and
+# one-row U_out slices) and one call per forward group
+BLOCK_BOUNDS = {"one_position": {"SCORE_BLOCK_ENTRIES": 1,
                                  "GATHER_CHUNK_ENTRIES": 1},
-                "whole_group": {"BLOCK_CANDIDATES": 1 << 40,
-                                "BLOCK_SCORES": 1 << 40}}
+                "whole_group": {"SCORE_BLOCK_ENTRIES": 1 << 40,
+                                "GATHER_CHUNK_ENTRIES": 1 << 40}}
 
 
 @pytest.mark.parametrize("bounds", sorted(BLOCK_BOUNDS))
@@ -705,18 +733,16 @@ def test_trajectory_grads_independent_of_softmax_blocks(monkeypatch, mask,
     calls = record_softmax_calls(monkeypatch)
     loss, grads = trajectory_loss_and_grads(params, mask, batch)
     # the 37 positions of lengths 7, 0, 3, 7, 11, 1, 8 form one forward group,
-    # one call across subtrajectory and user boundaries: gathered at
-    # |L| = 400 > BLOCK_CANDIDATES, one block otherwise
-    path = "gathered" if num_locations > training.BLOCK_CANDIDATES else "block"
+    # one call across subtrajectory and user boundaries: dense unless n2 = 0
+    path = softmax_path(num_locations, min(n2, num_locations - 1))
+    assert path == ("gathered" if n2 == 0 else "dense")
     assert [(p, len(c)) for p, c in calls] == [(path, 37)]
     assert_each_position_scored_once(calls, params, mask, batch)
     for name, value in BLOCK_BOUNDS[bounds].items():
-        monkeypatch.setattr(training, name, value)
+        owner = evaluation if name == "SCORE_BLOCK_ENTRIES" else training
+        monkeypatch.setattr(owner, name, value)
     calls.clear()
     blocked_loss, blocked = trajectory_loss_and_grads(params, mask, batch)
-    # whole_group lifts BLOCK_CANDIDATES, so |L| = 400 takes the block path
-    path = "gathered" if bounds == "one_position" and num_locations == 400 \
-        else "block"
     assert [(p, len(c)) for p, c in calls] == \
         {"one_position": [(path, 1)] * 37, "whole_group": [(path, 37)]}[bounds]
     assert_each_position_scored_once(calls, params, mask, batch)
@@ -729,31 +755,45 @@ def test_trajectory_grads_independent_of_softmax_blocks(monkeypatch, mask,
 
 
 def test_planted_softmax_calls_follow_the_block_rule(monkeypatch):
-    # every planted position has all 66 locations as candidates, so blocks
-    # span subtrajectories and users up to the score-matrix bound
+    # every planted position has all 66 locations as candidates, so each
+    # forward group is one dense call, in score blocks of
+    # evaluation.score_block_rows(66) rows across subtrajectories and users
     ds = synth.generate(synth.SynthConfig(seed=7))
     splits = lbsn_data.make_splits(ds, seed=7)
     rng = np.random.default_rng(0)
     batch = draw_trajectory_batch(ds, splits, np.arange(ds.num_users), 100, rng)
     params = random_params(rng, ds.num_users, ds.num_locations, 4)
-    p = rule_positions(ds.num_locations, ds.num_locations)
     lengths = [len(locs) for locs, _ in batch.views]
     groups = [sum(lengths[lo:hi]) for lo, hi in lbsn_model.forward_groups(lengths)]
-    sizes = record_block_sizes(monkeypatch)
-    trajectory_loss_and_grads(params, FULL_VARIANT, batch)
-    assert len(sizes) == sum(math.ceil(valid / p) for valid in groups)
-    want = []
-    for valid in groups:
-        want += [p] * (valid // p) + ([valid % p] if valid % p else [])
-    assert sizes == want
+    calls = record_softmax_calls(monkeypatch)
+    loss, grads = trajectory_loss_and_grads(params, FULL_VARIANT, batch)
+    assert evaluation.score_block_rows(ds.num_locations) >= max(groups)
+    assert [(p, len(c)) for p, c in calls] == [("dense", g) for g in groups]
+    assert_each_position_scored_once(calls, params, FULL_VARIANT, batch)
+    for p in (1, 7, 248):
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES",
+                            p * ds.num_locations + ds.num_locations - 1)
+        assert evaluation.score_block_rows(ds.num_locations) == p
+        calls.clear()
+        blocked_loss, blocked = trajectory_loss_and_grads(params, FULL_VARIANT,
+                                                          batch)
+        want = []
+        for valid in groups:
+            want += [p] * (valid // p) + ([valid % p] if valid % p else [])
+        assert [len(c) for _, c in calls] == want
+        assert abs(blocked_loss - loss) <= 1e-12 * abs(loss)
+        for name in TENSOR_NAMES:
+            scale = np.abs(grads.tensor(name)).max()
+            assert np.abs(blocked.tensor(name) - grads.tensor(name)).max() \
+                <= 1e-12 * scale, name
 
 
 @pytest.mark.parametrize("n2", [5, 100, 383])
-def test_softmax_blocks_bounded_when_locations_exceed_block_candidates(
-        monkeypatch, n2):
-    # above BLOCK_CANDIDATES locations only the gathered path runs, in
-    # consecutive calls of GATHER_CHUNK_ENTRIES gathered entries at most
-    num_locations = training.BLOCK_CANDIDATES + 16
+def test_gathered_softmax_calls_bounded_by_gather_chunks(monkeypatch, n2):
+    # above DENSE_SOFTMAX_RATIO (1 + n2) locations only the gathered path
+    # runs, in consecutive calls of GATHER_CHUNK_ENTRIES gathered entries at
+    # most
+    num_locations = training.DENSE_SOFTMAX_RATIO * (1 + 383) + 16
     rng = np.random.default_rng(24)
     params = random_params(rng, 9, num_locations, 3, scale=0.8)
     batch = ragged_batch(rng, num_locations, n2)
@@ -783,19 +823,21 @@ def test_softmax_blocks_bounded_when_locations_exceed_block_candidates(
                          ids=["full", "short_only", "long_only", "base"])
 def test_gathered_softmax_equals_block_softmax(monkeypatch, mask,
                                                num_locations, n2):
-    # n2 = 0 scores one-candidate rows; at n2 = 100 and |L| <= 400 the U_out
-    # gradient runs over every location, otherwise over the distinct
-    # candidates only
+    # the block softmax is the dense path, scored in score blocks; both are
+    # forced whatever the shape rule routes. n2 = 0 scores one-candidate
+    # rows; at n2 = 100 and |L| <= 400 the gathered U_out gradient runs over
+    # every location, otherwise over the distinct candidates only
     rng = np.random.default_rng(25)
     params = random_params(rng, 9, num_locations, 3, scale=0.8)
     batch = ragged_batch(rng, num_locations, n2)
     calls = record_softmax_calls(monkeypatch)
+    monkeypatch.setattr(training, "DENSE_SOFTMAX_RATIO", 0)
     loss, grads = trajectory_loss_and_grads(params, mask, batch)
     assert {p for p, _ in calls} == {"gathered"}
-    monkeypatch.setattr(training, "BLOCK_CANDIDATES", num_locations)
+    monkeypatch.setattr(training, "DENSE_SOFTMAX_RATIO", num_locations)
     calls.clear()
     block_loss, block = trajectory_loss_and_grads(params, mask, batch)
-    assert {p for p, _ in calls} == {"block"}
+    assert {p for p, _ in calls} == {"dense"}
     assert_each_position_scored_once(calls, params, mask, batch)
     assert abs(block_loss - loss) <= 1e-12 * abs(loss)
     for name in TENSOR_NAMES:
@@ -809,8 +851,8 @@ def test_gathered_softmax_skips_groups_without_positions(monkeypatch):
     # one user per forward group: the second user's empty view makes a group
     # with no valid position, which calls no softmax
     rng = np.random.default_rng(26)
-    params = random_params(rng, 9, 400, 3, scale=0.8)
-    batch = ragged_batch(rng, 400, 100)
+    params = random_params(rng, 9, 1000, 3, scale=0.8)
+    batch = ragged_batch(rng, 1000, 100)
     loss, grads = trajectory_loss_and_grads(params, FULL_VARIANT, batch)
     monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", 1)
     calls = record_softmax_calls(monkeypatch)
@@ -1174,6 +1216,18 @@ def test_train_writes_log_and_decreases_loss(tmp_path):
     assert len(lines) == 7
 
 
+def test_train_log_header_names_the_validation_k(tmp_path):
+    ds = toy_dataset(seed=23, num_users=6, num_locations=9)
+    splits = lbsn_data.make_splits(ds, link_train_ratio=0.5, seed=0)
+    log_path = tmp_path / "log.csv"
+    records = train(ds, splits, toy_config(seed=2, max_iterations=2,
+                                           validation_k=10),
+                    tmp_path / "m.jntm", log_path=log_path)
+    lines = log_path.read_text().strip().split("\n")
+    assert lines[0] == "epoch,net_loss,traj_loss,val_recall10,seconds"
+    assert len(lines) == 1 + len(records)
+
+
 def test_train_equals_fresh_gradients_and_sequential_draws(tmp_path):
     # one reused, row-masked Gradients, touched-row AdaGrad and batch-drawn
     # negatives train bit for bit as a fresh Gradients per batch, whole-tensor
@@ -1237,5 +1291,7 @@ def test_train_pass_times_lie_within_the_epoch(tmp_path):
         assert r.sample_seconds + r.update_seconds <= \
             r.net_seconds + r.traj_seconds
         assert 0 < r.forward_seconds and 0 < r.bptt_seconds
-        assert r.forward_seconds + r.bptt_seconds <= r.traj_seconds
+        assert 0 < r.softmax_seconds
+        assert r.forward_seconds + r.softmax_seconds + r.bptt_seconds <= \
+            r.traj_seconds
         assert r.lockstep_steps > 0
