@@ -227,7 +227,7 @@ def cmd_bench(args):
     fastest = {name: min(getattr(r, name) for r in records) for name in (
         "net_seconds", "traj_seconds", "sample_seconds", "update_seconds",
         "forward_seconds", "softmax_seconds", "bptt_seconds",
-        "lockstep_steps")}
+        "validation_seconds", "checkpoint_seconds", "lockstep_steps")}
     traj_seconds = fastest["traj_seconds"]
     per_checkin = traj_seconds / num_checkins if num_checkins else 0.0
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

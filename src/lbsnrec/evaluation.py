@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import build_graph
-from .model import forward_groups, forward_trajectory, log_sigmoid
+from .model import (forward_groups, forward_trajectory, log_sigmoid,
+                    long_term_chain)
 
 COLD_START_MAX_SUBTRAJECTORIES = 5
 LOW_DEGREE_MAX_FRIENDS = 5
@@ -70,7 +71,8 @@ def _part_range(splits, user, part):
 def _evaluated_users(dataset, splits, part):
     """Yield (user, locations, bounds, first evaluated position) per user.
 
-    locations and bounds cover the user's history up to the end of the part.
+    locations covers the user's history up to the end of the part, bounds
+    the part's subtrajectories.
     """
     for user in range(dataset.num_users):
         traj = dataset.trajectories[user]
@@ -81,35 +83,42 @@ def _evaluated_users(dataset, splits, part):
         if lo >= hi:
             continue
         end = bounds[hi - 1][1]
-        yield user, traj.locations[:end], bounds[:hi], bounds[lo][0]
+        yield user, traj.locations[:end], bounds[lo:hi], bounds[lo][0]
 
 
 def _evaluated_rows(params, mask, dataset, splits, new_only, part, width):
     """Yield (owners, contexts, targets, new, ex_rows, ex_cols) per block of
     users.
 
-    The contexts are those of the forward pass over each user's history up to
-    the end of the part, taken at every evaluated position; owners holds each
-    row's user. A block holds the rows of consecutive users, at most `width`
-    rows unless one user has more. new indexes the rows that are first visits
-    of their location (none unless new_only), and (ex_rows, ex_cols), sorted
-    by row, pairs each of these (its index into new) with the locations
-    visited before its position, which are not its new-only candidates.
+    One long_term_chain over every evaluated user's history gives the hidden
+    state each of the part's subtrajectories consults; forward_trajectory
+    then runs over the part's positions in forward_groups groups, its
+    contexts all evaluated rows. owners holds each row's user. A block
+    holds the rows of consecutive users, at most `width` rows unless one
+    user has more. new indexes the rows that are first visits of their
+    location (none unless new_only), and (ex_rows, ex_cols), sorted by row,
+    pairs each of these (its index into new) with the locations visited
+    before its position, which are not its new-only candidates.
     """
     evaluated = list(_evaluated_users(dataset, splits, part))
+    hidden = (long_term_chain(params, [item[1:3] for item in evaluated],
+                              caches=False).hidden if mask.use_long else None)
+    firsts = np.cumsum([0] + [len(item[2]) for item in evaluated])
+    views = [(locs[start:], np.asarray(bounds, dtype=np.int64) - start)
+             for _, locs, bounds, start in evaluated]
     empty = np.empty(0, dtype=np.int64)
     block, num_rows, num_new = [[], [], [], [empty], [empty], [empty]], 0, 0
-    for lo, hi in forward_groups([len(item[1]) for item in evaluated],
+    for lo, hi in forward_groups([len(locs) for locs, _ in views],
                                  caches=False):
-        group = evaluated[lo:hi]
-        padded = forward_trajectory(params, mask, [item[0] for item in group],
-                                    [item[1:3] for item in group],
-                                    caches=False).contexts
-        # copy the evaluated rows: the contexts go before the next forward
-        chosen = [row[start:len(locs)].copy()
-                  for (_, locs, _, start), row in zip(group, padded)]
+        padded = forward_trajectory(
+            params, mask, [item[0] for item in evaluated[lo:hi]], views[lo:hi],
+            None if hidden is None else hidden[firsts[lo]:firsts[hi]]).contexts
+        # copy the rows: the contexts go before the next forward
+        chosen = [row[:len(locs)].copy()
+                  for (locs, _), row in zip(views[lo:hi], padded)]
         del padded
-        for (user, locs, _, start), user_contexts in zip(group, chosen):
+        for (user, locs, _, start), user_contexts in zip(evaluated[lo:hi],
+                                                         chosen):
             positions = np.arange(start, len(locs))
             new = ex_rows = ex_cols = empty
             if new_only:
@@ -200,8 +209,7 @@ def rank_next_locations(params, mask, dataset, splits, part="test",
     """NextLocationRanks of every general event, and of every new-only event
     when new_only.
 
-    Every user with events in the part is forwarded once, in one
-    forward_trajectory call per group of users (see model.forward_groups),
+    Every user with events in the part is forwarded once (_evaluated_rows),
     and the rows of consecutive users are scored in score_blocks: one GEMM
     against U_out per block. General rows are ranked on these scores.
     New-only rows (first visits) are ranked on a copy of theirs with each

@@ -103,13 +103,13 @@ def tensor_shapes(num_users, num_locations, dim):
 class Lockstep:
     """A batch of sequences advanced together, one step at a time.
 
-    Sequence s occupies padded flat indices starts[s] .. starts[s] +
-    lengths[s] - 1 (batch order, starts ascending). Step j advances the
+    Sequence s occupies flat indices starts[s] .. starts[s] + lengths[s] - 1
+    (batch order, starts ascending). Step j advances the
     first live[j] sequences in order of descending length (ties in batch
     order), a prefix of the sequences step j-1 advanced. Step j's state is
     packed at rows offsets[j] .. offsets[j + 1] - 1, so a step reads its
     predecessors from a prefix of the previous step's rows. rows[r] is packed
-    row r's padded flat index, previous[r - live[0]] its predecessor row.
+    row r's flat index, previous[r - live[0]] its predecessor row.
     """
 
     starts: np.ndarray
@@ -139,10 +139,10 @@ def lockstep(starts, lengths):
 
 # Callers run forward_trajectory over groups of users of at most
 # FORWARD_GROUP_POSITIONS padded positions (users x longest history), or one
-# user whose history is longer; a forward without caches, half the floats
-# per position, takes twice as many. A group pays one lockstep step per
-# position of its longest history; below 640, histories of 320 and 640
-# check-ins go one user a group and scale linearly (acceptance criterion 7).
+# user whose history is longer; a rank-only forward, whose contexts take no
+# gradients, takes twice as many. The long-term chain runs over a whole batch
+# in blocks of at most this many step-columns (chain_blocks), so groups bound
+# only the contexts.
 FORWARD_GROUP_POSITIONS = 630
 
 
@@ -162,29 +162,52 @@ def forward_groups(lengths, caches=True):
         yield start, len(lengths)
 
 
+def chain_blocks(live):
+    """(t0, t1, c0, c1) per block of a long-term schedule with these live
+    counts, in step order: steps t0 .. t1 - 1 of equal live count k, columns
+    c0 .. c1 - 1 (all k unless k > FORWARD_GROUP_POSITIONS), at most
+    FORWARD_GROUP_POSITIONS step-columns, packed rows offsets[t0] + c0 on."""
+    bound = max(1, int(FORWARD_GROUP_POSITIONS))
+    live = np.asarray(live, dtype=np.int64)
+    ends = np.flatnonzero(np.diff(live, prepend=-1, append=-1))
+    for t0, t1 in zip(ends[:-1].tolist(), ends[1:].tolist()):
+        k = int(live[t0])
+        width = min(k, bound)
+        for s in range(t0, t1, bound // width):
+            for c in range(0, k, width):
+                yield s, min(s + bound // width, t1), c, min(c + width, k)
+
+
 @dataclass
 class ForwardTrace:
-    """Activations of a batch of users, cached by forward_trajectory for BPTT.
+    """Contexts of a batch of users, made by forward_trajectory.
 
     locations and contexts are padded over the batch (row b holds user b's
     first lengths[b] positions, zero past them); contexts[b, p] predicts
-    locations[b, p], its third block the short-term state. `subtrajectories`
-    and `positions` schedule the short- and long-term chains over padded flat
-    indices b * T + p (see Lockstep); a user's long-term chain stops where
-    their last subtrajectory starts. chain[r] is long-term packed row r's
-    slab [input | forget | candidate gates | cell | hidden state], the cell
-    and hidden state those before its step, and subtrajectory s
-    consults the hidden state after packed row consulted[s] (-1: the initial
-    one); both are None when the mask disables the chain or without caches.
+    locations[b, p], its third block the short-term state.
+    `subtrajectories` schedules the short-term chain over padded flat
+    indices b * T + p (see Lockstep), one sequence per subtrajectory.
     """
 
     lengths: np.ndarray
     locations: np.ndarray
     contexts: np.ndarray
-    chain: np.ndarray | None
-    consulted: np.ndarray | None
     subtrajectories: Lockstep
-    positions: Lockstep
+
+
+@dataclass
+class LongTermChain:
+    """The long-term chain of a batch (long_term_chain): `steps` schedules it
+    over `locations`, each user's up to their last subtrajectory start,
+    concatenated. Subtrajectory s consults hidden[s], the hidden state after
+    packed row consulted[s] (-1: the initial one). With caches, cells[r] is
+    the cell after row r's step and cells[-1] is C0; else cells is None."""
+
+    steps: Lockstep
+    locations: np.ndarray
+    consulted: np.ndarray
+    hidden: np.ndarray
+    cells: np.ndarray | None
 
 
 def log_sigmoid(s):
@@ -235,57 +258,83 @@ def short_term_chain(params, steps, locations):
     return states
 
 
-def long_term_chain(params, steps, locations, consulted, caches):
-    """The long-term schedule `steps` over padded flat `locations`: the
-    hidden states after packed rows `consulted` (unset where negative) and,
-    with caches, every packed row's slab (ForwardTrace.chain).
+def chain_weights(params):
+    """[W_2 | W_1 | b] of the long-term gates, stacked i, f, c (3d x 2d + 1)."""
+    return np.vstack([np.hstack((params.tensor(f"W_{g}2"), params.tensor(
+        f"W_{g}1"), params.tensor(f"b_{g}")[:, None])) for g in "ifc"])
 
-    A run of n steps with equal live count k is one (n + 1, 6d + 1, k)
-    block: block[j] holds step j's slabs as columns, then U[x] and a one;
-    block[n] the state after the run, whose first columns start the next
-    run. A step is one GEMM of [W_2 | W_1 | b] (gates stacked i, f, c) with
-    [h; x; 1], then ufuncs over whole rows of block[j], the last two writing
-    c and h.
+
+def _run_block(weights, block):
+    """Run the steps of a long_term_chain block in place."""
+    d = len(weights) // 3
+    terms = np.empty((2 * d, block.shape[2]))   # [i * g; f * c]
+    for pre, gates, cand, pairs, operand, cell, after in zip(
+            block[:-1, :3 * d], block[:-1, :2 * d], block[:-1, 2 * d:3 * d],
+            block[:-1, 2 * d:4 * d], block[:-1, 4 * d:],
+            block[1:, 3 * d:4 * d], block[1:, 4 * d:5 * d]):
+        np.matmul(weights, operand, out=pre)
+        expit(gates, out=gates)
+        np.tanh(cand, out=cand)
+        np.multiply(gates, pairs, out=terms)
+        np.add(terms[:d], terms[d:], out=cell)
+        np.tanh(cell, out=after)
+
+
+def long_term_chain(params, views, caches=True):
+    """Run the long-term chain of a batch of users in lockstep.
+
+    views[b] = (locations, bounds): user b's chain steps over their locations
+    up to their last bound's start, and each bound consults the hidden state
+    reached at its start. Returns a LongTermChain, with cells only with
+    caches. It runs in chain_blocks: a block of n steps and k columns is one
+    (n + 1, 6d + 1, k) array, block[j] holding step j's [i; f; g; c; h; x;
+    1] as columns and block[n] the state after it. A step is one GEMM of
+    chain_weights with [h; x; 1] and five ufuncs over whole rows.
     """
     d = params.dim
-    weights = np.block([[params.tensor(f"W_{g}2"), params.tensor(f"W_{g}1"),
-                         params.tensor(f"b_{g}")[:, None]] for g in "ifc"])
-    live = np.asarray(steps.live, dtype=np.int64)
-    ends = np.flatnonzero(np.diff(live, prepend=-1, append=-1))
-    state = np.concatenate(gru_initial(params))[:, None]
-    hidden = np.empty((len(consulted), d))
-    slabs = np.empty((len(steps.rows), 5 * d)) if caches else None
-    for t0, t1 in zip(ends[:-1].tolist(), ends[1:].tolist()):
-        n, k = t1 - t0, int(live[t0])
-        a, b = steps.offsets[t0], steps.offsets[t1]
+    ends = np.array([bounds[-1][0] if len(bounds) else 0
+                     for _, bounds in views], dtype=np.int64)
+    starts = np.cumsum(ends) - ends
+    locations = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        locs[:n] for (locs, _), n in zip(views, ends.tolist())])
+    steps = lockstep(starts, ends)
+    packed = np.arange(len(locations))
+    packed[steps.rows] = np.arange(len(steps.rows))
+    heads = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.asarray(b, dtype=np.int64).reshape(-1, 2)[:, 0] + s - 1
+        for (_, b), s in zip(views, starts.tolist())])
+    consulted = np.where(heads >= np.repeat(starts, [len(b) for _, b in views]),
+                         packed[heads.clip(0)] if len(packed) else -1, -1)
+    weights = chain_weights(params)
+    state = np.repeat(np.concatenate(gru_initial(params))[:, None],
+                      steps.live[0] if steps.live else 0, axis=1)
+    hidden = np.tile(gru_initial(params)[1], (len(consulted), 1))
+    order = np.argsort(consulted)
+    ranked = consulted[order]
+    cells = np.concatenate((np.empty((len(steps.rows), d)), params.C0[None])
+                           ) if caches else None
+    for t0, t1, c0, c1 in chain_blocks(steps.live):
+        n, k = t1 - t0, c1 - c0
+        a = steps.offsets[t0] + c0
         block = np.empty((n + 1, 6 * d + 1, k))
-        block[0, 3 * d:5 * d] = state[:, :k]
-        block[:n, 5 * d:6 * d] = params.U[locations[steps.rows[a:b]]].reshape(
-            n, k, d).transpose(0, 2, 1)
+        block[0, 3 * d:5 * d] = state[:, c0:c1]
+        block[:n, 5 * d:6 * d] = params.U[locations[steps.rows[
+            a:a + n * k]]].reshape(n, k, d).transpose(0, 2, 1)
         block[:n, 6 * d] = 1.0
-        terms = np.empty((2 * d, k))    # [i * g; f * c]
-        i_terms, f_terms = terms[:d], terms[d:]
-        for pre, gates, cand, pairs, operand, cell, after in zip(
-                block[:n, :3 * d], block[:n, :2 * d], block[:n, 2 * d:3 * d],
-                block[:n, 2 * d:4 * d], block[:n, 4 * d:],
-                block[1:, 3 * d:4 * d], block[1:, 4 * d:5 * d]):
-            np.matmul(weights, operand, out=pre)
-            expit(gates, out=gates)
-            np.tanh(cand, out=cand)
-            np.multiply(gates, pairs, out=terms)
-            np.add(i_terms, f_terms, out=cell)
-            np.tanh(cell, out=after)
-        inside = (consulted >= a) & (consulted < b)
-        slab, column = np.divmod(consulted[inside] - a, k)
-        hidden[inside] = block[slab + 1, 4 * d:5 * d, column]
+        _run_block(weights, block)
+        state[:, c0:c1] = block[n, 3 * d:5 * d]
+        lo, hi = np.searchsorted(ranked, (a, a + n * k))
+        slab, column = np.divmod(ranked[lo:hi] - a, k)
+        hidden[order[lo:hi]] = block[slab + 1, 4 * d:5 * d, column]
         if caches:
-            slabs[a:b].reshape(n, k, -1)[...] = block[:n, :5 * d].transpose(
-                0, 2, 1)
-        state = block[-1, 3 * d:5 * d]
-    return hidden, slabs
+            cells[a:a + n * k].reshape(n, k, d)[...] = block[
+                1:, 3 * d:4 * d].transpose(0, 2, 1)
+        block = None    # freed before the next block is allocated
+    return LongTermChain(steps=steps, locations=locations, consulted=consulted,
+                         hidden=hidden, cells=cells)
 
 
-def forward_trajectory(params, mask, users, views, caches=True):
+def forward_trajectory(params, mask, users, views, long_states=None):
     """Run the recurrent forward pass of a batch of users in lockstep.
 
     views[b] = (locations, bounds) of users[b]; the bounds partition the
@@ -299,12 +348,12 @@ def forward_trajectory(params, mask, users, views, caches=True):
     hidden state h' = tanh(c'). Predictions inside subtrajectory j consult
     the hidden state reached after subtrajectory j-1 (tanh(C0) for j=0), so
     the chain stops where the last subtrajectory starts. Returns a
-    ForwardTrace with one context per position; without caches (ranking
-    only) it keeps none of the long-term chain.
+    ForwardTrace with one context per position.
 
-    Each chain steps all of its sequences together, longest first (see
-    Lockstep), the long-term one in contiguous blocks (long_term_chain); the
-    contexts are filled last, from the packed states.
+    long_states holds the hidden state each subtrajectory consults, in
+    order, from a LongTermChain over a larger batch or longer histories;
+    when None, long_term_chain runs here without caches. The short-term
+    chain steps all subtrajectories together, longest first (see Lockstep).
     """
     users = np.asarray(users, dtype=np.int64)
     d = params.dim
@@ -320,35 +369,22 @@ def forward_trajectory(params, mask, users, views, caches=True):
              for b, (_, bounds) in enumerate(views)]
     spans = np.concatenate(spans) if spans else np.zeros((0, 2), dtype=np.int64)
     subtrajectories = lockstep(spans[:, 0], spans[:, 1] - spans[:, 0])
-    positions = lockstep(np.arange(num) * width, [
-        bounds[-1][0] if len(bounds) else 0 for _, bounds in views])
-
-    states = (short_term_chain(params, subtrajectories, flat_locations)
-              if mask.use_short else None)
-    chain = consulted = long_states = None
-    if mask.use_long:
-        packed = np.empty(num * width, dtype=np.int64)
-        packed[positions.rows] = np.arange(len(positions.rows))
-        starts = subtrajectories.starts
-        consulted = np.where(starts % max(width, 1) > 0, packed[starts - 1], -1)
-        long_states, chain = long_term_chain(params, positions, flat_locations,
-                                             consulted, caches)
-        long_states[consulted < 0] = gru_initial(params)[1]
+    if mask.use_long and long_states is None:
+        long_states = long_term_chain(params, views, caches=False).hidden
 
     contexts = np.zeros((num, width, 4 * d))
     flat = contexts.reshape(-1, 4 * d)
     owner = users[valid // max(width, 1)]
     flat[valid, 0:d] = params.F[owner]
     flat[valid, d:2 * d] = params.P[owner]
-    if states is not None:
-        flat[subtrajectories.rows, 2 * d:3 * d] = states
-    if long_states is not None:
+    if mask.use_short:
+        flat[subtrajectories.rows, 2 * d:3 * d] = short_term_chain(
+            params, subtrajectories, flat_locations)
+    if mask.use_long:
         flat[valid, 3 * d:] = np.repeat(long_states, subtrajectories.lengths,
                                         axis=0)
     return ForwardTrace(lengths=lengths, locations=locations, contexts=contexts,
-                        chain=chain,
-                        consulted=None if chain is None else consulted,
-                        subtrajectories=subtrajectories, positions=positions)
+                        subtrajectories=subtrajectories)
 
 
 def joint_log_likelihood_full(params, mask, dataset):
@@ -428,11 +464,15 @@ def load_checkpoint(path):
         mask = VariantMask(use_short=bool(use_short), use_long=bool(use_long))
         tensors = {}
         for name, shape in tensor_shapes(num_users, num_locations, dim).items():
-            tensors[name] = _read_into(handle, shape, "<f8", f"tensor {name}",
-                                       CheckpointError)
-            if not np.isfinite(tensors[name]).all():
+            tensor = _read_into(handle, shape, "<f8", f"tensor {name}",
+                                CheckpointError)
+            # NaN and inf reach the row sums; finite entries may overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = tensor @ np.ones(shape[-1])
+            if not (np.isfinite(sums).all() or np.isfinite(tensor).all()):
                 raise CheckpointError(f"{path}: non-finite value in tensor "
                                       f"{name}")
+            tensors[name] = tensor
         user_ids = _read_string_table(handle, CheckpointError)
         location_ids = _read_string_table(handle, CheckpointError)
     if len(user_ids) != num_users or len(location_ids) != num_locations:

@@ -21,7 +21,8 @@ from scipy.special import expit
 
 from .evaluation import eval_next_location, score_blocks
 from .model import (EMBEDDING_NAMES, TENSOR_NAMES, ModelParams, VariantMask,
-                    forward_groups, forward_trajectory, short_term_chain,
+                    chain_blocks, chain_weights, forward_groups,
+                    forward_trajectory, long_term_chain, short_term_chain,
                     tensor_shapes)
 
 
@@ -316,12 +317,32 @@ class NetworkBatch:
     negatives: list     # per user, sampled non-neighbor indices
 
 
+class OtherLocations:
+    """Negatives that are every location but each position's target (n2 >=
+    |L| - 1): sample_negative_locations' rows, built only when read. The
+    softmax reads only shape[1]."""
+
+    def __init__(self, num_locations, targets):
+        self.num_locations, self.targets = num_locations, targets
+        self.shape = (len(targets), num_locations - 1)
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(sample_negative_locations(
+            self.num_locations, self.targets, self.shape[1], None), dtype)
+
+    def __iter__(self):
+        return iter(np.asarray(self))
+
+
 @dataclass
 class TrajectoryBatch:
     users: np.ndarray
     views: list         # per user, (locations, bounds) restricted to train range
     negatives: list     # per user, (positions x n2') negatives
-                        # (sample_negative_locations)
+                        # (sample_negative_locations), or OtherLocations
 
 
 def draw_network_batch(graph, users, n1, rng):
@@ -342,8 +363,15 @@ def training_view(dataset, splits, user):
 
 
 def draw_trajectory_batch(dataset, splits, users, n2, rng):
+    """A TrajectoryBatch of these users' training views and n2 negatives
+    per position (sample_negative_locations, drawn in batch order). With n2
+    >= |L| - 1 it records OtherLocations instead and draws nothing."""
     users = np.asarray(users, dtype=np.int64)
     views = [training_view(dataset, splits, int(u)) for u in users]
+    if dataset.num_locations - 1 <= n2:
+        negatives = [OtherLocations(dataset.num_locations, locs)
+                     for locs, _ in views]
+        return TrajectoryBatch(users=users, views=views, negatives=negatives)
     targets = np.concatenate([np.zeros(0, dtype=np.int64)]
                              + [locs for locs, _ in views])
     drawn = sample_negative_locations(dataset.num_locations, targets, n2, rng)
@@ -510,98 +538,154 @@ def _short_term_backward(params, steps, d_states, states):
     return d_pre, d_states[:first].sum(axis=0)
 
 
-def _long_term_backward(params, steps, slabs, consulted, d_consulted):
-    """Lockstep BPTT of the gated long-term chain over the `slabs` of the
-    schedule `steps` (ForwardTrace.chain), newest step first; d_consulted[s]
-    reaches the cell of packed row consulted[s] (-1: C0). Returns (the
-    pre-activation gradients [i | f | c] per packed row, the C0 gradient)."""
+def _long_term_backward(params, chain, d_consulted, grads):
+    """Lockstep BPTT of a batch's long-term chain, newest block first;
+    d_consulted[s] reaches the cell after packed row chain.consulted[s] (-1:
+    C0). Adds the W_*, b_* and C0 gradients to grads and, as a block's cells
+    are not read after it, overwrites chain.cells[r] with the U gradient of
+    packed row r.
+
+    Each model.chain_blocks block of n steps and k sequences is rebuilt from
+    the cached cells as (n, 6d, k) columns: one stacked matmul of
+    chain_weights with [tanh(c); U[x]; 1] and whole-block ufuncs give each
+    step's pre-activation gradients per unit cell gradient [g i (1 - i);
+    c f (1 - f); i (1 - g^2)], tanh' of the hidden state it reads, its
+    forget gate and the contexts' gradient of its cell. Each step back then
+    broadcasts the (d, k) cell gradients over the gate axis and takes one
+    W_2.T @ g; the gate weights take one stacked matmul per block.
+    """
     d = params.dim
-    i_gate, f_gate, cand, c_prev, h_prev = np.split(slabs, 5, axis=1)
-    ext = np.zeros((len(slabs), d))
-    later = consulted >= 0
-    ext[consulted[later]] = d_consulted[later]
-    forget = np.ascontiguousarray(f_gate)
-    held = 1.0 - h_prev ** 2    # tanh' of the hidden state each step reads
-    # d_pre[r] = d_cell * local[r] (d_cell tiled over the gates), local =
-    # [cand * i * (1 - i) | c_prev * f * (1 - f) | i * (1 - cand^2)] first
-    d_pre = np.empty((len(slabs), 3, d))
-    np.multiply(cand, i_gate, out=d_pre[:, 0])
-    d_pre[:, 0] *= 1.0 - i_gate
-    np.multiply(c_prev, f_gate, out=d_pre[:, 1])
-    d_pre[:, 1] *= 1.0 - f_gate
-    np.square(cand, out=d_pre[:, 2])
-    np.subtract(1.0, d_pre[:, 2], out=d_pre[:, 2])
-    d_pre[:, 2] *= i_gate
-    recur = np.vstack((params.W_i2, params.W_f2, params.W_c2))
-    # d_cell[j]: the gradient of the cell after step t of sequence j, then
-    # of the cell before it, through the forget gate and the hidden state
-    d_cell = np.zeros((steps.live[0] if steps.live else 0, d))
-    back = np.empty_like(d_cell)
-    for t in range(len(steps.live) - 1, -1, -1):
-        a, k = steps.offsets[t], steps.live[t]
-        dc, carried = d_cell[:k], back[:k]
-        dc += ext[a:a + k]
-        g = d_pre[a:a + k]
-        g *= dc[:, None, :]
-        np.matmul(g.reshape(k, 3 * d), recur, out=carried)
-        carried *= held[a:a + k]
-        dc *= forget[a:a + k]
-        dc += carried
-    return (d_pre.reshape(-1, 3 * d),
-            d_cell.sum(axis=0) + d_consulted[~later].sum(axis=0))
+    steps, cells = chain.steps, chain.cells
+    weights = chain_weights(params)
+    recur, inputs = weights[:, :d].T.copy(), weights[:, d:2 * d].T.copy()
+    first = steps.live[0] if steps.live else 0
+    previous = np.concatenate((np.full(first, -1), steps.previous))
+    order = np.argsort(chain.consulted)
+    ranked = chain.consulted[order]
+    d_cells = np.zeros((d, first))  # column j: sequence j's cell gradient
+    carried = np.empty((d, first))
+    d_weights = np.zeros_like(weights)
+    for t0, t1, c0, c1 in reversed(list(chain_blocks(steps.live))):
+        n, k = t1 - t0, c1 - c0
+        a = steps.offsets[t0] + c0
+        block = np.empty((n, 6 * d, k))
+        i_gate, f_gate, cand, held, forget, ext = np.split(block, 6, axis=1)
+        operand = np.empty((n, 2 * d + 1, k))
+        ext[...] = cells[previous[a:a + n * k]].reshape(n, k, d).transpose(
+            0, 2, 1)    # the cell before each step, until ext is filled
+        np.tanh(ext, out=operand[:, :d])
+        operand[:, d:2 * d] = params.U[chain.locations[
+            steps.rows[a:a + n * k]]].reshape(n, k, d).transpose(0, 2, 1)
+        operand[:, 2 * d] = 1.0
+        np.matmul(weights, operand, out=block[:, :3 * d])
+        expit(block[:, :2 * d], out=block[:, :2 * d])
+        np.tanh(cand, out=cand)
+        held[...] = 1.0 - operand[:, :d] ** 2
+        forget[...] = f_gate
+        spare = cand * i_gate
+        f_gate *= ext * (1.0 - f_gate)
+        cand[...] = i_gate * (1.0 - cand ** 2)
+        i_gate[...] = spare * (1.0 - i_gate)
+        ext[...] = 0.0
+        lo, hi = np.searchsorted(ranked, (a, a + n * k))
+        slab, column = np.divmod(ranked[lo:hi] - a, k)
+        ext[slab, :, column] = d_consulted[order[lo:hi]]
+        dc = d_cells[:, c0:c1].copy()     # step back, newest step first
+        for step in block[::-1]:
+            dc += step[5 * d:]
+            g = step[:3 * d]
+            g.reshape(3, d, k)[...] *= dc
+            np.matmul(recur, g, out=carried[:, :k])
+            carried[:, :k] *= step[3 * d:4 * d]
+            dc *= step[4 * d:5 * d]
+            dc += carried[:, :k]
+        d_cells[:, c0:c1] = dc
+        gates = block[:, :3 * d]
+        d_weights += np.matmul(gates, operand.transpose(0, 2, 1)).sum(axis=0)
+        cells[a:a + n * k].reshape(n, k, d)[...] = np.matmul(
+            inputs, gates).transpose(0, 2, 1)
+        # freed before the next block's are allocated
+        block = i_gate = f_gate = cand = held = forget = ext = step = g = None
+        operand = spare = gates = None
+    for part, gate in zip(np.split(d_weights, 3), "ifc"):
+        grads.tensor(f"W_{gate}2")[:] += part[:, :d]
+        grads.tensor(f"W_{gate}1")[:] += part[:, d:2 * d]
+        grads.tensor(f"b_{gate}")[:] += part[:, 2 * d]
+    grads.C0 += d_cells.sum(axis=1) + d_consulted[chain.consulted < 0].sum(
+        axis=0)
+
+
+def _add_u_rows(grads, locations, rows):
+    """Add rows[i] to the U gradient of locations[i], summed per location."""
+    if not len(locations):
+        return
+    order = np.argsort(locations, kind="stable")
+    found, first = np.unique(locations[order], return_index=True)
+    grads.U[found] += np.add.reduceat(rows[order], first, axis=0)
+    grads.touch("U", found)
 
 
 def trajectory_loss_and_grads(params, mask, batch, grads=None, phases=None):
     """Sampled next-location loss over a frozen batch, with full BPTT gradients.
 
-    The batch runs in consecutive groups of users (model.forward_groups, which
-    bounds the working set); each group is one _lockstep_loss_and_grads call.
-    Their forward_seconds, softmax_seconds, bptt_seconds and lockstep_steps
-    (see EpochRecord) are added to the Counter `phases` if given.
+    The long-term chain runs once over the batch (model.long_term_chain),
+    then each model.forward_groups group of users, which bounds the padded
+    contexts, is one _lockstep_loss_and_grads call that reads its consulted
+    hidden states from the chain and writes their gradients into one batch
+    array; long-term BPTT then runs once (_long_term_backward). Phase seconds
+    and lockstep_steps (see EpochRecord) are added to the Counter `phases`.
     """
     if grads is None:
         grads = Gradients.like(params)
     phases = Counter() if phases is None else phases
     users = np.asarray(batch.users, dtype=np.int64)
+    views = batch.views
+    begin = time.perf_counter()
+    chain = long_term_chain(params, views) if mask.use_long else None
+    phases["forward_seconds"] += time.perf_counter() - begin
+    firsts = np.cumsum([0] + [len(bounds) for _, bounds in views])
+    d_hidden = None if chain is None else np.zeros_like(chain.hidden)
     total = 0.0
-    for lo, hi in forward_groups([len(locs) for locs, _ in batch.views]):
-        total += _lockstep_loss_and_grads(params, mask, users[lo:hi],
-                                          batch.views[lo:hi],
-                                          batch.negatives[lo:hi], grads,
-                                          phases)
+    for lo, hi in forward_groups([len(locs) for locs, _ in views]):
+        part = slice(firsts[lo], firsts[hi])
+        total += _lockstep_loss_and_grads(
+            params, mask, users[lo:hi], views[lo:hi], batch.negatives[lo:hi],
+            None if chain is None else chain.hidden[part],
+            None if chain is None else d_hidden[part], grads, phases)
+    if chain is not None:
+        begin = time.perf_counter()
+        # from the consulted hidden states to their cells
+        d_hidden *= 1.0 - chain.hidden ** 2
+        _long_term_backward(params, chain, d_hidden, grads)
+        _add_u_rows(grads, chain.locations[chain.steps.rows], chain.cells[:-1])
+        phases["bptt_seconds"] += time.perf_counter() - begin
+        phases["lockstep_steps"] += len(chain.steps.live)
     return float(total), grads
 
 
-def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads,
-                             phases):
-    """Loss and gradients of a group of users, accumulated into grads.
+def _lockstep_loss_and_grads(params, mask, users, views, negatives,
+                             long_states, d_long, grads, phases):
+    """Loss of a group of users; gradients accumulate into grads, and those
+    of the long-term hidden states the group consults (long_states) are
+    written into d_long.
 
-    One forward_trajectory call runs the group's recurrences in lockstep;
-    then, over all positions of the group at once:
+    One forward_trajectory call fills the group's contexts; then, over all
+    its positions at once:
 
     - Softmax: losses, context gradients (written over the contexts) and the
-      U_out gradient. With |L| at most DENSE_SOFTMAX_RATIO times a
-      position's candidates, _dense_softmax scores every location;
-      otherwise _gathered_softmax scores each position against its own.
-    - Context: the F and P blocks of the context gradients sum into F[v] and
-      P[v]; the short-term block reaches the state consulted at each
-      position, the long-term block the hidden state its subtrajectory
-      consults. The contexts are freed before BPTT.
+      U_out gradient; _dense_softmax scores every location when |L| is at
+      most DENSE_SOFTMAX_RATIO times a position's candidates, else
+      _gathered_softmax each position's own.
+    - Context: the F and P blocks sum into F[v] and P[v], the short-term
+      block reaches the state consulted at each position, the long-term
+      block sums per subtrajectory. The contexts are freed before BPTT.
     - Short-term BPTT reruns the short chain, then runs backward over every
       subtrajectory in lockstep to S0; W is one GEMM.
-    - Long-term BPTT runs backward over every user in lockstep, by position,
-      to C0; a user's schedule ends at their last consulted boundary. The six
-      gate matrices are two GEMMs and the biases one sum.
-    - U rows of both recurrences are summed per position and reduced per
-      location once.
-
-    Only the recursions themselves loop, over steps.
     """
     d = params.dim
     begin = time.perf_counter()
-    trace = forward_trajectory(params, mask, users, views)
+    trace = forward_trajectory(params, mask, users, views, long_states)
     phases["forward_seconds"] += time.perf_counter() - begin
-    phases["lockstep_steps"] += len(trace.positions.live) * mask.use_long
     lengths = trace.lengths
     num, width = trace.locations.shape
     valid = np.flatnonzero(np.arange(width) < lengths[:, None])
@@ -609,9 +693,7 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads,
         return 0.0
     flat_locations = trace.locations.reshape(-1)
     sub = trace.subtrajectories
-    # the softmax overwrites the contexts: keep the consulted hidden states
     d_context = trace.contexts.reshape(-1, 4 * d)
-    long_states = d_context[sub.starts, 3 * d:] if mask.use_long else None
     begin = time.perf_counter()
     drawn = negatives[0].shape[1]   # negatives per position
     dense = params.num_locations <= DENSE_SOFTMAX_RATIO * (1 + drawn)
@@ -628,56 +710,23 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives, grads,
     grads.touch("F", users[seen])
     grads.touch("P", users[seen])
 
-    # BPTT needs only these blocks and the chain: free the contexts
+    # BPTT needs only these blocks: free the contexts
     d_states = d_context[sub.rows, 2 * d:3 * d] if mask.use_short else None
     if mask.use_long:
-        # the gradients reaching the consulted hidden states, then their cells
-        d_consulted = np.add.reduceat(d_context[:, 3 * d:], sub.starts, axis=0)
-        d_consulted *= 1.0 - long_states ** 2
+        d_long[...] = np.add.reduceat(d_context[:, 3 * d:], sub.starts, axis=0)
     trace.contexts = d_context = None
 
-    # d_u[i] collects the gradient of U[locations at padded index i] from both
-    # recurrences; stepped marks positions whose location a recurrence
-    # consumed toward a consulted state.
-    begin = time.perf_counter()
-    d_u = np.zeros((num * width, d))
-    stepped = np.zeros(num * width, dtype=bool)
     if mask.use_short:
+        begin = time.perf_counter()
         # a few steps per subtrajectory: rerun rather than cached
         states = short_term_chain(params, sub, flat_locations)
         d_pre, d_s0 = _short_term_backward(params, sub, d_states, states)
         grads.S0 += d_s0
-        before = sub.rows[len(sub.rows) - len(d_pre):] - 1
         grads.W += d_pre.T @ states[sub.previous]
-        d_u[before] += d_pre
-        stepped[before] = True
-        states = d_states = d_pre = None
-
-    if mask.use_long:
-        steps, slabs = trace.positions, trace.chain
-        d_pre, d_c0 = _long_term_backward(params, steps, slabs,
-                                          trace.consulted, d_consulted)
-        grads.C0 += d_c0
-        w2 = d_pre.T @ slabs[:, 4 * d:]
-        w1 = d_pre.T @ params.U[flat_locations[steps.rows]]
-        bias = d_pre.sum(axis=0)
-        for k, gate in enumerate("ifc"):
-            part = slice(k * d, (k + 1) * d)
-            grads.tensor(f"W_{gate}2")[:] += w2[part]
-            grads.tensor(f"W_{gate}1")[:] += w1[part]
-            grads.tensor(f"b_{gate}")[:] += bias[part]
-        d_u[steps.rows] += d_pre @ np.vstack((params.W_i1, params.W_f1,
-                                              params.W_c1))
-        stepped[steps.rows] = True
-
-    if stepped.any():
-        at = np.flatnonzero(stepped)
-        order = np.argsort(flat_locations[at], kind="stable")
-        at = at[order]
-        rows, first = np.unique(flat_locations[at], return_index=True)
-        grads.U[rows] += np.add.reduceat(d_u[at], first, axis=0)
-        grads.touch("U", rows)
-    phases["bptt_seconds"] += time.perf_counter() - begin
+        # d_pre[r] is the step over the location before its packed row
+        _add_u_rows(grads, flat_locations[
+            sub.rows[len(sub.rows) - len(d_pre):] - 1], d_pre)
+        phases["bptt_seconds"] += time.perf_counter() - begin
     return total
 
 
@@ -742,6 +791,8 @@ class EpochRecord:
     softmax_seconds: float  # its softmax, U_out gradient included
     bptt_seconds: float     # the trajectory pass's BPTT, within it
     lockstep_steps: int     # long-term lockstep steps of the trajectory pass
+    validation_seconds: float   # the validation eval_next_location call
+    checkpoint_seconds: float   # this epoch's save_checkpoint, 0.0 if none
 
 
 def write_training_log(records, path, k=5):
@@ -826,22 +877,27 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
         report = eval_next_location(params, config.variant, dataset, splits,
                                     ks=(config.validation_k,), part="validation")
         recall = report.recall_at.get(config.validation_k)
-        seconds = time.perf_counter() - start
+        validation_end = time.perf_counter()
+        improved = recall is None or recall > best
+        if improved:
+            save_checkpoint(checkpoint_path, params, config.variant, *vocab_args)
         records.append(EpochRecord(epoch=epoch, net_loss=net_loss,
                                    traj_loss=traj_loss, val_recall=recall,
-                                   seconds=seconds,
+                                   seconds=validation_end - start,
                                    net_seconds=net_end - start,
                                    traj_seconds=traj_end - net_end,
                                    sample_seconds=sample_seconds,
                                    update_seconds=update_seconds,
+                                   validation_seconds=validation_end - traj_end,
+                                   checkpoint_seconds=(
+                                       time.perf_counter() - validation_end
+                                       if improved else 0.0),
                                    **phases))
         if recall is None:
-            save_checkpoint(checkpoint_path, params, config.variant, *vocab_args)
             continue
-        if recall > best:
+        if improved:
             best = recall
             stale = 0
-            save_checkpoint(checkpoint_path, params, config.variant, *vocab_args)
         else:
             stale += 1
             if stale >= config.patience:

@@ -14,8 +14,9 @@ from lbsnrec import data as lbsn_data
 from lbsnrec import evaluation, training
 from scipy.special import expit
 
-from lbsnrec.model import (ModelParams, VariantMask, forward_trajectory,
-                           gru_initial, log_sigmoid, tensor_shapes)
+from lbsnrec.model import (ModelParams, VariantMask, chain_weights,
+                           forward_trajectory, gru_initial, log_sigmoid,
+                           long_term_chain, tensor_shapes)
 from lbsnrec import synth
 from lbsnrec.synth import community_of_user
 
@@ -139,49 +140,58 @@ def reference_contexts(params, mask, user, locations, bounds):
     return contexts
 
 
-def unpack_trace(params, mask, trace):
-    """The recurrent states of a ForwardTrace in the padded batch layout.
+def unpack_trace(params, mask, trace, views):
+    """The recurrent states behind a ForwardTrace of these views, in the
+    padded batch layout.
 
     short_states (B, T, d) holds the short-term state consulted at each
     position (the contexts' third block); long_cells and long_hidden (B, T +
-    1, d) the long-term state after t locations in column t (column 0 the
-    initial state), for t up to the start of the user's last subtrajectory
-    (where the long-term schedule ends); gates (B, T, 3d) the gates of the
-    step over each position before that start. Entries past the schedule are
-    zero; states the mask disables or the trace does not hold are None.
+    1, d) the state of the views' long_term_chain after t locations in
+    column t (column 0 the initial state), for t up to the start of the
+    user's last subtrajectory (where the long-term schedule ends); gates (B,
+    T, 3d) the gates of the step over each position before that start,
+    rebuilt from the cached cells with the chain's operations. Entries past
+    the schedule are zero; states the mask disables are None.
 
-    Also asserts that each long-term slab's state before its step is the
-    state after the step before it.
+    Also asserts that each rebuilt step turns the cell before it into the
+    cached cell after it, and that each subtrajectory's contexts hold the
+    hidden state the chain gives it.
     """
     num, width = trace.locations.shape
     d = params.dim
-    user, step = np.divmod(trace.positions.rows, max(width, 1))
+    unpacked = SimpleNamespace(short_states=None, long_cells=None,
+                               long_hidden=None, gates=None)
+    if mask.use_short:
+        unpacked.short_states = trace.contexts[:, :, 2 * d:3 * d]
+    if not mask.use_long:
+        return unpacked
+    chain = long_term_chain(params, views)
+    steps, cells = chain.steps, chain.cells[:-1]
+    user = np.searchsorted(steps.starts, steps.rows, side="right") - 1
+    step = steps.rows - steps.starts[user]
+    first = steps.live[0] if steps.live else 0
+    c_prev = chain.cells[np.concatenate((np.full(first, -1), steps.previous))]
+    pre = np.hstack((np.tanh(c_prev), params.U[chain.locations[steps.rows]],
+                     np.ones((len(cells), 1)))) @ chain_weights(params).T
+    gates = np.hstack((expit(pre[:, :2 * d]), np.tanh(pre[:, 2 * d:])))
+    rebuilt = gates[:, :d] * gates[:, 2 * d:] + gates[:, d:2 * d] * c_prev
+    np.testing.assert_allclose(rebuilt, cells, rtol=0, atol=1e-14 * max(
+        1.0, np.abs(cells).max(initial=0.0)))
+    sub = trace.subtrajectories
+    np.testing.assert_array_equal(
+        trace.contexts.reshape(-1, 4 * d)[sub.starts, 3 * d:], chain.hidden)
 
     def padded(packed, shift):
         out = np.zeros((num, width + shift, packed.shape[1]))
         out[user, step + shift] = packed
         return out
 
-    unpacked = SimpleNamespace(short_states=None, long_cells=None,
-                               long_hidden=None, gates=None)
-    if mask.use_short:
-        unpacked.short_states = trace.contexts[:, :, 2 * d:3 * d]
-    if trace.chain is not None:
-        i_gate, f_gate, cand, c_prev, h_prev = (
-            trace.chain[:, k * d:(k + 1) * d] for k in range(5))
-        # the cell after each step, with long_term_chain's operations
-        cells = i_gate * cand + f_gate * c_prev
-        c0, h0 = gru_initial(params)
-        unpacked.long_cells = padded(cells, 1)
-        unpacked.long_cells[:, 0] = c0
-        unpacked.long_hidden = padded(np.tanh(cells), 1)
-        unpacked.long_hidden[:, 0] = h0
-        unpacked.gates = padded(trace.chain[:, :3 * d], 0)
-        np.testing.assert_array_equal(c_prev,
-                                      unpacked.long_cells[user, step])
-        np.testing.assert_allclose(h_prev, unpacked.long_hidden[user, step],
-                                   rtol=0, atol=1e-15)
-        assert trace.chain.shape[1] == 5 * d
+    c0, h0 = gru_initial(params)
+    unpacked.long_cells = padded(cells, 1)
+    unpacked.long_cells[:, 0] = c0
+    unpacked.long_hidden = padded(np.tanh(cells), 1)
+    unpacked.long_hidden[:, 0] = h0
+    unpacked.gates = padded(gates, 0)
     return unpacked
 
 
@@ -193,8 +203,9 @@ def forward_one(params, mask, user, locations, bounds):
     unpack_trace, zero past the long-term schedule), None where the mask
     disables a chain.
     """
-    trace = forward_trajectory(params, mask, [user], [(locations, bounds)])
-    unpacked = vars(unpack_trace(params, mask, trace))
+    views = [(locations, bounds)]
+    trace = forward_trajectory(params, mask, [user], views)
+    unpacked = vars(unpack_trace(params, mask, trace, views))
     unpacked["contexts"] = trace.contexts
     rows = {name: None if array is None else array[0]
             for name, array in unpacked.items()}

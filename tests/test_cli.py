@@ -215,7 +215,8 @@ def test_eval_forwards_each_test_group_once(tmp_path, synth_cache,
     ds = lbsn_data.load_dataset(synth_cache)
     splits = lbsn_data.make_splits(ds, seed=5, **dict(
         cli.SPLIT_DEFAULTS, trajectory_train_frac=0.5))
-    lengths = [len(item[1]) for item in
+    # each group forwards its users' test positions
+    lengths = [len(locs) - start for _, locs, _, start in
                evaluation._evaluated_users(ds, splits, "test")]
     # rank-only groups of two users
     monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", max(lengths))
@@ -224,17 +225,18 @@ def test_eval_forwards_each_test_group_once(tmp_path, synth_cache,
     calls = []
     forward = evaluation.forward_trajectory
 
-    def counting_forward(params, mask, users, views, **caches):
-        calls.append(list(users))
-        return forward(params, mask, users, views, **caches)
+    def counting_forward(params, mask, users, views, *long_states):
+        calls.append((list(users), [len(locs) for locs, _ in views]))
+        return forward(params, mask, users, views, *long_states)
 
     monkeypatch.setattr(evaluation, "forward_trajectory", counting_forward)
     assert run_cli(["eval", "--model", model, "--data", synth_cache,
                     "--config", cfg, "--out", tmp_path / "r.csv",
                     "--task", "both"]) == 0
     assert len(groups) > 1 and len(calls) == len(groups)
-    assert [u for users in calls for u in users] == sorted(
+    assert [u for users, _ in calls for u in users] == sorted(
         u for u, *_ in evaluation._evaluated_users(ds, splits, "test"))
+    assert [n for _, sizes in calls for n in sizes] == lengths
 
 
 def _string_table_size(strings):
@@ -460,6 +462,12 @@ def test_bench_times_real_training_epochs(tmp_path, synth_cache, monkeypatch,
     assert f"forward={min(r.forward_seconds for r in records):.3f}s" in out_line
     assert f"softmax={min(r.softmax_seconds for r in records):.3f}s" in out_line
     assert f"bptt={min(r.bptt_seconds for r in records):.3f}s" in out_line
+    assert f"validation={min(r.validation_seconds for r in records):.3f}s" \
+        in out_line
+    # without validation events every epoch checkpoints
+    assert all(r.checkpoint_seconds > 0 for r in records)
+    assert f"checkpoint={min(r.checkpoint_seconds for r in records):.3f}s" \
+        in out_line
     assert f"steps={min(r.lockstep_steps for r in records)} " in out_line
 
 

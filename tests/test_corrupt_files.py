@@ -113,6 +113,24 @@ def test_non_finite_checkpoint_tensor_raises_named_error(tmp_path, tensor,
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("tensor", ["U_out", "W_f1", "C0"])
+def test_finite_checkpoint_tensor_whose_row_sums_overflow_loads(tmp_path,
+                                                                tensor):
+    # each row holds entries near the largest float64, whose sum overflows
+    # to inf; every entry is finite, so the checkpoint loads unchanged
+    rng = np.random.default_rng(1)
+    params = random_params(rng, 3, 5, 2)
+    big = params.tensor(tensor)
+    big[...] = np.finfo(np.float64).max * 0.75
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(big @ np.ones(big.shape[-1])).all()
+    path = tmp_path / "m.jntm"
+    save_checkpoint(path, params, FULL_VARIANT, ["a", "b", "c"],
+                    ["l0", "l1", "l2", "l3", "l4"])
+    loaded = load_checkpoint(path)[0]
+    np.testing.assert_array_equal(loaded.tensor(tensor), big)
+
+
 def test_eval_exits_2_on_non_finite_checkpoint(tmp_path, capsys):
     # a trained synth model with U_out set to NaN and saved again
     from lbsnrec import cli

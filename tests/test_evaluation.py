@@ -151,33 +151,51 @@ def test_teacher_forcing_consumes_ground_truth(monkeypatch):
     splits = lbsn_data.make_splits(ds, link_train_ratio=0.5, seed=1)
     rng = np.random.default_rng(3)
     params = random_params(rng, ds.num_users, ds.num_locations, 3, scale=0.3)
-    consumed = []
+    chains, forwards = [], []
+    chain_fn = evaluation.long_term_chain
     forward = evaluation.forward_trajectory
 
-    def recording_forward(params, mask, users, views, **caches):
-        # ranking asks for no BPTT caches; the cached trace shows the states
-        assert caches == {"caches": False}
-        trace = forward(params, mask, users, views)
-        padded = unpack_trace(params, mask, trace)
+    def recording_chain(params, views, caches=True):
+        # ranking asks for no cells; the cached chain shows the states
+        assert caches is False
+        cached = chain_fn(params, views)
         for b, (locations, bounds) in enumerate(views):
-            consumed.extend(locations.tolist())
-            # every consumed location advances the short-term chain, and the
-            # long-term one up to the last consulted boundary
-            assert bounds[-1][1] == len(locations) == trace.lengths[b]
+            # the chain stops at the last consulted boundary, with gates in
+            # (0, 1) before it
             last = bounds[-1][0]
-            assert np.all(padded.long_hidden[b, last + 1:] == 0.0)
-            assert np.any(padded.long_hidden[b, last] != 0.0)
-            assert np.all(padded.gates[b, :last, :2 * params.dim] > 0.0)
-        return forward(params, mask, users, views, **caches)
+            assert cached.steps.lengths[b] == last > 0
+            split = [(locations, [(0, last), (last, len(locations))])]
+            padded = unpack_trace(params, FULL_VARIANT, forward(
+                params, FULL_VARIANT, [b], split), split)
+            assert np.all(padded.long_hidden[0, last + 1:] == 0.0)
+            assert np.any(padded.long_hidden[0, last] != 0.0)
+            assert np.all(padded.gates[0, :last, :2 * params.dim] > 0.0)
+        chain = chain_fn(params, views, caches)
+        np.testing.assert_array_equal(chain.hidden, cached.hidden)
+        chains.append(chain)
+        return chain
 
+    def recording_forward(params, mask, users, views, long_states):
+        forwards.append((views, long_states))
+        return forward(params, mask, users, views, long_states)
+
+    monkeypatch.setattr(evaluation, "long_term_chain", recording_chain)
     monkeypatch.setattr(evaluation, "forward_trajectory", recording_forward)
     eval_next_location(params, FULL_VARIANT, ds, splits, part="test")
-    expected = []
+    # one chain over every user's history up to their last consulted
+    # boundary; the forwards take each test position, their subtrajectories
+    # consulting the chain's hidden states in order
+    chained, forwarded = [], []
     for u, traj in enumerate(ds.trajectories):
-        hi = len(traj.subtrajectory_bounds)
-        end = traj.subtrajectory_bounds[hi - 1][1]
-        expected.extend(traj.locations[:end].tolist())
-    assert consumed == expected
+        bounds = traj.subtrajectory_bounds
+        first = bounds[int(splits.test_start[u])][0]
+        chained.extend(traj.locations[:bounds[-1][0]].tolist())
+        forwarded.extend(traj.locations[first:bounds[-1][1]].tolist())
+    assert len(chains) == 1 and chains[0].locations.tolist() == chained
+    assert [loc for views, _ in forwards for locs, _ in views
+            for loc in locs.tolist()] == forwarded
+    np.testing.assert_array_equal(
+        np.concatenate([states for _, states in forwards]), chains[0].hidden)
 
 
 def test_variant_masks_change_scores_not_protocol():
@@ -313,16 +331,19 @@ def test_batched_eval_score_blocks_hold_whole_users(monkeypatch, mode,
 def test_batched_eval_forward_groups_straddle_score_blocks(monkeypatch, mode,
                                                            users_per_group):
     ds, splits = _revisiting_dataset(6, num_users=9)
-    bound = users_per_group * max(len(t) for t in ds.trajectories)
+    # a forward takes the part's positions of each user
+    bound = users_per_group * max(len(locs) - start for _, locs, _, start in
+                                  evaluation._evaluated_users(ds, splits,
+                                                              "test"))
     # a rank-only forward takes groups of twice FORWARD_GROUP_POSITIONS
     monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", bound / 2)
     monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES", 2 * ds.num_locations)
     groups = []
     forward = evaluation.forward_trajectory
 
-    def recording_forward(params, mask, users, views, **caches):
+    def recording_forward(params, mask, users, views, *long_states):
         groups.append((list(users), [len(locs) for locs, _ in views]))
-        return forward(params, mask, users, views, **caches)
+        return forward(params, mask, users, views, *long_states)
 
     monkeypatch.setattr(evaluation, "forward_trajectory", recording_forward)
     params = random_params(np.random.default_rng(6), ds.num_users,

@@ -3,8 +3,11 @@ import math
 
 import pytest
 
+import numpy as np
+
 from lbsnrec import data as lbsn_data
 from lbsnrec import gradcheck, training
+from lbsnrec import model as lbsn_model
 from lbsnrec.model import ModelParams, VariantMask
 from lbsnrec.gradcheck import (check_all, default_toy_config,
                                finite_diff_gradient, make_toy_dataset,
@@ -110,6 +113,53 @@ def test_check_all_passes_on_masked_dense_softmax(monkeypatch, seed):
     report = check_all(make_toy_dataset(seed=seed), config)
     assert report.passed, report.failing_tensors()
     assert calls and set(calls) == {("dense", True)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_all_passes_across_forward_groups_and_chain_blocks(monkeypatch,
+                                                                 seed):
+    # at two positions a group and two step-columns a chain block, the toy
+    # batch (histories of 7, 6, 1, 1, 1, 1 check-ins; long-term live counts
+    # 2, 2, 1, 1) runs in four forward groups and three chain blocks, the
+    # first two splitting the run of two live sequences
+    monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", 2)
+    dataset = make_toy_dataset(seed=seed)
+    splits = lbsn_data.full_train_splits(dataset)
+    views = [training.training_view(dataset, splits, u)
+             for u in range(dataset.num_users)]
+    groups = list(lbsn_model.forward_groups([len(locs) for locs, _ in views]))
+    ends = [bounds[-1][0] for _, bounds in views]
+    live = lbsn_model.lockstep(np.cumsum(ends) - ends, ends).live
+    blocks = list(lbsn_model.chain_blocks(live))
+    assert len(groups) >= 3 and len(blocks) >= 3
+    assert any(t1 == s0 and live[t0] == live[s0] for (t0, t1, _, _), (
+        s0, *_) in zip(blocks, blocks[1:]))
+    report = check_all(dataset, default_toy_config(seed=seed))
+    assert report.passed, report.failing_tensors()
+
+
+@pytest.mark.parametrize("fault", ["forget_gate", "d_consulted"])
+def test_check_all_catches_a_scaled_long_term_backward(monkeypatch, fault):
+    if fault == "forget_gate":
+        # scale the forget gates each long-term BPTT block rebuilds, the
+        # only (n, 2d, k) expit of training
+        exact = training.expit
+
+        def scaled(x, out=None):
+            result = exact(x, out=out)
+            if result.ndim == 3:
+                result[:, result.shape[1] // 2:] *= 0.999
+            return result
+
+        monkeypatch.setattr(training, "expit", scaled)
+    else:
+        exact = training._long_term_backward
+        monkeypatch.setattr(
+            training, "_long_term_backward",
+            lambda params, chain, d_consulted, grads: exact(
+                params, chain, 0.999 * d_consulted, grads))
+    report = check_all(make_toy_dataset(seed=0), default_toy_config(seed=0))
+    assert not report.passed
 
 
 def test_check_all_fault_injection_names_tensor(monkeypatch):

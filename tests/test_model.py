@@ -5,12 +5,13 @@ import pytest
 from scipy.special import expit
 
 from lbsnrec import data as lbsn_data
+from lbsnrec import model as lbsn_model
 from lbsnrec.model import (BASE_VARIANT, FULL_VARIANT, ModelParams, VariantMask,
                            forward_trajectory, gru_initial,
                            joint_log_likelihood_full, load_checkpoint,
                            location_log_prob_full, log_sigmoid,
-                           network_log_likelihood_full, save_checkpoint,
-                           tensor_shapes)
+                           long_term_chain, network_log_likelihood_full,
+                           save_checkpoint, tensor_shapes)
 
 from conftest import make_checkins
 from property_checks import (forward_one, gru_step, link_logit, random_params,
@@ -281,14 +282,15 @@ def test_lockstep_batch_matches_one_user_calls(mask, order):
     users = np.array([4, 0, 8, 2, 5, 1, 7])
     perm = {"given": np.arange(7), "reversed": np.arange(7)[::-1],
             "shuffled": rng.permutation(7)}[order]
-    traced = forward_trajectory(p, mask, users[perm], [views[i] for i in perm])
+    permuted = [views[i] for i in perm]
+    traced = forward_trajectory(p, mask, users[perm], permuted)
     width = max(len(locs) for locs, _ in views)
     assert traced.contexts.shape == (7, width, 12)
-    batch = unpack_trace(p, mask, traced)
+    batch = unpack_trace(p, mask, traced, permuted)
     for b, i in enumerate(perm):
         n = len(views[i][0])
         alone = forward_trajectory(p, mask, users[i:i + 1], [views[i]])
-        one = unpack_trace(p, mask, alone)
+        one = unpack_trace(p, mask, alone, [views[i]])
         assert traced.lengths[b] == alone.lengths[0] == n
         pairs = [(traced.contexts, alone.contexts, n)]
         if mask.use_short:
@@ -322,15 +324,21 @@ def test_long_term_schedule_ends_at_the_last_consulted_boundary(mask, caches):
     p = params_with(rng, num_users=9, num_locations=12, dim=3, scale=0.8)
     views = ragged_views(rng, 12)
     users = np.array([4, 0, 8, 2, 5, 1, 7])
-    trace = forward_trajectory(p, mask, users, views, caches=caches)
-    width = trace.locations.shape[1]
+    chain = long_term_chain(p, views, caches=caches)
     # users 3 and 5 have a single subtrajectory, user 1 none: no steps
     last = [bounds[-1][0] if bounds else 0 for _, bounds in views]
     assert last == [6, 0, 2, 0, 10, 0, 2]
-    np.testing.assert_array_equal(trace.positions.lengths, last)
+    starts = np.cumsum(last) - last
+    np.testing.assert_array_equal(chain.steps.lengths, last)
+    np.testing.assert_array_equal(chain.steps.starts, starts)
     np.testing.assert_array_equal(
-        np.sort(trace.positions.rows),
-        [b * width + t for b, n in enumerate(last) for t in range(n)])
+        np.sort(chain.steps.rows), np.arange(sum(last)))
+    np.testing.assert_array_equal(chain.locations, np.concatenate(
+        [locs[:n] for (locs, _), n in zip(views, last)]))
+    assert len(chain.hidden) == len(chain.consulted) == sum(
+        len(bounds) for _, bounds in views)
+    trace = forward_trajectory(p, mask, users, views,
+                               chain.hidden if mask.use_long else None)
     for b, (locs, bounds) in enumerate(views):
         expected = reference_contexts(p, mask, users[b], locs, bounds)
         scale = max(np.abs(expected).max(initial=0.0), 1.0)
@@ -342,17 +350,55 @@ def test_long_term_schedule_ends_at_the_last_consulted_boundary(mask, caches):
 @pytest.mark.parametrize("mask", ALL_VARIANTS,
                          ids=["full", "short_only", "long_only", "base"])
 def test_forward_without_caches_keeps_only_contexts(mask):
+    # a trace holds the contexts and the short-term schedule; the long-term
+    # chain keeps its cells only with caches, which change no state
     rng = np.random.default_rng(13)
     p = params_with(rng, num_users=9, num_locations=12, dim=3, scale=0.8)
     views = ragged_views(rng, 12)
     users = np.array([4, 0, 8, 2, 5, 1, 7])
-    cached = forward_trajectory(p, mask, users, views)
-    ranked = forward_trajectory(p, mask, users, views, caches=False)
-    np.testing.assert_array_equal(ranked.contexts, cached.contexts)
-    np.testing.assert_array_equal(ranked.lengths, cached.lengths)
-    for name in ("chain", "consulted"):
-        assert getattr(ranked, name) is None, name
-        assert (getattr(cached, name) is not None) == mask.use_long, name
+    cached = long_term_chain(p, views)
+    ranked = long_term_chain(p, views, caches=False)
+    assert ranked.cells is None
+    assert cached.cells.shape == (len(cached.steps.rows) + 1, 3)
+    np.testing.assert_array_equal(cached.cells[-1], p.C0)
+    np.testing.assert_array_equal(ranked.hidden, cached.hidden)
+    standalone = forward_trajectory(p, mask, users, views)
+    assert set(vars(standalone)) == {"lengths", "locations", "contexts",
+                                     "subtrajectories"}
+    given = forward_trajectory(p, mask, users, views,
+                               cached.hidden if mask.use_long else None)
+    np.testing.assert_array_equal(given.contexts, standalone.contexts)
+    np.testing.assert_array_equal(given.lengths, standalone.lengths)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5, 630])
+def test_long_term_chain_independent_of_block_bound(monkeypatch, bound):
+    # blocks of at most `bound` step-columns, runs of equal live count and
+    # columns split, give the hidden states of whole-run blocks
+    rng = np.random.default_rng(13)
+    p = params_with(rng, num_users=9, num_locations=12, dim=3, scale=0.8)
+    views = ragged_views(rng, 12)
+    whole = long_term_chain(p, views)
+    monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", bound)
+    blocks = list(lbsn_model.chain_blocks(whole.steps.live))
+    assert all((t1 - t0) * (c1 - c0) <= bound for t0, t1, c0, c1 in blocks)
+    # a block's packed rows are contiguous, and each row lies in one block
+    offsets, covered = whole.steps.offsets, []
+    for t0, t1, c0, c1 in blocks:
+        rows = [offsets[t] + c for t in range(t0, t1) for c in range(c0, c1)]
+        assert rows == list(range(rows[0], rows[0] + len(rows)))
+        covered += rows
+    assert sorted(covered) == list(range(len(whole.steps.rows)))
+    split = long_term_chain(p, views)
+    np.testing.assert_array_equal(split.consulted, whole.consulted)
+    np.testing.assert_allclose(split.hidden, whole.hidden, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(split.cells, whole.cells, rtol=0, atol=1e-15)
+    later = whole.consulted >= 0
+    np.testing.assert_allclose(whole.hidden[later],
+                               np.tanh(whole.cells[whole.consulted[later]]),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(whole.hidden[~later],
+                                  np.tile(np.tanh(p.C0), (np.sum(~later), 1)))
 
 
 def test_forward_empty_batch_and_empty_views():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -146,6 +147,9 @@ def test_enumerated_negatives_batch_equals_per_position_draws(n2):
     assert rng.bit_generator.state == state
     reference = np.random.default_rng(9)
     for u, (locs, _), negs in zip(batch.users, batch.views, batch.negatives):
+        # the batch records that it enumerates and builds no rows
+        assert isinstance(negs, training.OtherLocations)
+        assert negs.shape == (len(locs), ds.num_locations - 1)
         assert len(negs) == len(locs) > 0
         np.testing.assert_array_equal(
             negs, sample_negative_locations(ds.num_locations, locs, n2,
@@ -156,6 +160,33 @@ def test_enumerated_negatives_batch_equals_per_position_draws(n2):
             assert neg.dtype == expected.dtype
             np.testing.assert_array_equal(neg, expected)
     assert reference.bit_generator.state == state
+
+
+@pytest.mark.parametrize("mask", [VariantMask(s, g) for s in (True, False)
+                                  for g in (True, False)],
+                         ids=["full", "short_only", "long_only", "base"])
+def test_enumerated_batch_loss_builds_no_negative_rows(monkeypatch, mask):
+    # the dense softmax reads only the width of enumerated negatives; the
+    # batch's loss and gradients equal those of its materialised rows
+    ds = toy_dataset(seed=5, num_users=4, num_locations=8)
+    splits = lbsn_data.full_train_splits(ds)
+    rng = np.random.default_rng(9)
+    params = random_params(rng, ds.num_users, ds.num_locations, 3, scale=0.5)
+    batch = draw_trajectory_batch(ds, splits, np.arange(ds.num_users), 7, rng)
+    rows = training.TrajectoryBatch(
+        users=batch.users, views=batch.views,
+        negatives=[np.asarray(negs) for negs in batch.negatives])
+    want_loss, want = trajectory_loss_and_grads(params, mask, rows)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("enumerated negatives were materialised")
+
+    monkeypatch.setattr(training.OtherLocations, "__array__", refuse)
+    loss, grads = trajectory_loss_and_grads(params, mask, batch)
+    assert loss == want_loss
+    for name in TENSOR_NAMES:
+        np.testing.assert_array_equal(grads.tensor(name), want.tensor(name))
+    assert touched_rows(grads) == touched_rows(want)
 
 
 class RoundCounter:
@@ -599,7 +630,8 @@ def planted_batch(seed, num_users=32, scale=0.3):
 FORWARD_GROUP_CASES = [
     pytest.param("ragged", 1, 7, id="1"), pytest.param("ragged", 20, 4, id="20"),
     pytest.param("planted", 102, 32, id="planted-102"),
-    pytest.param("planted", 512, 7, id="planted-512")]
+    pytest.param("planted", 512, 7, id="planted-512"),
+    pytest.param("planted", 10**6, 1, id="planted-whole")]
 
 
 @pytest.mark.parametrize("shape, positions, calls", FORWARD_GROUP_CASES)
@@ -616,13 +648,20 @@ def test_trajectory_grads_independent_of_forward_groups(monkeypatch, shape,
             [len(locs) for locs, _ in batch.views])] == [6, 6, 6, 6, 6, 2]
     loss, grads = trajectory_loss_and_grads(params, FULL_VARIANT, batch)
     monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", positions)
-    recorded = []
+    recorded, chains = [], []
     forward = training.forward_trajectory
     monkeypatch.setattr(training, "forward_trajectory",
                         lambda *args: recorded.append(args) or forward(*args))
+    chain = training.long_term_chain
+    monkeypatch.setattr(training, "long_term_chain",
+                        lambda *args: chains.append(args) or chain(*args))
     grouped_loss, grouped = trajectory_loss_and_grads(params, FULL_VARIANT,
                                                       batch)
-    assert len(recorded) == calls
+    # one chain over the batch; each group reads its users' hidden states
+    assert len(recorded) == calls and len(chains) == 1
+    assert [len(args[2]) for args in recorded] == [
+        hi - lo for lo, hi in lbsn_model.forward_groups(
+            [len(locs) for locs, _ in batch.views])]
     assert abs(grouped_loss - loss) <= 1e-12 * abs(loss)
     for name in TENSOR_NAMES:
         scale = np.abs(grads.tensor(name)).max()
@@ -662,9 +701,12 @@ def valid_contexts(params, mask, batch):
     """The forward contexts of every position of the batch, in batch order."""
     out = []
     views = batch.views
+    hidden = lbsn_model.long_term_chain(params, views).hidden
+    firsts = np.cumsum([0] + [len(bounds) for _, bounds in views])
     for lo, hi in lbsn_model.forward_groups([len(locs) for locs, _ in views]):
-        trace = lbsn_model.forward_trajectory(params, mask, batch.users[lo:hi],
-                                              views[lo:hi])
+        trace = lbsn_model.forward_trajectory(
+            params, mask, batch.users[lo:hi], views[lo:hi],
+            hidden[firsts[lo]:firsts[hi]] if mask.use_long else None)
         width = trace.locations.shape[1]
         valid = np.flatnonzero(np.arange(width) < trace.lengths[:, None])
         out.append(trace.contexts.reshape(-1, 4 * params.dim)[valid])
@@ -890,23 +932,48 @@ def test_planted_training_batch_memory_below_the_padded_trace_peak():
 def test_planted_training_lockstep_steps(monkeypatch, tmp_path):
     # one planted training at the benchmark's config, validation included:
     # 7,992 long-term lockstep steps with 512-position groups throughout,
-    # 4,992 with 630-position groups and chains over whole histories
+    # 4,992 with 630-position groups and chains over whole histories, 4,704
+    # with chains that stop at the last consulted boundary, and 1,176 with
+    # one chain per batch and per validation ranking
     dataset, splits, _ = planted_instance(5)
     steps = {True: [], False: []}
-    forward = lbsn_model.forward_trajectory
+    chain = lbsn_model.long_term_chain
 
-    def counted(*args, caches=True, **kwargs):
-        trace = forward(*args, caches=caches, **kwargs)
-        steps[caches].append(len(trace.positions.live))
-        return trace
+    def counted(params, views, caches=True):
+        run = chain(params, views, caches)
+        steps[caches].append(len(run.steps.live))
+        return run
 
-    monkeypatch.setattr(training, "forward_trajectory", counted)
-    monkeypatch.setattr(evaluation, "forward_trajectory", counted)
+    monkeypatch.setattr(training, "long_term_chain", counted)
+    monkeypatch.setattr(evaluation, "long_term_chain", counted)
     config = TrainConfig(d=16, learning_rate=0.3, max_iterations=4, patience=4,
                          seed=5)
     records = train(dataset, splits, config, tmp_path / "m.jntm")
-    assert sum(steps[True]) + sum(steps[False]) <= 4704
-    assert sum(r.lockstep_steps for r in records) == sum(steps[True]) <= 3072
+    assert len(records) == 4 and len(steps[False]) == 4
+    assert sum(steps[True]) + sum(steps[False]) <= 1176
+    assert sum(r.lockstep_steps for r in records) == sum(steps[True]) <= 768
+
+
+@pytest.mark.parametrize("positions", [1, 100, 630, 10**6])
+@pytest.mark.parametrize("shape", ["ragged", "planted"])
+def test_batch_long_term_steps_equal_its_longest_last_start(monkeypatch, shape,
+                                                           positions):
+    # every user of a batch advances in one chain, whatever the groups
+    if shape == "ragged":
+        rng = np.random.default_rng(22)
+        params = random_params(rng, 9, 12, 3, scale=0.8)
+        batch = ragged_batch(rng, 12, 5)
+    else:
+        params, batch = planted_batch(5)
+    monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", positions)
+    calls = []
+    chain = training.long_term_chain
+    monkeypatch.setattr(training, "long_term_chain",
+                        lambda *args: calls.append(args) or chain(*args))
+    phases = Counter()
+    trajectory_loss_and_grads(params, FULL_VARIANT, batch, phases=phases)
+    last = max(bounds[-1][0] for _, bounds in batch.views if bounds)
+    assert len(calls) == 1 and phases["lockstep_steps"] == last > 0
 
 
 def test_trajectory_softmax_memory_stays_below_half_of_u_out():
@@ -1295,3 +1362,12 @@ def test_train_pass_times_lie_within_the_epoch(tmp_path):
         assert r.forward_seconds + r.softmax_seconds + r.bptt_seconds <= \
             r.traj_seconds
         assert r.lockstep_steps > 0
+        assert 0 < r.validation_seconds
+        assert r.net_seconds + r.traj_seconds + r.validation_seconds <= \
+            r.seconds
+    # each epoch whose recall improves saves a checkpoint, after seconds
+    best = -np.inf
+    for r in records:
+        improved = r.val_recall is None or r.val_recall > best
+        assert (r.checkpoint_seconds > 0) == improved
+        best = max(best, -np.inf if r.val_recall is None else r.val_recall)
