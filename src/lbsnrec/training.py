@@ -89,18 +89,47 @@ class Gradients:
     """Gradient buffers shaped like ModelParams, with a boolean mask per
     embedding tensor of the rows touched since the last zero().
 
-    Embedding rows outside the masks are exactly zero.
+    Embedding rows outside the masks are exactly zero. The U_out gradient
+    is u_out_buffer plus the products G @ C of u_out_records, (G, C) pairs
+    of a sparse |L| x n score-gradient matrix and its n x 4d contexts that
+    _gathered_softmax appends; u_out_rows forms any rows of it, and reading
+    U_out (or tensor("U_out")) multiplies the records into the buffer.
     """
 
     def __init__(self, num_users, num_locations, dim):
-        for name, shape in tensor_shapes(num_users, num_locations, dim).items():
-            setattr(self, name, np.zeros(shape))
-        self.touched = {name: np.zeros(len(getattr(self, name)), dtype=bool)
+        shapes = tensor_shapes(num_users, num_locations, dim)
+        for name, shape in shapes.items():
+            if name != "U_out":
+                setattr(self, name, np.zeros(shape))
+        self.u_out_buffer = np.zeros(shapes["U_out"])
+        self.u_out_written = False  # whether u_out_buffer may be nonzero
+        self.u_out_records = []
+        self.touched = {name: np.zeros(shapes[name][0], dtype=bool)
                         for name in EMBEDDING_NAMES}
 
     @classmethod
     def like(cls, params):
         return cls(params.num_users, params.num_locations, params.dim)
+
+    @property
+    def U_out(self):
+        """The U_out gradient buffer with any records multiplied in; as the
+        caller may write it, it counts as written until zero()."""
+        if self.u_out_records:
+            for rows in _row_chunks(self.u_out_buffer, GATHER_CHUNK_ENTRIES):
+                self.u_out_buffer[rows] = self.u_out_rows(rows)
+            self.u_out_records = []
+        self.u_out_written = True
+        return self.u_out_buffer
+
+    def u_out_rows(self, rows):
+        """Rows `rows` (a slice or an index array) of the U_out gradient: the
+        buffer's (zero unless written) plus each record's G[rows] @ C, added
+        in record order."""
+        total = self.u_out_buffer[rows] if self.u_out_written else 0.0
+        for g, contexts in self.u_out_records:
+            total = total + g[rows] @ contexts
+        return total
 
     def tensor(self, name):
         return getattr(self, name)
@@ -118,14 +147,19 @@ class Gradients:
         return rows if len(rows) < SPARSE_ROW_SHARE * len(mask) else None
 
     def zero(self):
-        """Zero every tensor, sparsely touched ones in their touched rows
-        only, and clear the masks."""
+        """Zero every written tensor, sparsely touched ones in their touched
+        rows only, drop the U_out records and clear the masks."""
         for name in TENSOR_NAMES:
+            if name == "U_out" and not self.u_out_written:
+                continue
+            buffer = self.u_out_buffer if name == "U_out" else self.tensor(name)
             rows = self.sparse_rows(name)
             if rows is None:
-                self.tensor(name).fill(0.0)
+                buffer.fill(0.0)
             else:
-                self.tensor(name)[rows] = 0.0
+                buffer[rows] = 0.0
+        self.u_out_records = []
+        self.u_out_written = False
         for mask in self.touched.values():
             mask.fill(False)
 
@@ -140,13 +174,22 @@ SPARSE_ROW_SHARE = 0.25
 ADAGRAD_CHUNK_ENTRIES = 1 << 14
 
 
+def _row_chunks(array, entries, rows=None):
+    """Chunks of whole rows of array, about `entries` entries each: slices
+    over all its rows, or pieces of the index array `rows`."""
+    per_chunk = max(1, entries // math.prod(array.shape[1:]))
+    if rows is None:
+        return (slice(s, s + per_chunk) for s in range(0, len(array), per_chunk))
+    return (rows[s:s + per_chunk] for s in range(0, len(rows), per_chunk))
+
+
 class OptimizerState:
     """Per-entry sums of squared gradients for AdaGrad, plus its scratch."""
 
     def __init__(self, params):
         self.accumulators = {name: np.zeros_like(params.tensor(name))
                              for name in TENSOR_NAMES}
-        size = max(ADAGRAD_CHUNK_ENTRIES,
+        size = max(ADAGRAD_CHUNK_ENTRIES, GATHER_CHUNK_ENTRIES,
                    *(math.prod(params.tensor(name).shape[1:])
                      for name in TENSOR_NAMES))
         self.scratch = (np.empty(size), np.empty(size),
@@ -426,7 +469,7 @@ def sampled_location_loss(params, context, target, negatives):
     """
     cands = np.concatenate((np.asarray(target, dtype=np.int64)[..., None],
                             np.asarray(negatives, dtype=np.int64)), axis=-1)
-    u_rows = params.U_out[cands]
+    u_rows = np.take(params.U_out, cands, axis=0)
     scores = np.matmul(u_rows, context[..., None])[..., 0]
     m = scores.max(axis=-1, keepdims=True)
     exps = np.exp(scores - m)
@@ -445,7 +488,8 @@ DENSE_SOFTMAX_RATIO = 4
 
 # _gathered_softmax works in chunks of about this many float64 entries
 # (640 KB), which stay in cache: positions x candidates x 4d gathered per
-# sampled_location_loss call, rows x 4d per slice of the U_out gradient.
+# sampled_location_loss call, rows x 4d per chunk of the U_out gradient that
+# adagrad_update forms from the records (409 rows at d = 50).
 GATHER_CHUNK_ENTRIES = 5 << 14
 
 
@@ -458,7 +502,7 @@ def _dense_softmax(params, contexts, targets, negatives, grads):
     G its score gradients, G.T @ C adds to the U_out gradient and G @ U_out
     is written over the block's contexts, which are returned.
     """
-    total = 0.0
+    total, u_out_grad = 0.0, grads.U_out
     for block, scores in score_blocks(contexts, params.U_out):
         rows = np.arange(len(scores))
         at = targets[block]
@@ -474,7 +518,7 @@ def _dense_softmax(params, contexts, targets, negatives, grads):
         total += float((np.log(z) + m - target).sum())
         scores /= z[:, None]
         scores[rows, at] -= 1.0
-        grads.U_out += scores.T @ contexts[block]
+        u_out_grad += scores.T @ contexts[block]
         np.matmul(scores, params.U_out, out=contexts[block])
     grads.touch("U_out", slice(None) if negatives is None else targets)
     if negatives is not None:
@@ -486,10 +530,9 @@ def _gathered_softmax(params, contexts, targets, negatives, grads):
     """Loss and context gradients of positions each scored against its own
     gathered candidates, in batched sampled_location_loss calls.
 
-    The U_out gradient, one sparse product G @ contexts with G[c, i] the
-    gradient of position i's score of c, is added to grads in row slices:
-    over every location, or over the distinct candidates when there are
-    fewer candidate entries than locations.
+    The U_out gradient G @ contexts, with G[c, i] the gradient of position
+    i's score of c, is recorded on grads as the pair (G, contexts), G a
+    sparse matrix; adagrad_update multiplies it out a row chunk at a time.
     """
     # imported here: scipy.sparse adds about 1.7 MB of RSS, which runs that
     # only take the dense path never need
@@ -502,18 +545,11 @@ def _gathered_softmax(params, contexts, targets, negatives, grads):
                               targets[s:s + chunk], negatives[s:s + chunk])
         for s in range(0, len(contexts), chunk)))
     cands, d_scores = np.concatenate(cands), np.concatenate(d_scores)
-    (n, width), num_locations = cands.shape, len(params.U_out)
-    if cands.size < num_locations:
-        rows, local = np.unique(cands, return_inverse=True)
-    else:
-        rows, local = None, cands
+    n, width = cands.shape
     g = sparse.csc_matrix(
-        (d_scores.ravel(), local.ravel(), np.arange(0, n * width + 1, width)),
-        shape=(num_locations if rows is None else len(rows), n)).tocsr()
-    step = max(1, GATHER_CHUNK_ENTRIES // contexts.shape[1])
-    for r in range(0, g.shape[0], step):
-        out = slice(r, r + step) if rows is None else rows[r:r + step]
-        grads.U_out[out] += g[r:r + step] @ contexts
+        (d_scores.ravel(), cands.ravel(), np.arange(0, n * width + 1, width)),
+        shape=(len(params.U_out), n)).tocsr()
+    grads.u_out_records.append((g, contexts))
     grads.touch("U_out", cands.ravel())
     return sum(losses), np.concatenate(d_contexts)
 
@@ -674,8 +710,9 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives,
 
     - Softmax: losses, context gradients (written over the contexts) and the
       U_out gradient; _dense_softmax scores every location when |L| is at
-      most DENSE_SOFTMAX_RATIO times a position's candidates, else
-      _gathered_softmax each position's own.
+      most DENSE_SOFTMAX_RATIO times a position's candidates and adds to the
+      U_out gradient, else _gathered_softmax each position's own and records
+      it (Gradients.u_out_records).
     - Context: the F and P blocks sum into F[v] and P[v], the short-term
       block reaches the state consulted at each position, the long-term
       block sums per subtrajectory. The contexts are freed before BPTT.
@@ -740,26 +777,24 @@ def adagrad_update(params, grads, optimizer_state, learning_rate, epsilon):
     unchanged, so every path equals the lazy row update. Tensors are walked
     in chunks of whole rows (ADAGRAD_CHUNK_ENTRIES) through the optimizer's
     scratch buffers, checking each chunk for non-finite gradients before
-    using it.
+    using it. A U_out gradient with records is formed a chunk of
+    GATHER_CHUNK_ENTRIES at a time (Gradients.u_out_rows), so its buffer is
+    neither read nor written unless something else wrote it.
     """
     denom_buf, step_buf, finite_buf = optimizer_state.scratch
     for name in TENSOR_NAMES:
         rows = grads.sparse_rows(name)
         if rows is not None and not len(rows):
             continue
-        g = grads.tensor(name)
+        recorded = name == "U_out" and grads.u_out_records
+        g = grads.u_out_buffer if recorded else grads.tensor(name)
         acc = optimizer_state.accumulators[name]
         target = params.tensor(name)
-        per_chunk = max(1, ADAGRAD_CHUNK_ENTRIES // math.prod(g.shape[1:]))
-        if rows is None:
-            chunks = (slice(s, s + per_chunk)
-                      for s in range(0, len(g), per_chunk))
-        else:
-            chunks = (rows[s:s + per_chunk]
-                      for s in range(0, len(rows), per_chunk))
-        for chunk in chunks:
+        for chunk in _row_chunks(g, GATHER_CHUNK_ENTRIES if recorded
+                                 else ADAGRAD_CHUNK_ENTRIES, rows):
             # views of a slice; copies, written back below, of gathered rows
-            gc, acc_rows, target_rows = g[chunk], acc[chunk], target[chunk]
+            gc = grads.u_out_rows(chunk) if recorded else g[chunk]
+            acc_rows, target_rows = acc[chunk], target[chunk]
             shape, n = gc.shape, gc.size
             finite = finite_buf[:n].reshape(shape)
             if not np.isfinite(gc, out=finite).all():
@@ -786,9 +821,11 @@ class EpochRecord:
     net_seconds: float      # the network pass, within seconds
     traj_seconds: float     # the trajectory pass, within seconds
     sample_seconds: float   # drawing both passes' batches, within them
-    update_seconds: float   # AdaGrad steps and re-zeroing, within them
+    update_seconds: float   # AdaGrad steps (the gathered U_out gradient's
+                            # products included) and re-zeroing, within them
     forward_seconds: float  # the trajectory pass's forward_trajectory calls
-    softmax_seconds: float  # its softmax, U_out gradient included
+    softmax_seconds: float  # its softmax, the dense path's U_out gradient
+                            # included
     bptt_seconds: float     # the trajectory pass's BPTT, within it
     lockstep_steps: int     # long-term lockstep steps of the trajectory pass
     validation_seconds: float   # the validation eval_next_location call

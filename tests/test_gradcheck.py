@@ -104,6 +104,21 @@ def test_check_all_passes_on_gathered_softmax(monkeypatch, seed):
     assert calls and {path for path, _ in calls} == {"gathered"}
 
 
+def test_check_all_fails_on_scaled_recorded_score_gradients(monkeypatch):
+    # the U_out gradient check_all reads is multiplied out of the gathered
+    # softmax's records: scaling their score gradients by 0.999 fails U_out
+    monkeypatch.setattr(training, "DENSE_SOFTMAX_RATIO", 0)
+    gathered = training._gathered_softmax
+
+    def scaled(params, contexts, targets, negatives, grads):
+        result = gathered(params, contexts, targets, negatives, grads)
+        grads.u_out_records[-1][0].data *= 0.999
+        return result
+    monkeypatch.setattr(training, "_gathered_softmax", scaled)
+    report = check_all(make_toy_dataset(seed=0), default_toy_config(seed=0))
+    assert report.failing_tensors() == ["U_out"]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_check_all_passes_on_masked_dense_softmax(monkeypatch, seed):
     # 8 locations <= DENSE_SOFTMAX_RATIO (1 + 3): the dense path, with each

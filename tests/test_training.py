@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from collections import Counter
@@ -753,7 +754,7 @@ def test_softmax_route_follows_the_shape_rule(monkeypatch, num_locations, n2,
 
 
 # bounds that force one-position softmax calls (one-row score blocks, and
-# one-row U_out slices) and one call per forward group
+# one-row U_out chunks) and one call per forward group
 BLOCK_BOUNDS = {"one_position": {"SCORE_BLOCK_ENTRIES": 1,
                                  "GATHER_CHUNK_ENTRIES": 1},
                 "whole_group": {"SCORE_BLOCK_ENTRIES": 1 << 40,
@@ -867,8 +868,7 @@ def test_gathered_softmax_equals_block_softmax(monkeypatch, mask,
                                                num_locations, n2):
     # the block softmax is the dense path, scored in score blocks; both are
     # forced whatever the shape rule routes. n2 = 0 scores one-candidate
-    # rows; at n2 = 100 and |L| <= 400 the gathered U_out gradient runs over
-    # every location, otherwise over the distinct candidates only
+    # rows; the gathered U_out gradient is read from its records
     rng = np.random.default_rng(25)
     params = random_params(rng, 9, num_locations, 3, scale=0.8)
     batch = ragged_batch(rng, num_locations, n2)
@@ -976,28 +976,59 @@ def test_batch_long_term_steps_equal_its_longest_last_start(monkeypatch, shape,
     assert len(calls) == 1 and phases["lockstep_steps"] == last > 0
 
 
+def bk_shaped_batch(seed, num_locations=20000, d=50, n2=100, users=10,
+                    checkins=90):
+    """Random params and a batch of `users` histories of `checkins` uniform
+    check-ins in subtrajectories of 3, with n2 drawn negatives per position."""
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, users, num_locations, d, scale=0.1)
+    views = [(rng.integers(0, num_locations, size=checkins),
+              [(s, s + 3) for s in range(0, checkins, 3)])
+             for _ in range(users)]
+    batch = training.TrajectoryBatch(
+        users=np.arange(users), views=views,
+        negatives=[sample_negative_locations(num_locations, locs, n2, rng)
+                   for locs, _ in views])
+    return params, batch
+
+
 def test_trajectory_softmax_memory_stays_below_half_of_u_out():
     # bk_shape-sized: |L| = 20k, d = 50, 10 users of 90 check-ins, n2 = 100;
     # a product over all of U_out at once would hold U_out.nbytes
-    rng = np.random.default_rng(27)
-    params = random_params(rng, 10, 20000, 50, scale=0.1)
-    views = [(rng.integers(0, 20000, size=90),
-              [(s, s + 3) for s in range(0, 90, 3)]) for _ in range(10)]
-    batch = training.TrajectoryBatch(
-        users=np.arange(10), views=views,
-        negatives=[sample_negative_locations(20000, locs, 100, rng)
-                   for locs, _ in views])
+    params, batch = bk_shaped_batch(27)
     grads = Gradients.like(params)
+    state = OptimizerState(params)
     tracemalloc.start()
     try:
         trajectory_loss_and_grads(params, FULL_VARIANT, batch, grads)
+        touched = grads.touched["U_out"].sum()
+        adagrad_update(params, grads, state, 0.1, 1e-8)
+        grads.zero()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < params.U_out.nbytes / 2
-    # each forward group has more candidate entries (about 450 x 101) than
-    # locations, so its U_out gradient ran over slices of all of U_out
-    assert grads.touched["U_out"].sum() > 0.9 * 20000
+    # the forward groups' candidates touch most locations, so the update
+    # formed the U_out gradient over all of U_out, a chunk of rows at a time
+    assert touched > 0.9 * 20000
+
+
+def test_gathered_update_never_writes_the_u_out_buffer():
+    # the gathered softmax records its U_out gradient, and adagrad_update
+    # forms it a chunk at a time: the |L| x 4d buffer, made read-only here,
+    # is never written by the loss, the whole-tensor update or zero()
+    params, batch = bk_shaped_batch(28)
+    before = params.U_out.copy()
+    grads = Gradients.like(params)
+    grads.u_out_buffer.flags.writeable = False
+    trajectory_loss_and_grads(params, FULL_VARIANT, batch, grads)
+    assert len(grads.u_out_records) == 2
+    assert grads.sparse_rows("U_out") is None
+    adagrad_update(params, grads, OptimizerState(params), 0.1, 1e-8)
+    grads.zero()
+    assert not grads.u_out_records and not grads.u_out_buffer.any()
+    moved = np.any(params.U_out != before, axis=1)
+    assert moved.sum() > 0.9 * 20000
 
 
 def test_enumerated_trajectory_loss_equals_full_likelihood_oracle():
@@ -1212,6 +1243,90 @@ def test_adagrad_touched_rows_reject_non_finite():
     grads.touch("U", [3, 40])
     assert grads.sparse_rows("U") is not None
     with pytest.raises(FloatingPointError, match="U"):
+        adagrad_update(params, grads, OptimizerState(params), 0.1, 1e-8)
+
+
+# (|L|, n2, check-ins per user): 4 users' 36 positions touch at most 216 of
+# 1000 rows (the touched-row path), their 120 about 9k of 20k (whole walk)
+RECORD_SHAPES = {"touched_rows": (1000, 5, 9), "whole_walk": (20000, 100, 30)}
+
+
+@pytest.mark.parametrize("chunk", ["default", "one_row"])
+@pytest.mark.parametrize("groups", [1, 2])
+@pytest.mark.parametrize("shape", sorted(RECORD_SHAPES))
+def test_adagrad_from_u_out_records_equals_materialized_bit_for_bit(
+        monkeypatch, shape, groups, chunk):
+    num_locations, n2, checkins = RECORD_SHAPES[shape]
+    monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS",
+                        4 * checkins // groups)
+    if chunk == "one_row":
+        monkeypatch.setattr(training, "GATHER_CHUNK_ENTRIES", 4 * 4)
+    params, batch = bk_shaped_batch(34, num_locations, d=4, n2=n2, users=4,
+                                    checkins=checkins)
+    state = OptimizerState(params)
+    rng = np.random.default_rng(35)
+    for acc in state.accumulators.values():
+        acc[...] = rng.uniform(0, 1, acc.shape)
+    dense_params = params.copy()
+    dense_acc = {name: acc.copy() for name, acc in state.accumulators.items()}
+
+    recorded = Gradients.like(params)
+    trajectory_loss_and_grads(params, FULL_VARIANT, batch, recorded)
+    assert len(recorded.u_out_records) == groups
+    assert (recorded.sparse_rows("U_out") is None) == (shape == "whole_walk")
+    # the gradient every reader sees: the records' products, added in order
+    want = np.zeros_like(params.U_out)
+    for g, contexts in recorded.u_out_records:
+        want += g @ contexts
+    materialized = Gradients.like(params)
+    trajectory_loss_and_grads(params, FULL_VARIANT, batch, materialized)
+    np.testing.assert_array_equal(materialized.U_out, want)
+    assert not materialized.u_out_records
+
+    adagrad_update(params, recorded, state, 0.1, 1e-8)
+    dense_state = OptimizerState(dense_params)
+    dense_state.accumulators = dense_acc
+    adagrad_update(dense_params, materialized, dense_state, 0.1, 1e-8)
+    for name in TENSOR_NAMES:
+        np.testing.assert_array_equal(params.tensor(name),
+                                      dense_params.tensor(name))
+        np.testing.assert_array_equal(state.accumulators[name],
+                                      dense_acc[name])
+
+
+def test_u_out_gradient_adds_records_to_a_written_buffer(monkeypatch):
+    # a dense softmax group writes the buffer, a gathered one then records:
+    # the gradient is the buffer plus the records, and the update from the
+    # records equals the update from the materialized gradient
+    params, batch = bk_shaped_batch(37, 1000, d=4, n2=5, users=4, checkins=9)
+    parts = {}
+    both = Gradients.like(params)
+    for ratio in (1000, 0):
+        monkeypatch.setattr(training, "DENSE_SOFTMAX_RATIO", ratio)
+        trajectory_loss_and_grads(params, FULL_VARIANT, batch, both)
+        parts[ratio] = trajectory_loss_and_grads(params, FULL_VARIANT,
+                                                 batch)[1].U_out
+    assert both.u_out_written and len(both.u_out_records) == 1
+    materialized = copy.deepcopy(both)
+    np.testing.assert_array_equal(materialized.U_out, parts[1000] + parts[0])
+    dense_params = params.copy()
+    adagrad_update(params, both, OptimizerState(params), 0.1, 1e-8)
+    adagrad_update(dense_params, materialized, OptimizerState(dense_params),
+                   0.1, 1e-8)
+    for name in TENSOR_NAMES:
+        np.testing.assert_array_equal(params.tensor(name),
+                                      dense_params.tensor(name))
+
+
+@pytest.mark.parametrize("shape", sorted(RECORD_SHAPES))
+def test_adagrad_rejects_a_non_finite_recorded_context(shape):
+    num_locations, n2, checkins = RECORD_SHAPES[shape]
+    params, batch = bk_shaped_batch(36, num_locations, d=4, n2=n2, users=4,
+                                    checkins=checkins)
+    grads = Gradients.like(params)
+    trajectory_loss_and_grads(params, FULL_VARIANT, batch, grads)
+    grads.u_out_records[0][1][3, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="U_out"):
         adagrad_update(params, grads, OptimizerState(params), 0.1, 1e-8)
 
 
