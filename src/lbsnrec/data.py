@@ -572,7 +572,12 @@ def load_dataset(path):
             i, j = edges[np.flatnonzero(edges.max(axis=1) >= num_users)[0]]
             raise FormatError(f"{path}: edge ({i}, {j}) has an endpoint "
                               f"outside [0, {num_users})")
+        # friendship is undirected: every edge is stored in both directions
         directed = set(map(tuple, edges.tolist()))
+        for i, j in directed:
+            if i == j or (j, i) not in directed:
+                raise FormatError(f"{path}: edge ({i}, {j}) is a self-loop "
+                                  "or lacks its reverse")
     graph = build_graph(num_users, directed)
     user_vocab = Vocab(ids=user_ids, index={s: i for i, s in enumerate(user_ids)})
     location_vocab = Vocab(ids=location_ids,

@@ -86,92 +86,93 @@ def rng_streams(seed):
 
 
 class Gradients:
-    """Gradient buffers shaped like ModelParams, with a boolean mask per
-    embedding tensor of the rows touched since the last zero().
+    """Gradients shaped like ModelParams: a buffer per non-embedding tensor,
+    and per embedding tensor a list of records, added in record order:
 
-    Embedding rows outside the masks are exactly zero. The U_out gradient
-    is u_out_buffer plus the products G @ C of u_out_records, (G, C) pairs
-    of a sparse |L| x n score-gradient matrix and its n x 4d contexts that
-    _gathered_softmax appends; u_out_rows forms any rows of it, and reading
-    U_out (or tensor("U_out")) multiplies the records into the buffer.
+    - (rows, values) adds values[i] to row rows[i], rows ascending and
+      distinct (add_rows makes these);
+    - (G, C), G a scipy.sparse CSR matrix, adds G @ C (_gathered_softmax).
+
+    Rows no record reaches are zero; rows() forms any rows of a gradient.
     """
 
     def __init__(self, num_users, num_locations, dim):
-        shapes = tensor_shapes(num_users, num_locations, dim)
-        for name, shape in shapes.items():
-            if name != "U_out":
+        self.shapes = tensor_shapes(num_users, num_locations, dim)
+        self.records = {name: [] for name in EMBEDDING_NAMES}
+        for name, shape in self.shapes.items():
+            if name not in EMBEDDING_NAMES:
                 setattr(self, name, np.zeros(shape))
-        self.u_out_buffer = np.zeros(shapes["U_out"])
-        self.u_out_written = False  # whether u_out_buffer may be nonzero
-        self.u_out_records = []
-        self.touched = {name: np.zeros(shapes[name][0], dtype=bool)
-                        for name in EMBEDDING_NAMES}
 
     @classmethod
     def like(cls, params):
         return cls(params.num_users, params.num_locations, params.dim)
 
-    @property
-    def U_out(self):
-        """The U_out gradient buffer with any records multiplied in; as the
-        caller may write it, it counts as written until zero()."""
-        if self.u_out_records:
-            for rows in _row_chunks(self.u_out_buffer, GATHER_CHUNK_ENTRIES):
-                self.u_out_buffer[rows] = self.u_out_rows(rows)
-            self.u_out_records = []
-        self.u_out_written = True
-        return self.u_out_buffer
+    def add_rows(self, name, rows, values):
+        """Record values[i] added to row rows[i] of an embedding gradient,
+        summed per row with np.add.reduceat in a stable order."""
+        if not len(rows):
+            return
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+        self.records[name].append(
+            (rows[first], np.add.reduceat(values[order], first, axis=0)))
 
-    def u_out_rows(self, rows):
-        """Rows `rows` (a slice or an index array) of the U_out gradient: the
-        buffer's (zero unless written) plus each record's G[rows] @ C, added
-        in record order."""
-        total = self.u_out_buffer[rows] if self.u_out_written else 0.0
-        for g, contexts in self.u_out_records:
-            total = total + g[rows] @ contexts
-        return total
+    def rows(self, name, chunk):
+        """Rows `chunk` of a gradient, a slice or a piece of touched_rows:
+        a view of a buffer, or a new array summing an embedding tensor's
+        records in record order."""
+        if name not in self.records:
+            return getattr(self, name)[chunk]
+        if isinstance(chunk, slice):
+            start, stop, _ = chunk.indices(self.shapes[name][0])
+            out = np.zeros((stop - start,) + self.shapes[name][1:])
+        else:
+            start, stop = chunk[0], chunk[-1] + 1
+            out = np.zeros((len(chunk),) + self.shapes[name][1:])
+        for rows, values in self.records[name]:
+            if not isinstance(rows, np.ndarray):
+                out += rows[chunk] @ values
+                continue
+            lo, hi = np.searchsorted(rows, (start, stop))
+            at = (rows[lo:hi] - start if isinstance(chunk, slice)
+                  else np.searchsorted(chunk, rows[lo:hi]))
+            out[at] += values[lo:hi]
+        return out
 
     def tensor(self, name):
-        return getattr(self, name)
+        """The whole gradient of a tensor (see rows)."""
+        return self.rows(name, slice(None))
 
-    def touch(self, name, rows):
-        self.touched[name][rows] = True
+    def touched_rows(self, name):
+        """The ascending rows of an embedding gradient its records reach."""
+        reached = np.zeros(self.shapes[name][0], dtype=bool)
+        for rows, _ in self.records[name]:
+            reached[rows if isinstance(rows, np.ndarray)
+                    else np.diff(rows.indptr) > 0] = True
+        return np.flatnonzero(reached)
 
     def sparse_rows(self, name):
         """The touched rows of an embedding tensor when fewer than
         SPARSE_ROW_SHARE of its rows, else None (always for other tensors)."""
-        mask = self.touched.get(name)
-        if mask is None:
+        if name not in self.records:
             return None
-        rows = np.flatnonzero(mask)
-        return rows if len(rows) < SPARSE_ROW_SHARE * len(mask) else None
+        rows = self.touched_rows(name)
+        dense = len(rows) >= SPARSE_ROW_SHARE * self.shapes[name][0]
+        return None if dense else rows
 
     def zero(self):
-        """Zero every written tensor, sparsely touched ones in their touched
-        rows only, drop the U_out records and clear the masks."""
+        """Zero every buffer and drop every record."""
         for name in TENSOR_NAMES:
-            if name == "U_out" and not self.u_out_written:
-                continue
-            buffer = self.u_out_buffer if name == "U_out" else self.tensor(name)
-            rows = self.sparse_rows(name)
-            if rows is None:
-                buffer.fill(0.0)
+            if name in self.records:
+                self.records[name].clear()
             else:
-                buffer[rows] = 0.0
-        self.u_out_records = []
-        self.u_out_written = False
-        for mask in self.touched.values():
-            mask.fill(False)
+                getattr(self, name).fill(0.0)
 
 
 # An embedding tensor with fewer than this share of its rows touched is
-# updated and re-zeroed row by row; a more densely touched one as a whole.
+# updated row by row; a more densely touched one as a whole.
 SPARSE_ROW_SHARE = 0.25
-
-
-# adagrad_update walks each tensor in chunks of whole rows, about this many
-# entries (128 KB of float64) per chunk, so its temporaries stay in cache.
-ADAGRAD_CHUNK_ENTRIES = 1 << 14
 
 
 def _row_chunks(array, entries, rows=None):
@@ -189,7 +190,7 @@ class OptimizerState:
     def __init__(self, params):
         self.accumulators = {name: np.zeros_like(params.tensor(name))
                              for name in TENSOR_NAMES}
-        size = max(ADAGRAD_CHUNK_ENTRIES, GATHER_CHUNK_ENTRIES,
+        size = max(GATHER_CHUNK_ENTRIES,
                    *(math.prod(params.tensor(name).shape[1:])
                      for name in TENSOR_NAMES))
         self.scratch = (np.empty(size), np.empty(size),
@@ -432,29 +433,36 @@ def network_loss_and_grads(params, graph, batch, grads=None):
     """
     if grads is None:
         grads = Gradients.like(params)
-    loss = 0.0
-    for u, negs in zip(batch.users, batch.negatives):
-        u = int(u)
-        pos = graph.adjacency[u]
+    links = [(graph.adjacency[int(u)], negs)
+             for u, negs in zip(batch.users, batch.negatives)]
+    # F_ctx gradient of each row the batch reaches, summed in user order
+    reached, where = np.unique(np.concatenate(
+        [np.zeros(0, dtype=np.int64)] + [p for pair in links for p in pair]),
+        return_inverse=True)
+    d_ctx = np.zeros((len(reached), params.dim))
+    d_f = np.zeros((len(links), params.dim))
+    loss, at = 0.0, 0
+    for u, (pos, negs), dfv in zip(batch.users, links, d_f):
         fv = params.F[u]
-        dfv = np.zeros_like(fv)
         if len(pos):
             s = params.F_ctx[pos] @ fv
             loss += np.logaddexp(0.0, -s).sum()
             coef = expit(s) - 1.0
             dfv += coef @ params.F_ctx[pos]
-            grads.F_ctx[pos] += np.outer(coef, fv)
-            grads.touch("F_ctx", pos)
+            d_ctx[where[at:at + len(pos)]] += np.outer(coef, fv)
+            at += len(pos)
         if len(negs):
             s = params.F_ctx[negs] @ fv
             loss += np.logaddexp(0.0, s).sum()
             coef = expit(s)
             dfv += coef @ params.F_ctx[negs]
-            grads.F_ctx[negs] += np.outer(coef, fv)
-            grads.touch("F_ctx", negs)
-        if len(pos) or len(negs):
-            grads.F[u] += dfv
-            grads.touch("F", u)
+            d_ctx[where[at:at + len(negs)]] += np.outer(coef, fv)
+            at += len(negs)
+    linked = np.array([len(pos) + len(negs) > 0 for pos, negs in links],
+                      dtype=bool)
+    grads.add_rows("F", np.asarray(batch.users, dtype=np.int64)[linked],
+                   d_f[linked])
+    grads.records["F_ctx"].append((reached, d_ctx))
     return float(loss), grads
 
 
@@ -486,10 +494,10 @@ def sampled_location_loss(params, context, target, negatives):
 # else each position's own (_gathered_softmax); measured, see CHANGES.md.
 DENSE_SOFTMAX_RATIO = 4
 
-# _gathered_softmax works in chunks of about this many float64 entries
-# (640 KB), which stay in cache: positions x candidates x 4d gathered per
-# sampled_location_loss call, rows x 4d per chunk of the U_out gradient that
-# adagrad_update forms from the records (409 rows at d = 50).
+# _gathered_softmax and adagrad_update work in chunks of about this many
+# float64 entries (640 KB), which stay in cache: positions x candidates x 4d
+# gathered per sampled_location_loss call, whole rows per chunk of a tensor
+# adagrad_update walks (409 U_out rows at d = 50).
 GATHER_CHUNK_ENTRIES = 5 << 14
 
 
@@ -499,10 +507,10 @@ def _dense_softmax(params, contexts, targets, negatives, grads):
     Scores come in evaluation.score_blocks row blocks of contexts @ U_out.T.
     negatives holds each row's drawn negatives (its non-candidates then
     score -inf), or None when they are all other locations. Per block, with
-    G its score gradients, G.T @ C adds to the U_out gradient and G @ U_out
-    is written over the block's contexts, which are returned.
+    G its score gradients, G.T @ C is recorded over every U_out row and
+    G @ U_out is written over the block's contexts, which are returned.
     """
-    total, u_out_grad = 0.0, grads.U_out
+    total, every_row = 0.0, np.arange(params.num_locations)
     for block, scores in score_blocks(contexts, params.U_out):
         rows = np.arange(len(scores))
         at = targets[block]
@@ -518,11 +526,8 @@ def _dense_softmax(params, contexts, targets, negatives, grads):
         total += float((np.log(z) + m - target).sum())
         scores /= z[:, None]
         scores[rows, at] -= 1.0
-        u_out_grad += scores.T @ contexts[block]
+        grads.records["U_out"].append((every_row, scores.T @ contexts[block]))
         np.matmul(scores, params.U_out, out=contexts[block])
-    grads.touch("U_out", slice(None) if negatives is None else targets)
-    if negatives is not None:
-        grads.touch("U_out", negatives)
     return total, contexts
 
 
@@ -549,8 +554,7 @@ def _gathered_softmax(params, contexts, targets, negatives, grads):
     g = sparse.csc_matrix(
         (d_scores.ravel(), cands.ravel(), np.arange(0, n * width + 1, width)),
         shape=(len(params.U_out), n)).tocsr()
-    grads.u_out_records.append((g, contexts))
-    grads.touch("U_out", cands.ravel())
+    grads.records["U_out"].append((g, contexts))
     return sum(losses), np.concatenate(d_contexts)
 
 
@@ -651,16 +655,6 @@ def _long_term_backward(params, chain, d_consulted, grads):
         axis=0)
 
 
-def _add_u_rows(grads, locations, rows):
-    """Add rows[i] to the U gradient of locations[i], summed per location."""
-    if not len(locations):
-        return
-    order = np.argsort(locations, kind="stable")
-    found, first = np.unique(locations[order], return_index=True)
-    grads.U[found] += np.add.reduceat(rows[order], first, axis=0)
-    grads.touch("U", found)
-
-
 def trajectory_loss_and_grads(params, mask, batch, grads=None, phases=None):
     """Sampled next-location loss over a frozen batch, with full BPTT gradients.
 
@@ -693,7 +687,7 @@ def trajectory_loss_and_grads(params, mask, batch, grads=None, phases=None):
         # from the consulted hidden states to their cells
         d_hidden *= 1.0 - chain.hidden ** 2
         _long_term_backward(params, chain, d_hidden, grads)
-        _add_u_rows(grads, chain.locations[chain.steps.rows], chain.cells[:-1])
+        grads.add_rows("U", chain.locations[chain.steps.rows], chain.cells[:-1])
         phases["bptt_seconds"] += time.perf_counter() - begin
         phases["lockstep_steps"] += len(chain.steps.live)
     return float(total), grads
@@ -709,10 +703,9 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives,
     its positions at once:
 
     - Softmax: losses, context gradients (written over the contexts) and the
-      U_out gradient; _dense_softmax scores every location when |L| is at
-      most DENSE_SOFTMAX_RATIO times a position's candidates and adds to the
-      U_out gradient, else _gathered_softmax each position's own and records
-      it (Gradients.u_out_records).
+      recorded U_out gradient; _dense_softmax scores every location when |L|
+      is at most DENSE_SOFTMAX_RATIO times a position's candidates, else
+      _gathered_softmax each position's own.
     - Context: the F and P blocks sum into F[v] and P[v], the short-term
       block reaches the state consulted at each position, the long-term
       block sums per subtrajectory. The contexts are freed before BPTT.
@@ -742,10 +735,8 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives,
 
     seen = lengths > 0
     per_user = d_context.reshape(num, width, 4 * d)[:, :, :2 * d].sum(axis=1)
-    np.add.at(grads.F, users[seen], per_user[seen, :d])
-    np.add.at(grads.P, users[seen], per_user[seen, d:])
-    grads.touch("F", users[seen])
-    grads.touch("P", users[seen])
+    grads.add_rows("F", users[seen], per_user[seen, :d])
+    grads.add_rows("P", users[seen], per_user[seen, d:])
 
     # BPTT needs only these blocks: free the contexts
     d_states = d_context[sub.rows, 2 * d:3 * d] if mask.use_short else None
@@ -761,7 +752,7 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives,
         grads.S0 += d_s0
         grads.W += d_pre.T @ states[sub.previous]
         # d_pre[r] is the step over the location before its packed row
-        _add_u_rows(grads, flat_locations[
+        grads.add_rows("U", flat_locations[
             sub.rows[len(sub.rows) - len(d_pre):] - 1], d_pre)
         phases["bptt_seconds"] += time.perf_counter() - begin
     return total
@@ -772,28 +763,23 @@ def adagrad_update(params, grads, optimizer_state, learning_rate, epsilon):
 
     Embedding tensors without touched rows are skipped, and sparsely touched
     ones (Gradients.sparse_rows) update only their touched rows. The others
-    update as whole tensors: their gradient rows outside the masks are
-    exactly zero, which leaves those rows and accumulators bit-for-bit
-    unchanged, so every path equals the lazy row update. Tensors are walked
-    in chunks of whole rows (ADAGRAD_CHUNK_ENTRIES) through the optimizer's
-    scratch buffers, checking each chunk for non-finite gradients before
-    using it. A U_out gradient with records is formed a chunk of
-    GATHER_CHUNK_ENTRIES at a time (Gradients.u_out_rows), so its buffer is
-    neither read nor written unless something else wrote it.
+    update as whole tensors: their untouched gradient rows are exactly zero,
+    which leaves those rows and accumulators bit-for-bit unchanged, so every
+    path equals the lazy row update. Tensors are walked in chunks of whole
+    rows (GATHER_CHUNK_ENTRIES) through the optimizer's scratch buffers, an
+    embedding tensor's chunks formed from its records (Gradients.rows), and
+    each chunk is checked for non-finite gradients before it is used.
     """
     denom_buf, step_buf, finite_buf = optimizer_state.scratch
     for name in TENSOR_NAMES:
         rows = grads.sparse_rows(name)
         if rows is not None and not len(rows):
             continue
-        recorded = name == "U_out" and grads.u_out_records
-        g = grads.u_out_buffer if recorded else grads.tensor(name)
         acc = optimizer_state.accumulators[name]
         target = params.tensor(name)
-        for chunk in _row_chunks(g, GATHER_CHUNK_ENTRIES if recorded
-                                 else ADAGRAD_CHUNK_ENTRIES, rows):
+        for chunk in _row_chunks(target, GATHER_CHUNK_ENTRIES, rows):
             # views of a slice; copies, written back below, of gathered rows
-            gc = grads.u_out_rows(chunk) if recorded else g[chunk]
+            gc = grads.rows(name, chunk)
             acc_rows, target_rows = acc[chunk], target[chunk]
             shape, n = gc.shape, gc.size
             finite = finite_buf[:n].reshape(shape)
@@ -821,8 +807,9 @@ class EpochRecord:
     net_seconds: float      # the network pass, within seconds
     traj_seconds: float     # the trajectory pass, within seconds
     sample_seconds: float   # drawing both passes' batches, within them
-    update_seconds: float   # AdaGrad steps (the gathered U_out gradient's
-                            # products included) and re-zeroing, within them
+    update_seconds: float   # AdaGrad steps (forming every embedding
+                            # gradient from its records included) and
+                            # re-zeroing, within them
     forward_seconds: float  # the trajectory pass's forward_trajectory calls
     softmax_seconds: float  # its softmax, the dense path's U_out gradient
                             # included

@@ -481,8 +481,7 @@ def check_adagrad_accumulator_monotone(cases=100, seed=4):
             for name in ("W", "S0", "b_i"):
                 grads.tensor(name)[...] = rng.normal(size=grads.tensor(name).shape)
             row = int(rng.integers(0, 3))
-            grads.P[row] = rng.normal(size=2)
-            grads.touch("P", row)
+            grads.add_rows("P", np.array([row]), rng.normal(size=(1, 2)))
             before = {n: state.accumulators[n].copy()
                       for n in ("W", "S0", "b_i", "P")}
             training.adagrad_update(params, grads, state, 0.1, 1e-8)

@@ -114,9 +114,9 @@ def test_train_then_eval_pipeline(tmp_path, synth_cache):
 
 
 @pytest.mark.parametrize("bad", [{"location": 2}, {"location": 2**64 - 1},
-                                 {"edge": (0, 2)}],
+                                 {"edge": (0, 2)}, {"edge": (1, 1)}],
                          ids=["location_num_locations", "location_u64_max",
-                              "edge_endpoint"])
+                              "edge_endpoint", "edge_self_loop"])
 def test_train_rejects_out_of_range_ids(tmp_path, two_user_dataset, capsys, bad):
     path = corrupt_cache(two_user_dataset, tmp_path / "bad.bin", **bad)
     code = run_cli(["train", "--data", path, "--out", tmp_path / "m.jntm",

@@ -52,6 +52,7 @@ def _check_dataset(path):
             lbsn_data.split_into_subtrajectories(ts)
     for i, j in dataset.graph.directed_edges:
         assert 0 <= i < dataset.num_users and 0 <= j < dataset.num_users
+        assert i != j and (j, i) in dataset.graph.directed_edges
 
 
 def _check_checkpoint(path):

@@ -296,6 +296,23 @@ def test_dataset_cache_rejects_edge_endpoint_out_of_range(tmp_path, two_user_dat
         load_dataset(path)
 
 
+def test_dataset_cache_rejects_a_self_loop(tmp_path, two_user_dataset):
+    # make_splits would hold (0, 0) out as a friend event
+    path = corrupt_cache(two_user_dataset, tmp_path / "bad.bin", edge=(0, 0))
+    with pytest.raises(lbsn_data.FormatError, match=r"edge \(0, 0\)"):
+        load_dataset(path)
+
+
+def test_dataset_cache_rejects_an_edge_without_its_reverse(tmp_path,
+                                                          two_user_dataset):
+    # make_splits would invent the reverse (1, 0) as a test edge
+    two_user_dataset.graph.directed_edges.discard((1, 0))
+    path = tmp_path / "bad.bin"
+    save_dataset(two_user_dataset, path)
+    with pytest.raises(lbsn_data.FormatError, match=r"edge \(0, 1\)"):
+        load_dataset(path)
+
+
 def test_string_table_layout():
     # u64 entry count, then per entry a u32 byte length and the UTF-8 bytes
     buf = io.BytesIO()

@@ -112,7 +112,7 @@ def test_check_all_fails_on_scaled_recorded_score_gradients(monkeypatch):
 
     def scaled(params, contexts, targets, negatives, grads):
         result = gathered(params, contexts, targets, negatives, grads)
-        grads.u_out_records[-1][0].data *= 0.999
+        grads.records["U_out"][-1][0].data *= 0.999
         return result
     monkeypatch.setattr(training, "_gathered_softmax", scaled)
     report = check_all(make_toy_dataset(seed=0), default_toy_config(seed=0))

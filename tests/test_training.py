@@ -1,7 +1,12 @@
 import copy
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,8 @@ from lbsnrec import data as lbsn_data
 from lbsnrec import model as lbsn_model
 from lbsnrec import evaluation, synth, training
 from lbsnrec.model import (BASE_VARIANT, FULL_VARIANT, ModelParams,
-                           TENSOR_NAMES, VariantMask, joint_log_likelihood_full,
+                           EMBEDDING_NAMES, TENSOR_NAMES, VariantMask,
+                           joint_log_likelihood_full,
                            load_checkpoint, location_log_prob_full,
                            network_log_likelihood_full)
 from lbsnrec.training import (Gradients, OptimizerState, TrainConfig,
@@ -304,7 +310,7 @@ def test_network_loss_zero_embeddings():
     n_terms += sum(len(n) for n in batch.negatives)
     assert loss == pytest.approx(n_terms * math.log(2), abs=1e-12)
     # zero F_ctx rows make dF zero, but the +-0.5 coefficients hit F_ctx rows
-    assert np.all(grads.F == 0.0)
+    assert np.all(grads.tensor("F") == 0.0)
 
 
 def test_network_loss_grad_coefficients():
@@ -317,7 +323,7 @@ def test_network_loss_grad_coefficients():
     _, grads = network_loss_and_grads(params, graph, batch)
     expected = (-0.5 * (params.F_ctx[1] + params.F_ctx[2])
                 + 0.5 * params.F_ctx[batch.negatives[0]].sum(axis=0))
-    np.testing.assert_allclose(grads.F[0], expected, atol=1e-12)
+    np.testing.assert_allclose(grads.tensor("F")[0], expected, atol=1e-12)
 
 
 def test_network_loss_no_edges_no_negatives():
@@ -326,7 +332,7 @@ def test_network_loss_no_edges_no_negatives():
     batch = draw_network_batch(graph, np.array([0]), 5, np.random.default_rng(0))
     loss, grads = network_loss_and_grads(params, graph, batch)
     assert loss == 0.0
-    assert np.all(grads.F == 0.0) and np.all(grads.F_ctx == 0.0)
+    assert not grads.tensor("F").any() and not grads.tensor("F_ctx").any()
 
 
 def finite_diff(loss_fn, params, name, idx, h=1e-6):
@@ -454,14 +460,14 @@ def test_dense_softmax_matches_per_position_oracle(monkeypatch, num_locations,
             loss, d_contexts = training._dense_softmax(
                 params, contexts.copy(), targets,
                 None if n2 >= num_locations - 1 else negs, grads)
-            # the U_out rows touched are exactly the rows' candidates
-            assert touched_rows(grads)["U_out"] == \
-                set(np.column_stack((targets, negs)).ravel().tolist())
+            # each score block records its product over every U_out row;
+            # the rows outside the candidates are zero
+            assert touched_rows(grads)["U_out"] == set(range(num_locations))
             assert abs(loss - want_loss) <= 1e-12
             np.testing.assert_allclose(d_contexts, want_contexts, rtol=0,
                                        atol=1e-12)
-            np.testing.assert_allclose(grads.U_out, want_u_out, rtol=0,
-                                       atol=1e-12)
+            np.testing.assert_allclose(grads.tensor("U_out"), want_u_out,
+                                       rtol=0, atol=1e-12)
 
 
 def test_enumerated_dense_softmax_equals_full_softmax_oracle():
@@ -477,7 +483,7 @@ def test_enumerated_dense_softmax_equals_full_softmax_oracle():
     want = -sum(location_log_prob_full(params, c, t)
                 for c, t in zip(contexts, targets.tolist()))
     assert abs(loss - want) <= 1e-12 * abs(want)
-    assert grads.touched["U_out"].all()
+    assert len(grads.touched_rows("U_out")) == 66
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +491,9 @@ def test_enumerated_dense_softmax_equals_full_softmax_oracle():
 # ---------------------------------------------------------------------------
 
 def touched_rows(grads):
-    """{embedding tensor name: set of its touched rows}."""
-    return {name: set(np.flatnonzero(mask).tolist())
-            for name, mask in grads.touched.items()}
+    """{embedding tensor name: set of the rows its records reach}."""
+    return {name: set(grads.touched_rows(name).tolist())
+            for name in EMBEDDING_NAMES}
 
 
 def single_position_dataset():
@@ -502,11 +508,11 @@ def test_single_position_touches_expected_tensors():
     splits = lbsn_data.full_train_splits(ds)
     batch = draw_trajectory_batch(ds, splits, np.array([0]), 1, rng)
     _, grads = trajectory_loss_and_grads(params, FULL_VARIANT, batch)
-    assert np.any(grads.P[0] != 0.0) and np.any(grads.F[0] != 0.0)
+    assert grads.tensor("P")[0].any() and grads.tensor("F")[0].any()
     assert np.any(grads.S0 != 0.0)       # context S-block is S0 itself
     assert np.any(grads.C0 != 0.0)       # via the tanh(C0) block
     assert np.all(grads.W == 0.0)        # no recurrence step ran
-    assert np.all(grads.U == 0.0)        # no chain consumed a location
+    assert not grads.tensor("U").any()  # no chain consumed a location
     for name in ("W_i1", "W_i2", "W_f1", "W_f2", "W_c1", "W_c2",
                  "b_i", "b_f", "b_c"):
         assert np.all(grads.tensor(name) == 0.0)
@@ -611,7 +617,7 @@ def test_lockstep_batch_grads_match_one_user_batches(mask, order):
         assert np.abs(got - expected).max() <= 1e-12 * scale, name
     assert touched_rows(grads) == touched_rows(want)
     if mask.use_short or mask.use_long:
-        assert np.any(grads.U != 0.0)
+        assert np.any(grads.tensor("U") != 0.0)
 
 
 def planted_batch(seed, num_users=32, scale=0.3):
@@ -886,7 +892,12 @@ def test_gathered_softmax_equals_block_softmax(monkeypatch, mask,
         scale = np.abs(block.tensor(name)).max()
         assert np.abs(grads.tensor(name) - block.tensor(name)).max() <= \
             1e-12 * scale, name
-    assert touched_rows(grads) == touched_rows(block)
+    # the dense path records U_out over every row, the gathered over the
+    # candidates
+    gathered, dense = touched_rows(grads), touched_rows(block)
+    assert dense.pop("U_out") == set(range(num_locations))
+    assert gathered.pop("U_out") <= set(range(num_locations))
+    assert gathered == dense
 
 
 def test_gathered_softmax_skips_groups_without_positions(monkeypatch):
@@ -1001,7 +1012,7 @@ def test_trajectory_softmax_memory_stays_below_half_of_u_out():
     tracemalloc.start()
     try:
         trajectory_loss_and_grads(params, FULL_VARIANT, batch, grads)
-        touched = grads.touched["U_out"].sum()
+        touched = len(grads.touched_rows("U_out"))
         adagrad_update(params, grads, state, 0.1, 1e-8)
         grads.zero()
         _, peak = tracemalloc.get_traced_memory()
@@ -1013,22 +1024,31 @@ def test_trajectory_softmax_memory_stays_below_half_of_u_out():
     assert touched > 0.9 * 20000
 
 
-def test_gathered_update_never_writes_the_u_out_buffer():
-    # the gathered softmax records its U_out gradient, and adagrad_update
-    # forms it a chunk at a time: the |L| x 4d buffer, made read-only here,
-    # is never written by the loss, the whole-tensor update or zero()
+def test_gradients_allocate_no_embedding_rows():
+    # at bk_shape's shape (|V| = 50, |L| = 20k, d = 50) only the 12
+    # non-embedding tensors have buffers, about 140 KB; U_out's alone would
+    # take 32 MB
+    tracemalloc.start()
+    try:
+        grads = Gradients(50, 20000, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
+    buffers = {name for name, value in vars(grads).items()
+               if isinstance(value, np.ndarray)}
+    assert buffers == set(TENSOR_NAMES) - EMBEDDING_NAMES
+    # every embedding gradient is records, which zero() drops
     params, batch = bk_shaped_batch(28)
-    before = params.U_out.copy()
+    graph = lbsn_data.build_graph(10, {(0, 1), (1, 0), (2, 3), (3, 2)})
     grads = Gradients.like(params)
-    grads.u_out_buffer.flags.writeable = False
+    network_loss_and_grads(params, graph, draw_network_batch(
+        graph, np.arange(10), 3, np.random.default_rng(28)), grads)
     trajectory_loss_and_grads(params, FULL_VARIANT, batch, grads)
-    assert len(grads.u_out_records) == 2
-    assert grads.sparse_rows("U_out") is None
-    adagrad_update(params, grads, OptimizerState(params), 0.1, 1e-8)
+    assert all(grads.records[name] for name in EMBEDDING_NAMES)
     grads.zero()
-    assert not grads.u_out_records and not grads.u_out_buffer.any()
-    moved = np.any(params.U_out != before, axis=1)
-    assert moved.sum() > 0.9 * 20000
+    assert not any(grads.records.values())
+    assert not any(len(grads.touched_rows(name)) for name in EMBEDDING_NAMES)
 
 
 def test_enumerated_trajectory_loss_equals_full_likelihood_oracle():
@@ -1093,7 +1113,7 @@ def test_network_loss_and_grads_edgeless_no_negatives():
                                rng_streams(0).link_negatives)
     loss, grads = network_loss_and_grads(params, graph, batch)
     assert loss == 0.0
-    assert np.all(grads.F == 0.0) and np.all(grads.F_ctx == 0.0)
+    assert not grads.tensor("F").any() and not grads.tensor("F_ctx").any()
 
 
 def test_network_loss_and_grads_deterministic():
@@ -1110,8 +1130,8 @@ def test_network_loss_and_grads_deterministic():
     l1, g1 = draw_and_score()
     l2, g2 = draw_and_score()
     assert l1 == l2
-    np.testing.assert_array_equal(g1.F, g2.F)
-    np.testing.assert_array_equal(g1.F_ctx, g2.F_ctx)
+    np.testing.assert_array_equal(g1.tensor("F"), g2.tensor("F"))
+    np.testing.assert_array_equal(g1.tensor("F_ctx"), g2.tensor("F_ctx"))
 
 
 def test_network_descent_on_frozen_batch():
@@ -1173,8 +1193,7 @@ def test_adagrad_rejects_non_finite():
     with pytest.raises(FloatingPointError, match="b_c"):
         adagrad_update(params, grads, OptimizerState(params), 0.1, 1e-8)
     grads = Gradients.like(params)
-    grads.P[1, 0] = np.inf
-    grads.touch("P", 1)
+    grads.add_rows("P", np.array([1]), np.array([[np.inf, 0.0]]))
     with pytest.raises(FloatingPointError, match="P"):
         adagrad_update(params, grads, OptimizerState(params), 0.1, 1e-8)
 
@@ -1203,6 +1222,13 @@ def test_adagrad_sparse_equals_dense_bit_for_bit():
                                       dense_params.tensor(name))
         np.testing.assert_array_equal(sparse_state.accumulators[name],
                                       dense_state.accumulators[name])
+    # the rows no record reaches have zero gradients and did not move
+    for name in EMBEDDING_NAMES:
+        untouched = np.setdiff1d(np.arange(len(params.tensor(name))),
+                                 grads.touched_rows(name))
+        assert not grads.tensor(name)[untouched].any(), name
+        np.testing.assert_array_equal(sparse_params.tensor(name)[untouched],
+                                      params.tensor(name)[untouched])
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.0], ids=["gradients", "zeros"])
@@ -1217,9 +1243,10 @@ def test_adagrad_touched_rows_equal_dense_bit_for_bit(scale):
     touched = {"P": [3], "F": [0, 59], "F_ctx": [7, 8, 9], "U": [0, 5, 299],
                "U_out": rng.choice(300, size=40, replace=False)}
     for name, rows in touched.items():
-        grads.tensor(name)[rows] = scale * rng.normal(
-            size=grads.tensor(name)[rows].shape)
-        grads.touch(name, rows)
+        rows = np.sort(rows)
+        grads.add_rows(name, rows, scale * rng.normal(
+            size=(len(rows),) + params.tensor(name).shape[1:]))
+        assert grads.touched_rows(name).tolist() == rows.tolist()
         assert grads.sparse_rows(name) is not None
     grads.W[...] = rng.normal(size=grads.W.shape)
 
@@ -1239,28 +1266,35 @@ def test_adagrad_touched_rows_equal_dense_bit_for_bit(scale):
 def test_adagrad_touched_rows_reject_non_finite():
     params = ModelParams.zeros(2, 100, 2)
     grads = Gradients.like(params)
-    grads.U[40, 1] = np.nan
-    grads.touch("U", [3, 40])
+    grads.add_rows("U", np.array([3, 40]),
+                   np.array([[0.0, 0.0], [0.0, np.nan]]))
     assert grads.sparse_rows("U") is not None
     with pytest.raises(FloatingPointError, match="U"):
         adagrad_update(params, grads, OptimizerState(params), 0.1, 1e-8)
 
 
 # (|L|, n2, check-ins per user): 4 users' 36 positions touch at most 216 of
-# 1000 rows (the touched-row path), their 120 about 9k of 20k (whole walk)
+# 1000 U_out rows (the touched-row path), their 120 about 9k of 20k (whole
+# walk)
 RECORD_SHAPES = {"touched_rows": (1000, 5, 9), "whole_walk": (20000, 100, 30)}
 
 
-@pytest.mark.parametrize("chunk", ["default", "one_row"])
+@pytest.mark.parametrize("chunk", ["default", "uneven"])
 @pytest.mark.parametrize("groups", [1, 2])
-@pytest.mark.parametrize("shape", sorted(RECORD_SHAPES))
+@pytest.mark.parametrize("walk", ["touched_rows", "whole_walk"])
 def test_adagrad_from_u_out_records_equals_materialized_bit_for_bit(
-        monkeypatch, shape, groups, chunk):
-    num_locations, n2, checkins = RECORD_SHAPES[shape]
+        monkeypatch, walk, groups, chunk):
+    # every embedding tensor, U_out's records of both kinds among them, takes
+    # the row path (SPARSE_ROW_SHARE 2) or the whole walk (0); on the whole
+    # walk the uneven bound cuts U_out's 20k rows into 541 chunks of 37 rows
+    # and U's into 134 of 150
+    num_locations, n2, checkins = RECORD_SHAPES["whole_walk"]
     monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS",
                         4 * checkins // groups)
-    if chunk == "one_row":
-        monkeypatch.setattr(training, "GATHER_CHUNK_ENTRIES", 4 * 4)
+    monkeypatch.setattr(training, "SPARSE_ROW_SHARE",
+                        2.0 if walk == "touched_rows" else 0.0)
+    if chunk == "uneven":
+        monkeypatch.setattr(training, "GATHER_CHUNK_ENTRIES", 37 * 16 + 9)
     params, batch = bk_shaped_batch(34, num_locations, d=4, n2=n2, users=4,
                                     checkins=checkins)
     state = OptimizerState(params)
@@ -1270,45 +1304,54 @@ def test_adagrad_from_u_out_records_equals_materialized_bit_for_bit(
     dense_params = params.copy()
     dense_acc = {name: acc.copy() for name, acc in state.accumulators.items()}
 
+    # a network pass too, so that every embedding tensor has records
+    graph = lbsn_data.build_graph(4, {(0, 1), (1, 0), (1, 2), (2, 1)})
     recorded = Gradients.like(params)
+    network_loss_and_grads(params, graph, draw_network_batch(
+        graph, np.arange(4), 2, np.random.default_rng(38)), recorded)
     trajectory_loss_and_grads(params, FULL_VARIANT, batch, recorded)
-    assert len(recorded.u_out_records) == groups
-    assert (recorded.sparse_rows("U_out") is None) == (shape == "whole_walk")
-    # the gradient every reader sees: the records' products, added in order
-    want = np.zeros_like(params.U_out)
-    for g, contexts in recorded.u_out_records:
-        want += g @ contexts
-    materialized = Gradients.like(params)
-    trajectory_loss_and_grads(params, FULL_VARIANT, batch, materialized)
-    np.testing.assert_array_equal(materialized.U_out, want)
-    assert not materialized.u_out_records
+    assert len(recorded.records["U_out"]) == groups
+    assert len(recorded.records["U"]) == groups + 1
+    # the gradient every reader sees: the records added in order
+    for name in EMBEDDING_NAMES:
+        assert (recorded.sparse_rows(name) is None) == (walk == "whole_walk")
+        want = np.zeros_like(params.tensor(name))
+        for rows, values in recorded.records[name]:
+            if isinstance(rows, np.ndarray):
+                want[rows] += values
+            else:
+                want += rows @ values
+        np.testing.assert_array_equal(recorded.tensor(name), want)
 
     adagrad_update(params, recorded, state, 0.1, 1e-8)
-    dense_state = OptimizerState(dense_params)
-    dense_state.accumulators = dense_acc
-    adagrad_update(dense_params, materialized, dense_state, 0.1, 1e-8)
     for name in TENSOR_NAMES:
+        g = recorded.tensor(name)
+        acc = dense_acc[name]
+        acc += g * g
+        dense_params.tensor(name)[...] -= 0.1 * g / (np.sqrt(acc) + 1e-8)
         np.testing.assert_array_equal(params.tensor(name),
                                       dense_params.tensor(name))
-        np.testing.assert_array_equal(state.accumulators[name],
-                                      dense_acc[name])
+        np.testing.assert_array_equal(state.accumulators[name], acc)
 
 
-def test_u_out_gradient_adds_records_to_a_written_buffer(monkeypatch):
-    # a dense softmax group writes the buffer, a gathered one then records:
-    # the gradient is the buffer plus the records, and the update from the
-    # records equals the update from the materialized gradient
+def test_u_out_gradient_sums_dense_and_gathered_records(monkeypatch):
+    # a dense softmax group records rows, a gathered one (G, C): the
+    # gradient is their sum, and the update from the records equals the
+    # update from that sum as one record
     params, batch = bk_shaped_batch(37, 1000, d=4, n2=5, users=4, checkins=9)
     parts = {}
     both = Gradients.like(params)
     for ratio in (1000, 0):
         monkeypatch.setattr(training, "DENSE_SOFTMAX_RATIO", ratio)
         trajectory_loss_and_grads(params, FULL_VARIANT, batch, both)
-        parts[ratio] = trajectory_loss_and_grads(params, FULL_VARIANT,
-                                                 batch)[1].U_out
-    assert both.u_out_written and len(both.u_out_records) == 1
+        parts[ratio] = trajectory_loss_and_grads(
+            params, FULL_VARIANT, batch)[1].tensor("U_out")
+    kinds = [isinstance(rows, np.ndarray) for rows, _ in both.records["U_out"]]
+    assert kinds == [True, False]
+    summed = both.tensor("U_out")
+    np.testing.assert_array_equal(summed, parts[1000] + parts[0])
     materialized = copy.deepcopy(both)
-    np.testing.assert_array_equal(materialized.U_out, parts[1000] + parts[0])
+    materialized.records["U_out"] = [(np.arange(1000), summed)]
     dense_params = params.copy()
     adagrad_update(params, both, OptimizerState(params), 0.1, 1e-8)
     adagrad_update(dense_params, materialized, OptimizerState(dense_params),
@@ -1325,7 +1368,7 @@ def test_adagrad_rejects_a_non_finite_recorded_context(shape):
                                     checkins=checkins)
     grads = Gradients.like(params)
     trajectory_loss_and_grads(params, FULL_VARIANT, batch, grads)
-    grads.u_out_records[0][1][3, 0] = np.nan
+    grads.records["U_out"][0][1][3, 0] = np.nan
     with pytest.raises(FloatingPointError, match="U_out"):
         adagrad_update(params, grads, OptimizerState(params), 0.1, 1e-8)
 
@@ -1349,8 +1392,7 @@ def test_gradients_zero_clears_every_tensor_and_mask(n2):
     grads.zero()
     for name in TENSOR_NAMES:
         assert not np.any(grads.tensor(name)), name
-    for mask in grads.touched.values():
-        assert not mask.any()
+    assert not any(grads.records.values())
 
 
 # ---------------------------------------------------------------------------
@@ -1410,8 +1452,9 @@ def test_train_log_header_names_the_validation_k(tmp_path):
     assert len(lines) == 1 + len(records)
 
 
-def test_train_equals_fresh_gradients_and_sequential_draws(tmp_path):
-    # one reused, row-masked Gradients, touched-row AdaGrad and batch-drawn
+def test_train_equals_fresh_gradients_and_sequential_draws(monkeypatch,
+                                                         tmp_path):
+    # one reused Gradients, touched-row AdaGrad and batch-drawn
     # negatives train bit for bit as a fresh Gradients per batch, whole-tensor
     # AdaGrad and one sequential draw per row
     ds = toy_dataset(seed=29, num_users=10, num_locations=300)
@@ -1430,12 +1473,12 @@ def test_train_equals_fresh_gradients_and_sequential_draws(tmp_path):
     def update(grads):
         nonlocal sparse_updates
         sparse_updates += any(grads.sparse_rows(name) is not None
-                              and grads.touched[name].any()
-                              for name in grads.touched)
-        for mask in grads.touched.values():
-            mask[:] = True
-        adagrad_update(params, grads, state, cfg.learning_rate,
-                       cfg.adagrad_epsilon)
+                              and len(grads.touched_rows(name))
+                              for name in EMBEDDING_NAMES)
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "SPARSE_ROW_SHARE", 0.0)    # whole walks
+            adagrad_update(params, grads, state, cfg.learning_rate,
+                           cfg.adagrad_epsilon)
 
     for _ in range(cfg.max_iterations):
         order = streams.shuffle.permutation(ds.num_users)
@@ -1458,6 +1501,26 @@ def test_train_equals_fresh_gradients_and_sequential_draws(tmp_path):
     assert sparse_updates
     for name in TENSOR_NAMES:
         np.testing.assert_array_equal(got.tensor(name), params.tensor(name))
+
+
+def test_dense_softmax_training_never_imports_scipy_sparse(tmp_path):
+    # the planted instance's batches enumerate every other location, so only
+    # the dense softmax runs; importing scipy.sparse alone would add about
+    # 2.4 MB to the planted benchmark's peak RSS
+    script = textwrap.dedent(f"""
+        import sys
+        from lbsnrec import cli
+        data, model = {str(tmp_path / "d.bin")!r}, {str(tmp_path / "m.jntm")!r}
+        cli.main(["synth", "--seed", "5", "--out", data])
+        cli.main(["train", "--data", data, "--out", model, "--d", "8",
+                  "--max-iterations", "1"])
+        print("scipy.sparse" in sys.modules)
+        """)
+    env = {**os.environ, "PYTHONPATH": str(Path(training.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert "|L|=66" in run.stdout
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_train_pass_times_lie_within_the_epoch(tmp_path):
