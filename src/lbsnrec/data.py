@@ -415,47 +415,43 @@ def correlation_report(dataset, num_pair_samples=10000, seed=0):
 # Binary dataset cache.
 #
 # Layout (all little-endian): magic "LBSN", u32 version, u64 |V|, u64 |L|,
-# user vocab, location vocab (u64 entry count, each string u32 byte length +
-# UTF-8 bytes), then per user in index order a u64-length-prefixed array of
-# u64 location ids and a u64-length-prefixed array of i64 timestamps, then a
-# u64 directed-edge count followed by (u64, u64) pairs.
+# user vocab, location vocab (u64 entry count, u64 byte length, the ids
+# joined by "\n" as UTF-8), |V| + 1 u64 offsets (0 first, never falling;
+# user u's check-ins are offsets[u] .. offsets[u + 1] - 1), every location
+# id (u64), then every timestamp (i64), in user order, then a u64
+# directed-edge count followed by (u64, u64) pairs.
 # ---------------------------------------------------------------------------
 
 DATASET_MAGIC = b"LBSN"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 
 class FormatError(ValueError):
     pass
 
 
-def _write_string_table(handle, strings):
-    pack_length = struct.Struct("<I").pack
-    parts = [struct.pack("<Q", len(strings))]
-    for s in strings:
-        raw = s.encode("utf-8")
-        parts.append(pack_length(len(raw)))
-        parts.append(raw)
-    handle.write(b"".join(parts))
+def _string_table(strings, error=FormatError):
+    """The bytes of a vocabulary table; an id holding "\\n" is refused, as it
+    would split in two on load."""
+    text = "\n".join(strings)
+    if text.count("\n") != max(len(strings) - 1, 0):
+        raise error("a vocabulary id contains a newline")
+    raw = text.encode("utf-8")
+    return struct.pack("<QQ", len(strings), len(raw)) + raw
 
 
 # Reads larger than this are first checked against the bytes left in the
 # file, so a corrupt count never asks read for more than the file holds;
 # smaller ones go straight to read, whose short result is caught after it.
-# (The check costs two system calls, about 15% of loading a small cache if
-# made for every read.)
+# (The check costs two system calls.)
 CHECKED_READ_BYTES = 1 << 16
-
-
-def _bytes_left(handle):
-    return os.fstat(handle.fileno()).st_size - handle.tell()
 
 
 def _check_size(handle, size, what, error):
     """Raise `error` before a read of `size` bytes, beyond CHECKED_READ_BYTES
     and the bytes left in the file (a cut file or a corrupt count)."""
     if size > CHECKED_READ_BYTES:
-        left = _bytes_left(handle)
+        left = os.fstat(handle.fileno()).st_size - handle.tell()
         if size > left:
             raise error(f"{handle.name}: truncated {what} ({size} bytes "
                         f"wanted, {left} left)")
@@ -482,59 +478,42 @@ def _read_into(handle, shape, dtype, what, error=FormatError):
 
 
 def _read_string_table(handle, error=FormatError):
-    (count,) = struct.unpack("<Q", _read_exact(handle, 8, "vocabulary", error))
-    # Every entry needs at least its 4-byte length.
-    left = _bytes_left(handle)
-    if 4 * count > left:
-        raise error(f"{handle.name}: truncated vocabulary ({count} entries, "
-                    f"{left} bytes left)")
-    # Inlined reads: this loop runs once per location and dominates loading.
-    read = handle.read
-    unpack_length = struct.Struct("<I").unpack
-    checked = CHECKED_READ_BYTES
-    out = []
+    count, length = struct.unpack("<QQ", _read_exact(handle, 16, "vocabulary",
+                                                     error))
+    raw = _read_exact(handle, length, "vocabulary", error)
     try:
-        for _ in range(count):
-            head = read(4)
-            if len(head) != 4:
-                raise error(f"{handle.name}: truncated vocabulary")
-            (length,) = unpack_length(head)
-            if length > checked and length > _bytes_left(handle):
-                raise error(f"{handle.name}: truncated vocabulary (entry of "
-                            f"{length} bytes)")
-            raw = read(length)
-            if len(raw) != length:
-                raise error(f"{handle.name}: truncated vocabulary")
-            out.append(raw.decode("utf-8"))
+        ids = raw.decode("utf-8").split("\n") if count or raw else []
     except UnicodeDecodeError:
         raise error(f"{handle.name}: vocabulary entry is not UTF-8") from None
-    return out
-
-
-def _write_array(handle, arr, dtype):
-    handle.write(struct.pack("<Q", len(arr)))
-    handle.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-
-
-def _read_array(handle, dtype, what):
-    (count,) = struct.unpack("<Q", _read_exact(handle, 8, what))
-    return _read_into(handle, (count,), dtype, what)
+    if len(ids) != count:
+        raise error(f"{handle.name}: vocabulary of {count} entries holds "
+                    f"{len(ids)}")
+    return ids
 
 
 def save_dataset(dataset, path):
+    tables = (_string_table(dataset.user_vocab.ids)
+              + _string_table(dataset.location_vocab.ids))
+    trajectories = dataset.trajectories
+    offsets = np.cumsum([0] + [len(t) for t in trajectories], dtype="<u8")
+    # cast unsafely: uint64 ids beside int64 arrays stay u64, not float64
+    columns = [np.concatenate([np.zeros(0, dtype)] + [
+        getattr(t, name) for t in trajectories], dtype=dtype, casting="unsafe")
+        for name, dtype in (("locations", "<u8"), ("timestamps", "<i8"))]
+    edges = np.array(sorted(dataset.graph.directed_edges), dtype="<u8")
     with open(path, "wb") as handle:
-        handle.write(DATASET_MAGIC)
-        handle.write(struct.pack("<I", DATASET_VERSION))
-        handle.write(struct.pack("<QQ", dataset.num_users, dataset.num_locations))
-        _write_string_table(handle, dataset.user_vocab.ids)
-        _write_string_table(handle, dataset.location_vocab.ids)
-        for traj in dataset.trajectories:
-            _write_array(handle, traj.locations, "<u8")
-            _write_array(handle, traj.timestamps, "<i8")
-        edges = sorted(dataset.graph.directed_edges)
-        handle.write(struct.pack("<Q", len(edges)))
-        for i, j in edges:
-            handle.write(struct.pack("<QQ", i, j))
+        handle.write(DATASET_MAGIC + struct.pack(
+            "<IQQ", DATASET_VERSION, dataset.num_users, dataset.num_locations))
+        handle.write(tables)
+        for array in (offsets, *columns):
+            handle.write(array)
+        handle.write(struct.pack("<Q", len(edges)) + edges.tobytes())
+
+
+def _user_error(path, offsets, position, what):
+    """A FormatError naming the user of the check-in at this position."""
+    user = np.searchsorted(offsets, position, side="right") - 1
+    return FormatError(f"{path}: user {user} has {what}")
 
 
 def load_dataset(path):
@@ -550,21 +529,26 @@ def load_dataset(path):
         location_ids = _read_string_table(handle)
         if len(user_ids) != num_users or len(location_ids) != num_locations:
             raise FormatError(f"{path}: vocab sizes disagree with header")
-        trajectories = []
-        for u in range(num_users):
-            locs = _read_array(handle, "<u8", "locations")
-            if len(locs) and locs.max() >= num_locations:
-                raise FormatError(f"{path}: user {u} has location id "
-                                  f"{int(locs.max())} outside [0, {num_locations})")
-            locs = locs.astype(np.int64)
-            ts = _read_array(handle, "<i8", "timestamps")
-            if len(ts) != len(locs) or len(ts) and (
-                    ts[0] < 0 or (ts[1:] < ts[:-1]).any()):
-                raise FormatError(f"{path}: user {u} needs one non-negative, "
-                                  "non-decreasing timestamp per location")
-            trajectories.append(Trajectory(
-                user_index=u, locations=locs, timestamps=ts,
-                subtrajectory_bounds=split_into_subtrajectories(ts)))
+        offsets = _read_into(handle, (num_users + 1,), "<u8", "offsets")
+        if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
+            raise FormatError(f"{path}: check-in offsets must start at 0 "
+                              "and never fall")
+        total = int(offsets[-1])
+        locations = _read_into(handle, (total,), "<u8", "locations")
+        timestamps = _read_into(handle, (total,), "<i8", "timestamps")
+        offsets = offsets.astype(np.int64)     # at most total, now read
+        if total and locations.max() >= num_locations:
+            bad = np.flatnonzero(locations >= num_locations)
+            raise _user_error(path, offsets, bad[0], "location id "
+                              f"{locations[bad[0]]} outside [0, {num_locations})")
+        # a timestamp may fall only where a new user's check-ins begin
+        falls = timestamps[1:] < timestamps[:-1]
+        starts = offsets[:-1][offsets[:-1] < total]
+        falls[starts[starts > 0] - 1] = False
+        bad = np.flatnonzero(np.append(falls, False) | (timestamps < 0))
+        if len(bad):
+            raise _user_error(path, offsets, bad[0],
+                              "a negative or falling timestamp")
         (edge_count,) = struct.unpack("<Q", _read_exact(handle, 8, "edges"))
         edges = np.frombuffer(_read_exact(handle, edge_count * 16, "edges"),
                               dtype="<u8").reshape(-1, 2)
@@ -578,13 +562,28 @@ def load_dataset(path):
             if i == j or (j, i) not in directed:
                 raise FormatError(f"{path}: edge ({i}, {j}) is a self-loop "
                                   "or lacks its reverse")
+    # One gap scan over all users: a subtrajectory starts at each user's
+    # first check-in and after each gap of more than SIX_HOURS.
+    first = np.zeros(total, dtype=bool)
+    first[1:] = np.diff(timestamps) > SIX_HOURS
+    first[starts] = True
+    heads = np.flatnonzero(first)
+    per_user = np.searchsorted(heads, offsets).tolist()
+    base = np.repeat(offsets[:-1], np.diff(per_user))
+    bounds = list(zip((heads - base).tolist(),
+                      (np.append(heads[1:], total) - base).tolist()))
+    locations, ends = locations.view(np.int64), offsets.tolist()
+    trajectories = [Trajectory(user_index=u, locations=locations[a:b],
+                               timestamps=timestamps[a:b],
+                               subtrajectory_bounds=bounds[i:j])
+                    for u, (a, b, i, j) in enumerate(zip(
+                        ends, ends[1:], per_user, per_user[1:]))]
     graph = build_graph(num_users, directed)
-    user_vocab = Vocab(ids=user_ids, index={s: i for i, s in enumerate(user_ids)})
-    location_vocab = Vocab(ids=location_ids,
-                           index={s: i for i, s in enumerate(location_ids)})
+    user_vocab = Vocab(ids=user_ids, index=dict(zip(user_ids, range(num_users))))
+    location_vocab = Vocab(ids=location_ids, index=dict(
+        zip(location_ids, range(num_locations))))
     if (len(user_vocab.index) != num_users
             or len(location_vocab.index) != num_locations):
         raise FormatError(f"{path}: duplicate id in a vocabulary")
     return Dataset(graph=graph, trajectories=trajectories,
                    user_vocab=user_vocab, location_vocab=location_vocab)
-

@@ -405,11 +405,12 @@ def joint_log_likelihood_full(params, mask, dataset):
 # Checkpoints: magic "JNTM", u32 version, u64 |V|, u64 |L|, u64 d, one byte
 # per variant flag (use_short, use_long), the 17 tensors as row-major
 # little-endian float64 in TENSOR_NAMES order, then the user and location
-# vocabularies (u64 entry count, each string u32 byte length + UTF-8 bytes).
+# vocabularies (u64 entry count, u64 byte length, the ids joined by "\n" as
+# UTF-8).
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"JNTM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -421,25 +422,25 @@ def save_checkpoint(path, params, mask, user_ids, location_ids):
 
     The bytes go to a temporary file in the same directory, which then
     replaces `path`; if writing fails, the temporary file is removed and any
-    previous checkpoint at `path` is left as it was.
+    previous checkpoint at `path` is left as it was. An id holding "\n" is
+    refused before any file is opened.
     """
-    from .data import _write_string_table
+    from .data import _string_table
 
+    tables = (_string_table(user_ids, CheckpointError)
+              + _string_table(location_ids, CheckpointError))
     path = os.fspath(path)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as handle:
-            handle.write(CHECKPOINT_MAGIC)
-            handle.write(struct.pack("<I", CHECKPOINT_VERSION))
-            handle.write(struct.pack("<QQQ", params.num_users,
-                                     params.num_locations, params.dim))
-            handle.write(struct.pack("BB", int(mask.use_short),
-                                     int(mask.use_long)))
+            handle.write(CHECKPOINT_MAGIC + struct.pack(
+                "<IQQQBB", CHECKPOINT_VERSION, params.num_users,
+                params.num_locations, params.dim, int(mask.use_short),
+                int(mask.use_long)))
             for name in TENSOR_NAMES:
                 handle.write(np.ascontiguousarray(params.tensor(name),
                                                   dtype="<f8"))
-            _write_string_table(handle, user_ids)
-            _write_string_table(handle, location_ids)
+            handle.write(tables)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -3,6 +3,7 @@ its counting generator proxy leaves the negative samplers' streams unchanged."""
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from collections import defaultdict
@@ -65,18 +66,35 @@ def _reject_constant(name):
     raise ValueError(f"non-finite metric value {name}")
 
 
-def test_traced_planted_run_reports_every_per_layer_metric():
+def _files_under(root):
+    return {path.relative_to(root): (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_traced_planted_run_reports_every_per_layer_metric(tmp_path):
+    # runs from a copy (not symlinks: run.py checks the resolved import
+    # path), so the checkout's perfbench/_work stays as it was
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    work = ROOT / "perfbench" / "_work"
+    before = _files_under(work)
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "perfbench").mkdir()
+    for script in (ROOT / "perfbench").glob("*.py"):
+        shutil.copy(script, tmp_path / "perfbench")
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "planted",
          "--seed", "1", "--seconds", "1", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
     lines = run.stdout.splitlines()
     result = json.loads(lines[-1], parse_constant=_reject_constant)
     assert result["correct"] is True and result["failed"] == 0, lines
     assert set(result["metrics"]) == {m["name"] for m in spec["per_layer"]}
     assert "# absent at this commit: none" in lines
+    assert (tmp_path / "perfbench" / "_work" / "trace-planted-1.json").is_file()
+    assert _files_under(work) == before
 
 
 # Installs the unmodified tracer in a fresh interpreter, runs one trajectory

@@ -154,6 +154,36 @@ def test_eval_rejects_corrupt_checkpoint(tmp_path, synth_cache, capsys):
     assert err.count("\n") == 1 and "bad magic" in err
 
 
+def test_train_rejects_version_1_cache(tmp_path, synth_cache, capsys):
+    # version 1 held per-user arrays and length-prefixed ids; no reader is
+    # kept, and the version is read before either
+    assert synth_cache.read_bytes()[4:8] == struct.pack("<I", 2)
+    old = _patched_copy(synth_cache, 4, "<I", 1, tmp_path / "v1.bin")
+    code = run_cli(["train", "--data", old, "--out", tmp_path / "m.jntm",
+                    "--d", 2, "--max-iterations", 1])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "unsupported version 1" in err
+    assert not (tmp_path / "m.jntm").exists()
+
+
+def test_eval_rejects_version_1_checkpoint(tmp_path, synth_cache, capsys):
+    ds = lbsn_data.load_dataset(synth_cache)
+    model = tmp_path / "m.jntm"
+    save_checkpoint(model, ModelParams.zeros(ds.num_users, ds.num_locations, 2),
+                    VariantMask(), ds.user_vocab.ids, ds.location_vocab.ids)
+    assert model.read_bytes()[4:8] == struct.pack("<I", 2)
+    old = _patched_copy(model, 4, "<I", 1, tmp_path / "v1.jntm")
+    code = run_cli(["eval", "--model", old, "--data", synth_cache,
+                    "--out", tmp_path / "r.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "unsupported version 1" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("vocab", ["user", "location"])
 def test_train_rejects_duplicate_vocabulary_ids(tmp_path, two_user_dataset,
                                                capsys, vocab):
@@ -240,21 +270,34 @@ def test_eval_forwards_each_test_group_once(tmp_path, synth_cache,
 
 
 def _string_table_size(strings):
-    return 8 + sum(4 + len(s.encode("utf-8")) for s in strings)
+    return 16 + len("\n".join(strings).encode("utf-8"))
+
+
+def _cache_sections(path):
+    """Byte offsets of a dataset cache's check-in offsets, location ids,
+    timestamps and edge count, and the loaded dataset."""
+    ds = lbsn_data.load_dataset(path)
+    offsets = (4 + 4 + 16 + _string_table_size(ds.user_vocab.ids)
+               + _string_table_size(ds.location_vocab.ids))
+    locations = offsets + 8 * (ds.num_users + 1)
+    timestamps = locations + 8 * ds.num_checkins
+    edges = path.stat().st_size - 8 - 16 * ds.graph.num_directed_edges
+    assert edges == timestamps + 8 * ds.num_checkins
+    return offsets, locations, timestamps, edges, ds
 
 
 def _cache_cuts(path):
-    """Byte offsets inside each section of a dataset cache."""
-    ds = lbsn_data.load_dataset(path)
-    vocab_start = 4 + 4 + 16
-    arrays_start = (vocab_start + _string_table_size(ds.user_vocab.ids)
-                    + _string_table_size(ds.location_vocab.ids))
-    edges_start = path.stat().st_size - 8 - 16 * ds.graph.num_directed_edges
-    return {"header": 12, "vocab": vocab_start + 8 + 2,
-            "location_vocab": arrays_start - 1, "arrays": arrays_start + 8 + 3,
-            "timestamps": arrays_start + 8 + 8 * len(ds.trajectories[0]) + 4,
-            "edge_count": edges_start + 4,
-            "edges": path.stat().st_size - 5, "300_bytes": 300}
+    """Byte offsets inside each section of a dataset cache, and the field
+    each cut leaves short (None: not pinned)."""
+    offsets, locations, timestamps, edges, ds = _cache_sections(path)
+    first = len(ds.trajectories[0])
+    return {"header": (12, "header"), "vocab": (4 + 4 + 16 + 10, "vocabulary"),
+            "location_vocab": (offsets - 1, "vocabulary"),
+            "arrays": (offsets + 8 + 3, "offsets"),
+            "locations": (locations + 8 * first + 4, "locations"),
+            "timestamps": (timestamps + 8 * first + 4, "timestamps"),
+            "edge_count": (edges + 4, "edges"),
+            "edges": (path.stat().st_size - 5, "edges"), "300_bytes": (300, None)}
 
 
 def _checkpoint_cuts(path, dim):
@@ -271,17 +314,17 @@ def _truncated_copy(path, size, out):
 
 
 @pytest.mark.parametrize("section", ["header", "vocab", "location_vocab",
-                                     "arrays", "timestamps", "edge_count",
-                                     "edges", "300_bytes"])
+                                     "arrays", "locations", "timestamps",
+                                     "edge_count", "edges", "300_bytes"])
 def test_train_rejects_truncated_cache(tmp_path, synth_cache, capsys, section):
-    cut = _truncated_copy(synth_cache, _cache_cuts(synth_cache)[section],
-                          tmp_path / "cut.bin")
+    size, field = _cache_cuts(synth_cache)[section]
+    cut = _truncated_copy(synth_cache, size, tmp_path / "cut.bin")
     code = run_cli(["train", "--data", cut, "--out", tmp_path / "m.jntm",
                     "--d", 2, "--max-iterations", 1])
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "truncated" in err
+    assert f"truncated {field or ''}" in err
     assert not (tmp_path / "m.jntm").exists()
 
 
@@ -315,15 +358,15 @@ def _patched_copy(path, offset, fmt, value, out):
 
 
 def _cache_counts(path):
-    """(byte offset, format, true value) of count fields of a dataset cache."""
-    ds = lbsn_data.load_dataset(path)
-    arrays_start = (4 + 4 + 16 + _string_table_size(ds.user_vocab.ids)
-                    + _string_table_size(ds.location_vocab.ids))
-    edges_start = path.stat().st_size - 8 - 16 * ds.graph.num_directed_edges
-    return {"locations": (arrays_start, "<Q", len(ds.trajectories[0])),
+    """(byte offset, format, true value) of count fields of a dataset cache:
+    the last check-in offset (the length of both columns), the user table's
+    entry count and byte length, and the directed-edge count."""
+    offsets, _, _, edges, ds = _cache_sections(path)
+    return {"locations": (offsets + 8 * ds.num_users, "<Q", ds.num_checkins),
             "user_vocabulary": (24, "<Q", ds.num_users),
-            "string_length": (32, "<I", len(ds.user_vocab.ids[0])),
-            "edges": (edges_start, "<Q", ds.graph.num_directed_edges)}
+            "string_length": (32, "<Q", _string_table_size(ds.user_vocab.ids)
+                              - 16),
+            "edges": (edges, "<Q", ds.graph.num_directed_edges)}
 
 
 @pytest.mark.parametrize("value", ["huge", "one_more"])
@@ -332,9 +375,9 @@ def _cache_counts(path):
 def test_train_rejects_corrupt_cache_count(tmp_path, synth_cache, capsys, field,
                                            value):
     offset, fmt, count = _cache_counts(synth_cache)[field]
-    huge = 2**61 if fmt == "<Q" else 2**32 - 1
+    assert struct.unpack_from(fmt, synth_cache.read_bytes(), offset) == (count,)
     bad = _patched_copy(synth_cache, offset, fmt,
-                        huge if value == "huge" else count + 1,
+                        2**61 if value == "huge" else count + 1,
                         tmp_path / "bad.bin")
     code = run_cli(["train", "--data", bad, "--out", tmp_path / "m.jntm",
                     "--d", 2, "--max-iterations", 1])

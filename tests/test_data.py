@@ -1,4 +1,3 @@
-import io
 import struct
 from datetime import datetime, timezone
 
@@ -10,7 +9,7 @@ from lbsnrec.data import (CheckIn, ParseError, build_dataset, filter_dataset,
                           load_dataset, make_splits, overlap_coefficient,
                           parse_checkins, parse_edges, save_dataset,
                           split_into_subtrajectories, correlation_report,
-                          full_train_splits)
+                          full_train_splits, SIX_HOURS)
 
 from conftest import corrupt_cache, make_checkins
 from property_checks import write_checkins_tsv, write_edges_tsv
@@ -314,23 +313,160 @@ def test_dataset_cache_rejects_an_edge_without_its_reverse(tmp_path,
 
 
 def test_string_table_layout():
-    # u64 entry count, then per entry a u32 byte length and the UTF-8 bytes
-    buf = io.BytesIO()
-    lbsn_data._write_string_table(buf, ["a", "", "\u00fc\u00df"])
-    assert buf.getvalue() == (struct.pack("<Q", 3) + struct.pack("<I", 1) + b"a"
-                              + struct.pack("<I", 0) + struct.pack("<I", 4)
-                              + "\u00fc\u00df".encode("utf-8"))
+    # u64 entry count, u64 byte length, then the ids joined by "\n" as UTF-8
+    assert lbsn_data._string_table(["a", "", "\u00fc\u00df"]) == (
+        struct.pack("<QQ", 3, 7) + b"a\n\n" + "\u00fc\u00df".encode("utf-8"))
+
+
+@pytest.mark.parametrize("ids", [[], [""], ["a", ""], ["", "a"],
+                                 ["\u00fc\u00df", "\u65e5\u672c", "a b\t\r"]],
+                         ids=["empty", "one_empty_id", "empty_last",
+                              "empty_first", "non_ascii"])
+def test_string_table_round_trip(tmp_path, ids):
+    path = tmp_path / "table.bin"
+    path.write_bytes(lbsn_data._string_table(ids) + b"next")
+    with open(path, "rb") as handle:
+        assert lbsn_data._read_string_table(handle) == ids
+        assert handle.read() == b"next"
+
+
+@pytest.mark.parametrize("count, blob", [(0, b"a"), (2, b""), (2, b"a"),
+                                         (1, b"a\nb")],
+                         ids=["none_with_bytes", "two_in_empty", "two_in_one",
+                              "one_in_two"])
+def test_string_table_count_must_match(tmp_path, count, blob):
+    path = tmp_path / "table.bin"
+    path.write_bytes(struct.pack("<QQ", count, len(blob)) + blob)
+    with open(path, "rb") as handle, pytest.raises(lbsn_data.FormatError,
+                                                   match="vocabulary"):
+        lbsn_data._read_string_table(handle)
 
 
 def test_dataset_cache_rejects_non_utf8_vocabulary(tmp_path, two_user_dataset):
     path = tmp_path / "bad.bin"
     save_dataset(two_user_dataset, path)
     raw = bytearray(path.read_bytes())
-    # header (24 bytes), user count (8), first entry's length (4), its byte
-    raw[24 + 8 + 4] = 0xFF
+    # header (24 bytes), user count and byte length (16), the first byte
+    raw[24 + 16] = 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(lbsn_data.FormatError, match="UTF-8"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("vocab", ["user", "location"])
+def test_save_dataset_refuses_a_newline_in_an_id(tmp_path, two_user_dataset,
+                                                 vocab):
+    # the id would load as two; nothing is written, an older cache stays
+    path = tmp_path / "cache.bin"
+    path.write_bytes(b"older")
+    getattr(two_user_dataset, f"{vocab}_vocab").ids[0] = "x\ny"
+    with pytest.raises(lbsn_data.FormatError, match="newline"):
+        save_dataset(two_user_dataset, path)
+    assert path.read_bytes() == b"older"
+
+
+def _checkin_sections(dataset):
+    """Byte offsets of the offsets, locations and timestamps of a cache."""
+    offsets = 24 + sum(len(lbsn_data._string_table(v.ids)) for v in (
+        dataset.user_vocab, dataset.location_vocab))
+    locations = offsets + 8 * (dataset.num_users + 1)
+    return offsets, locations, locations + 8 * dataset.num_checkins
+
+
+def test_dataset_cache_check_in_columns_layout(tmp_path, two_user_dataset):
+    # |V| + 1 u64 offsets, every location id (u64), every timestamp (i64)
+    path = tmp_path / "cache.bin"
+    save_dataset(two_user_dataset, path)
+    raw = path.read_bytes()
+    offsets, locations, timestamps = _checkin_sections(two_user_dataset)
+    trajectories = two_user_dataset.trajectories
+    assert raw[offsets:locations] == struct.pack("<3Q", 0, 3, 6)
+    assert raw[locations:timestamps] == struct.pack(
+        "<6Q", *[l for t in trajectories for l in t.locations.tolist()])
+    assert raw[timestamps:timestamps + 48] == struct.pack(
+        "<6q", *[s for t in trajectories for s in t.timestamps.tolist()])
+    edges = sorted(two_user_dataset.graph.directed_edges)
+    assert raw[timestamps + 48:] == struct.pack("<Q", 2) + struct.pack(
+        "<4Q", *edges[0], *edges[1])
+
+
+def test_corrupt_location_ids_are_written_as_u64(tmp_path, two_user_dataset):
+    # a location column mixing uint64 and int64 arrays must not turn float
+    path = corrupt_cache(two_user_dataset, tmp_path / "bad.bin",
+                         location=2**64 - 1)
+    _, locations, _ = _checkin_sections(two_user_dataset)
+    raw = path.read_bytes()
+    assert raw[locations:locations + 8] == struct.pack("<Q", 2**64 - 1)
+    assert raw[locations + 8:locations + 16] == struct.pack(
+        "<Q", int(two_user_dataset.trajectories[0].locations[1]))
+
+
+def _patched(path, offset, fmt, value):
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+@pytest.mark.parametrize("index, value, match", [
+    (0, 1, "offsets"), (1, 7, "offsets"), (1, 2**63, "offsets"),
+    (2, 5, None), (2, 7, None), (2, 2**61, "truncated locations")],
+    ids=["first_not_zero", "falls", "falls_huge", "short_of_columns",
+         "past_columns", "huge_last"])
+def test_dataset_cache_rejects_bad_offsets(tmp_path, two_user_dataset, index,
+                                           value, match):
+    # the true offsets are 0, 3, 6
+    path = tmp_path / "bad.bin"
+    save_dataset(two_user_dataset, path)
+    offsets, _, _ = _checkin_sections(two_user_dataset)
+    _patched(path, offsets + 8 * index, "<Q", value)
+    with pytest.raises(lbsn_data.FormatError, match=match):
+        load_dataset(path)
+
+
+def test_timestamps_may_fall_only_across_a_user_boundary(tmp_path,
+                                                         two_user_dataset):
+    # both users' check-ins start at the same second, so the column falls
+    # from user "a"'s last to user "b"'s first
+    a, b = two_user_dataset.trajectories
+    assert a.timestamps[-1] > b.timestamps[0]
+    path = tmp_path / "cache.bin"
+    save_dataset(two_user_dataset, path)
+    loaded = load_dataset(path)
+    np.testing.assert_array_equal(loaded.trajectories[1].timestamps,
+                                  b.timestamps)
+    b.timestamps = b.timestamps[[0, 2, 1]]
+    save_dataset(two_user_dataset, path)
+    with pytest.raises(lbsn_data.FormatError,
+                       match="user 1 has a negative or falling timestamp"):
+        load_dataset(path)
+
+
+def test_dataset_cache_round_trips_empty_users(tmp_path):
+    # empty users first, between and last give repeated offsets
+    rng = np.random.default_rng(4)
+    lengths = [0, 5, 0, 0, 1, 9, 0]
+    trajectories = []
+    for u, n in enumerate(lengths):
+        ts = np.cumsum(rng.choice([0, 100, SIX_HOURS, SIX_HOURS + 1], size=n))
+        trajectories.append(lbsn_data.Trajectory(
+            user_index=u, locations=rng.integers(0, 3, size=n),
+            timestamps=ts + rng.integers(0, 10**6),
+            subtrajectory_bounds=split_into_subtrajectories(ts)))
+    users = [f"u{u}" for u in range(len(lengths))]
+    dataset = lbsn_data.Dataset(
+        graph=lbsn_data.build_graph(len(users), {(0, 6), (6, 0)}),
+        trajectories=trajectories,
+        user_vocab=lbsn_data.Vocab.from_sorted_ids(users),
+        location_vocab=lbsn_data.Vocab.from_sorted_ids(["x", "y", "z"]))
+    path = tmp_path / "cache.bin"
+    save_dataset(dataset, path)
+    loaded = load_dataset(path)
+    for a, b in zip(loaded.trajectories, trajectories, strict=True):
+        np.testing.assert_array_equal(a.locations, b.locations)
+        np.testing.assert_array_equal(a.timestamps, b.timestamps)
+        assert a.subtrajectory_bounds == b.subtrajectory_bounds
+    assert loaded.graph.directed_edges == {(0, 6), (6, 0)}
 
 
 def test_tsv_round_trip(tmp_path, two_user_dataset):

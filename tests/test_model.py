@@ -490,24 +490,41 @@ def test_checkpoint_round_trip(tmp_path):
     assert path.read_bytes()[:4] == b"JNTM"
 
 
-def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
+def test_checkpoint_write_failure_keeps_previous(tmp_path):
     rng = np.random.default_rng(10)
     params = params_with(rng, num_users=3, num_locations=4, dim=2, scale=0.3)
     path = tmp_path / "model.jntm"
     vocab = (["a", "b", "c"], ["w", "x", "y", "z"])
     save_checkpoint(path, params, FULL_VARIANT, *vocab)
     before = path.read_bytes()
-    write_table = lbsn_data._write_string_table
 
-    def failing_write(handle, strings):
-        write_table(handle, strings[:1])
-        raise OSError("disk full")
+    class FullDisk:
+        # stands in for U_out, written after the header and four tensors
+        def __array__(self, dtype=None, copy=None):
+            raise OSError("disk full")
 
-    monkeypatch.setattr(lbsn_data, "_write_string_table", failing_write)
     changed = params.copy()
     changed.U += 1.0
+    changed.U_out = FullDisk()
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, changed, FULL_VARIANT, *vocab)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.jntm"]
+
+
+@pytest.mark.parametrize("vocab", ["user", "location"])
+def test_checkpoint_refuses_a_newline_in_an_id(tmp_path, vocab):
+    from lbsnrec.model import CheckpointError
+    rng = np.random.default_rng(10)
+    params = params_with(rng, num_users=3, num_locations=4, dim=2, scale=0.3)
+    path = tmp_path / "model.jntm"
+    ids = {"user": ["a", "b", "c"], "location": ["w", "x", "y", "z"]}
+    save_checkpoint(path, params, FULL_VARIANT, ids["user"], ids["location"])
+    before = path.read_bytes()
+    ids[vocab][1] += "\n"
+    with pytest.raises(CheckpointError, match="newline"):
+        save_checkpoint(path, params, FULL_VARIANT, ids["user"],
+                        ids["location"])
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.jntm"]
 

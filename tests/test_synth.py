@@ -175,3 +175,47 @@ def test_community_helpers():
     assert community_of_user(cfg, 5) == 1
     assert community_block(cfg, 1) == (8, 16)
     assert shared_block(cfg) == (16, 19)
+
+
+def _assert_same_dataset(loaded, built):
+    assert loaded.user_vocab == built.user_vocab
+    assert loaded.location_vocab == built.location_vocab
+    assert loaded.graph.directed_edges == built.graph.directed_edges
+    for a, b in zip(loaded.graph.adjacency, built.graph.adjacency, strict=True):
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(loaded.trajectories, built.trajectories, strict=True):
+        assert a.user_index == b.user_index
+        assert a.locations.dtype == b.locations.dtype == np.int64
+        np.testing.assert_array_equal(a.locations, b.locations)
+        np.testing.assert_array_equal(a.timestamps, b.timestamps)
+        assert a.subtrajectory_bounds == b.subtrajectory_bounds
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(seed=3), small_config(seed=2),
+    small_config(seed=4, subtrajectories_per_user=1,
+                 locations_per_subtrajectory=1),
+    small_config(seed=5, num_communities=3, shared_locations=400)],
+    ids=["planted", "small", "one_checkin_each", "long_tail"])
+def test_synth_cache_loads_equal_to_generated_dataset(tmp_path, cfg):
+    path = tmp_path / "d.bin"
+    lbsn_data.save_dataset(generate(cfg), path)
+    _assert_same_dataset(lbsn_data.load_dataset(path), generate(cfg))
+
+
+def test_ragged_cache_loads_equal_to_built_dataset(tmp_path):
+    # gaps on both sides of six hours, equal timestamps and users of 1-40
+    # check-ins starting at unrelated times
+    rng = np.random.default_rng(8)
+    checkins = []
+    for u in range(30):
+        n = int(rng.integers(1, 41))
+        gaps = rng.choice([0, 60, lbsn_data.SIX_HOURS, lbsn_data.SIX_HOURS + 1,
+                           10**6], size=n)
+        stamps = np.cumsum(gaps) + int(rng.integers(0, 10**7))
+        checkins += [lbsn_data.CheckIn(f"user{u:02d}", f"loc{int(l)}", int(t))
+                     for l, t in zip(rng.integers(0, 50, size=n), stamps)]
+    built = lbsn_data.build_dataset(checkins, [("user00", "user07")])
+    path = tmp_path / "d.bin"
+    lbsn_data.save_dataset(built, path)
+    _assert_same_dataset(lbsn_data.load_dataset(path), built)
