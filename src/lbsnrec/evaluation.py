@@ -86,67 +86,49 @@ def _evaluated_users(dataset, splits, part):
         yield user, traj.locations[:end], bounds[lo:hi], bounds[lo][0]
 
 
-def _evaluated_rows(params, mask, dataset, splits, new_only, part, width):
-    """Yield (owners, contexts, targets, new, ex_rows, ex_cols) per block of
-    users.
+def _evaluated_rows(params, mask, dataset, splits, new_only, part):
+    """Yield (owners, contexts, targets, new, ex_rows, ex_cols) per group.
 
     One long_term_chain over every evaluated user's history gives the hidden
     state each of the part's subtrajectories consults; forward_trajectory
     then runs over the part's positions in forward_groups groups, its
-    contexts all evaluated rows. owners holds each row's user. A block
-    holds the rows of consecutive users, at most `width` rows unless one
-    user has more. new indexes the rows that are first visits of their
-    location (none unless new_only), and (ex_rows, ex_cols), sorted by row,
-    pairs each of these (its index into new) with the locations visited
-    before its position, which are not its new-only candidates.
+    contexts all evaluated rows. owners holds each row's user. new indexes
+    the rows that are first visits of their location (none unless new_only),
+    and (ex_rows, ex_cols), sorted by row, pairs each of these (its index
+    into new) with the locations visited before its position, which are not
+    its new-only candidates.
     """
     evaluated = list(_evaluated_users(dataset, splits, part))
     hidden = (long_term_chain(params, [item[1:3] for item in evaluated],
                               caches=False).hidden if mask.use_long else None)
     firsts = np.cumsum([0] + [len(item[2]) for item in evaluated])
+    users = np.array([item[0] for item in evaluated], dtype=np.int64)
     views = [(locs[start:], np.asarray(bounds, dtype=np.int64) - start)
              for _, locs, bounds, start in evaluated]
     empty = np.empty(0, dtype=np.int64)
-    block, num_rows, num_new = [[], [], [], [empty], [empty], [empty]], 0, 0
     for lo, hi in forward_groups([len(locs) for locs, _ in views],
                                  caches=False):
-        padded = forward_trajectory(
-            params, mask, [item[0] for item in evaluated[lo:hi]], views[lo:hi],
-            None if hidden is None else hidden[firsts[lo]:firsts[hi]]).contexts
-        # copy the rows: the contexts go before the next forward
-        chosen = [row[:len(locs)].copy()
-                  for (locs, _), row in zip(views[lo:hi], padded)]
-        del padded
-        for (user, locs, _, start), user_contexts in zip(evaluated[lo:hi],
-                                                         chosen):
+        trace = forward_trajectory(
+            params, mask, users[lo:hi], views[lo:hi],
+            None if hidden is None else hidden[firsts[lo]:firsts[hi]])
+        blocks, row, num_new = [(empty, empty, empty)], 0, 0
+        for _, locs, _, start in evaluated[lo:hi] if new_only else ():
+            # Position p is new iff it is the first visit of its location;
+            # its candidates are the locations first visited at p or later.
             positions = np.arange(start, len(locs))
-            new = ex_rows = ex_cols = empty
-            if new_only:
-                # Position p is new iff it is the first visit of its location;
-                # its candidates are the locations first visited at p or later.
-                visited, first, inverse = np.unique(locs, return_index=True,
-                                                    return_inverse=True)
-                new = np.flatnonzero(first[inverse[start:]] == positions)
-                order = np.argsort(first)
-                counts = np.searchsorted(first[order], positions[new])
-                ex_rows = np.repeat(np.arange(len(new)), counts)
-                ex_cols = visited[order][np.arange(len(ex_rows)) - np.repeat(
-                    np.cumsum(counts) - counts, counts)]
-            # Each score block streams all of U_out, so a block takes whole
-            # users until the next one would not fit.
-            if num_rows and num_rows + len(positions) > width:
-                yield tuple(map(np.concatenate, block))
-                block, num_rows, num_new = [[], [], [], [empty], [empty],
-                                            [empty]], 0, 0
-            for rows, user_rows in zip(block, (
-                    np.full(len(positions), user), user_contexts,
-                    locs[positions], num_rows + new, num_new + ex_rows,
-                    ex_cols)):
-                rows.append(user_rows)
-            num_rows += len(positions)
+            visited, first, inverse = np.unique(locs, return_index=True,
+                                                return_inverse=True)
+            new = np.flatnonzero(first[inverse[start:]] == positions)
+            order = np.argsort(first)
+            counts = np.searchsorted(first[order], positions[new])
+            ex_rows = np.repeat(np.arange(len(new)), counts)
+            ex_cols = visited[order][np.arange(len(ex_rows)) - np.repeat(
+                np.cumsum(counts) - counts, counts)]
+            blocks.append((row + new, num_new + ex_rows, ex_cols))
+            row += len(positions)
             num_new += len(new)
-    if num_rows:
-        yield tuple(map(np.concatenate, block))
+        yield (np.repeat(users[lo:hi], trace.lengths), trace.contexts,
+               trace.locations, *map(np.concatenate, zip(*blocks)))
 
 
 def _rank_rows(scores, targets):
@@ -210,7 +192,7 @@ def rank_next_locations(params, mask, dataset, splits, part="test",
     when new_only.
 
     Every user with events in the part is forwarded once (_evaluated_rows),
-    and the rows of consecutive users are scored in score_blocks: one GEMM
+    and each forward group's rows are scored in score_blocks: one GEMM
     against U_out per block. General rows are ranked on these scores.
     New-only rows (first visits) are ranked on a copy of theirs with each
     row's previously visited locations set to -inf.
@@ -218,8 +200,7 @@ def rank_next_locations(params, mask, dataset, splits, part="test",
     empty = np.empty(0, dtype=np.int64)
     owners, ranks, new_owners, new_ranks = [empty], [empty], [empty], [empty]
     for users, contexts, targets, new, ex_rows, ex_cols in _evaluated_rows(
-            params, mask, dataset, splits, new_only, part,
-            score_block_rows(params.num_locations)):
+            params, mask, dataset, splits, new_only, part):
         owners.append(users)
         new_owners.append(users[new])
         for block, scores in score_blocks(contexts, params.U_out):

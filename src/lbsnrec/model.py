@@ -121,7 +121,7 @@ class Lockstep:
 
 
 def lockstep(starts, lengths):
-    """Lockstep schedule of sequences at padded flat offsets `starts`."""
+    """Lockstep schedule of sequences at flat offsets `starts`."""
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
@@ -138,26 +138,24 @@ def lockstep(starts, lengths):
 
 
 # Callers run forward_trajectory over groups of users of at most
-# FORWARD_GROUP_POSITIONS padded positions (users x longest history), or one
-# user whose history is longer; a rank-only forward, whose contexts take no
-# gradients, takes twice as many. The long-term chain runs over a whole batch
-# in blocks of at most this many step-columns (chain_blocks), so groups bound
-# only the contexts.
+# FORWARD_GROUP_POSITIONS positions in all, or one user whose history is
+# longer; a rank-only forward, whose contexts take no gradients, takes twice
+# as many. The long-term chain runs over a whole batch in blocks of at most
+# this many step-columns (chain_blocks), so groups bound only the contexts.
 FORWARD_GROUP_POSITIONS = 630
 
 
 def forward_groups(lengths, caches=True):
     """Split a batch of users with these history lengths into consecutive
-    (start, stop) groups of at most FORWARD_GROUP_POSITIONS padded positions
-    each (twice that without caches), or one user."""
+    (start, stop) groups of at most FORWARD_GROUP_POSITIONS positions each
+    (twice that without caches), or one user."""
     bound = FORWARD_GROUP_POSITIONS * (1 if caches else 2)
-    start = width = 0
+    start = total = 0
     for i, n in enumerate(lengths):
-        grown = max(width, n)
-        if i > start and (i - start + 1) * grown > bound:
+        if i > start and total + n > bound:
             yield start, i
-            start, grown = i, n
-        width = grown
+            start, total = i, 0
+        total += n
     if len(lengths) > start:
         yield start, len(lengths)
 
@@ -182,11 +180,11 @@ def chain_blocks(live):
 class ForwardTrace:
     """Contexts of a batch of users, made by forward_trajectory.
 
-    locations and contexts are padded over the batch (row b holds user b's
-    first lengths[b] positions, zero past them); contexts[b, p] predicts
-    locations[b, p], its third block the short-term state.
-    `subtrajectories` schedules the short-term chain over padded flat
-    indices b * T + p (see Lockstep), one sequence per subtrajectory.
+    User b's positions are rows starts[b] .. starts[b] + lengths[b] - 1 of
+    locations and contexts, starts the exclusive cumulative sum of lengths;
+    contexts[r] predicts locations[r], its third block the short-term state.
+    `subtrajectories` schedules the short-term chain over these rows (see
+    Lockstep), one sequence per subtrajectory.
     """
 
     lengths: np.ndarray
@@ -242,7 +240,7 @@ def location_log_prob_full(params, context, target):
 
 
 def short_term_chain(params, steps, locations):
-    """Packed short-term states of the schedule `steps` over padded flat
+    """Packed short-term states of the schedule `steps` over flat
     `locations`, one GEMM per in-subtrajectory position."""
     states = np.empty((len(steps.rows), params.dim))
     first = steps.live[0] if steps.live else 0
@@ -358,30 +356,25 @@ def forward_trajectory(params, mask, users, views, long_states=None):
     users = np.asarray(users, dtype=np.int64)
     d = params.dim
     lengths = np.array([len(locs) for locs, _ in views], dtype=np.int64)
-    num = len(lengths)
-    width = int(lengths.max(initial=0))
-    valid = np.flatnonzero(np.arange(width) < lengths[:, None])
-    locations = np.zeros((num, width), dtype=np.int64)
-    flat_locations = locations.reshape(-1)
-    if len(valid):
-        flat_locations[valid] = np.concatenate([locs for locs, _ in views])
-    spans = [np.asarray(bounds, dtype=np.int64).reshape(-1, 2) + b * width
-             for b, (_, bounds) in enumerate(views)]
-    spans = np.concatenate(spans) if spans else np.zeros((0, 2), dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    locations = np.concatenate([np.zeros(0, dtype=np.int64)]
+                               + [locs for locs, _ in views])
+    spans = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + [
+        np.asarray(bounds, dtype=np.int64).reshape(-1, 2) + start
+        for (_, bounds), start in zip(views, starts.tolist())])
     subtrajectories = lockstep(spans[:, 0], spans[:, 1] - spans[:, 0])
     if mask.use_long and long_states is None:
         long_states = long_term_chain(params, views, caches=False).hidden
 
-    contexts = np.zeros((num, width, 4 * d))
-    flat = contexts.reshape(-1, 4 * d)
-    owner = users[valid // max(width, 1)]
-    flat[valid, 0:d] = params.F[owner]
-    flat[valid, d:2 * d] = params.P[owner]
+    contexts = np.zeros((len(locations), 4 * d))
+    owner = np.repeat(users, lengths)
+    contexts[:, 0:d] = params.F[owner]
+    contexts[:, d:2 * d] = params.P[owner]
     if mask.use_short:
-        flat[subtrajectories.rows, 2 * d:3 * d] = short_term_chain(
-            params, subtrajectories, flat_locations)
+        contexts[subtrajectories.rows, 2 * d:3 * d] = short_term_chain(
+            params, subtrajectories, locations)
     if mask.use_long:
-        flat[valid, 3 * d:] = np.repeat(long_states, subtrajectories.lengths,
+        contexts[:, 3 * d:] = np.repeat(long_states, subtrajectories.lengths,
                                         axis=0)
     return ForwardTrace(lengths=lengths, locations=locations, contexts=contexts,
                         subtrajectories=subtrajectories)
@@ -396,7 +389,7 @@ def joint_log_likelihood_full(params, mask, dataset):
         trace = forward_trajectory(params, mask, [traj.user_index],
                                    [(traj.locations, traj.subtrajectory_bounds)])
         for p in range(len(traj)):
-            total += location_log_prob_full(params, trace.contexts[0, p],
+            total += location_log_prob_full(params, trace.contexts[p],
                                             traj.locations[p])
     return float(total)
 

@@ -659,7 +659,7 @@ def trajectory_loss_and_grads(params, mask, batch, grads=None, phases=None):
     """Sampled next-location loss over a frozen batch, with full BPTT gradients.
 
     The long-term chain runs once over the batch (model.long_term_chain),
-    then each model.forward_groups group of users, which bounds the padded
+    then each model.forward_groups group of users, which bounds the
     contexts, is one _lockstep_loss_and_grads call that reads its consulted
     hidden states from the chain and writes their gradients into one batch
     array; long-term BPTT then runs once (_long_term_backward). Phase seconds
@@ -716,27 +716,21 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives,
     begin = time.perf_counter()
     trace = forward_trajectory(params, mask, users, views, long_states)
     phases["forward_seconds"] += time.perf_counter() - begin
-    lengths = trace.lengths
-    num, width = trace.locations.shape
-    valid = np.flatnonzero(np.arange(width) < lengths[:, None])
-    if not len(valid):
+    if not len(trace.locations):
         return 0.0
-    flat_locations = trace.locations.reshape(-1)
     sub = trace.subtrajectories
-    d_context = trace.contexts.reshape(-1, 4 * d)
     begin = time.perf_counter()
     drawn = negatives[0].shape[1]   # negatives per position
     dense = params.num_locations <= DENSE_SOFTMAX_RATIO * (1 + drawn)
-    total, d_context[valid] = (_dense_softmax if dense else _gathered_softmax)(
-        params, d_context[valid], flat_locations[valid],
+    total, d_context = (_dense_softmax if dense else _gathered_softmax)(
+        params, trace.contexts, trace.locations,
         None if dense and drawn >= params.num_locations - 1
         else np.concatenate(negatives), grads)
     phases["softmax_seconds"] += time.perf_counter() - begin
 
-    seen = lengths > 0
-    per_user = d_context.reshape(num, width, 4 * d)[:, :, :2 * d].sum(axis=1)
-    grads.add_rows("F", users[seen], per_user[seen, :d])
-    grads.add_rows("P", users[seen], per_user[seen, d:])
+    owners = np.repeat(users, trace.lengths)
+    grads.add_rows("F", owners, d_context[:, :d])
+    grads.add_rows("P", owners, d_context[:, d:2 * d])
 
     # BPTT needs only these blocks: free the contexts
     d_states = d_context[sub.rows, 2 * d:3 * d] if mask.use_short else None
@@ -747,12 +741,12 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives,
     if mask.use_short:
         begin = time.perf_counter()
         # a few steps per subtrajectory: rerun rather than cached
-        states = short_term_chain(params, sub, flat_locations)
+        states = short_term_chain(params, sub, trace.locations)
         d_pre, d_s0 = _short_term_backward(params, sub, d_states, states)
         grads.S0 += d_s0
         grads.W += d_pre.T @ states[sub.previous]
         # d_pre[r] is the step over the location before its packed row
-        grads.add_rows("U", flat_locations[
+        grads.add_rows("U", trace.locations[
             sub.rows[len(sub.rows) - len(d_pre):] - 1], d_pre)
         phases["bptt_seconds"] += time.perf_counter() - begin
     return total
@@ -844,7 +838,9 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
     best-validation parameters are checkpointed; training stops after
     config.max_iterations epochs or once validation recall has not improved
     for config.patience consecutive epochs. Without validation events every
-    epoch checkpoints and only max_iterations stops the loop.
+    epoch checkpoints and only max_iterations stops the loop. Only when no
+    epoch runs (max_iterations = 0) are the initial parameters checkpointed,
+    so a first epoch that raises leaves checkpoint_path as it was.
     """
     from .data import build_graph
     from .model import save_checkpoint
@@ -864,7 +860,6 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
         grads.zero()
         return time.perf_counter() - begin
 
-    save_checkpoint(checkpoint_path, params, config.variant, *vocab_args)
     records = []
     best = -np.inf
     stale = 0
@@ -926,6 +921,8 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
             stale += 1
             if stale >= config.patience:
                 break
+    if not records:
+        save_checkpoint(checkpoint_path, params, config.variant, *vocab_args)
     if log_path is not None:
         write_training_log(records, log_path, config.validation_k)
     return records

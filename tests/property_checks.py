@@ -141,34 +141,32 @@ def reference_contexts(params, mask, user, locations, bounds):
 
 
 def unpack_trace(params, mask, trace, views):
-    """The recurrent states behind a ForwardTrace of these views, in the
-    padded batch layout.
+    """The recurrent states behind a ForwardTrace of these views, per user.
 
-    short_states (B, T, d) holds the short-term state consulted at each
-    position (the contexts' third block); long_cells and long_hidden (B, T +
-    1, d) the state of the views' long_term_chain after t locations in
-    column t (column 0 the initial state), for t up to the start of the
-    user's last subtrajectory (where the long-term schedule ends); gates (B,
-    T, 3d) the gates of the step over each position before that start,
-    rebuilt from the cached cells with the chain's operations. Entries past
-    the schedule are zero; states the mask disables are None.
+    short_states[b] (n_b x d) holds the short-term state consulted at each
+    of user b's positions (the contexts' third block); long_cells[b] and
+    long_hidden[b] (t_b + 1 x d) the state of the views' long_term_chain
+    after t locations in row t (row 0 the initial state), t_b the start of
+    the user's last subtrajectory (where the long-term schedule ends);
+    gates[b] (t_b x 3d) the gates of the step over each position before that
+    start, rebuilt from the cached cells with the chain's operations. States
+    the mask disables are None.
 
     Also asserts that each rebuilt step turns the cell before it into the
     cached cell after it, and that each subtrajectory's contexts hold the
     hidden state the chain gives it.
     """
-    num, width = trace.locations.shape
     d = params.dim
     unpacked = SimpleNamespace(short_states=None, long_cells=None,
                                long_hidden=None, gates=None)
     if mask.use_short:
-        unpacked.short_states = trace.contexts[:, :, 2 * d:3 * d]
+        starts = np.cumsum(trace.lengths) - trace.lengths
+        unpacked.short_states = np.split(trace.contexts[:, 2 * d:3 * d],
+                                         starts[1:])
     if not mask.use_long:
         return unpacked
     chain = long_term_chain(params, views)
     steps, cells = chain.steps, chain.cells[:-1]
-    user = np.searchsorted(steps.starts, steps.rows, side="right") - 1
-    step = steps.rows - steps.starts[user]
     first = steps.live[0] if steps.live else 0
     c_prev = chain.cells[np.concatenate((np.full(first, -1), steps.previous))]
     pre = np.hstack((np.tanh(c_prev), params.U[chain.locations[steps.rows]],
@@ -178,37 +176,33 @@ def unpack_trace(params, mask, trace, views):
     np.testing.assert_allclose(rebuilt, cells, rtol=0, atol=1e-14 * max(
         1.0, np.abs(cells).max(initial=0.0)))
     sub = trace.subtrajectories
-    np.testing.assert_array_equal(
-        trace.contexts.reshape(-1, 4 * d)[sub.starts, 3 * d:], chain.hidden)
-
-    def padded(packed, shift):
-        out = np.zeros((num, width + shift, packed.shape[1]))
-        out[user, step + shift] = packed
-        return out
-
-    c0, h0 = gru_initial(params)
-    unpacked.long_cells = padded(cells, 1)
-    unpacked.long_cells[:, 0] = c0
-    unpacked.long_hidden = padded(np.tanh(cells), 1)
-    unpacked.long_hidden[:, 0] = h0
-    unpacked.gates = padded(gates, 0)
+    np.testing.assert_array_equal(trace.contexts[sub.starts, 3 * d:],
+                                  chain.hidden)
+    # packed rows back to the chain's order, users one after another
+    order = np.argsort(steps.rows)
+    c0 = gru_initial(params)[0]
+    unpacked.long_cells = [np.vstack((c0, user_cells)) for user_cells in
+                           np.split(cells[order], steps.starts[1:])]
+    unpacked.long_hidden = [np.tanh(user_cells)
+                            for user_cells in unpacked.long_cells]
+    unpacked.gates = np.split(gates[order], steps.starts[1:])
     return unpacked
 
 
 def forward_one(params, mask, user, locations, bounds):
-    """forward_trajectory over a one-user batch, unpadded.
+    """forward_trajectory over a one-user batch.
 
-    Returns the trace's arrays for row 0 (contexts, short_states, long_cells,
+    Returns the user's arrays (contexts, short_states, long_cells,
     long_hidden, input_gates, forget_gates, candidate_states; see
-    unpack_trace, zero past the long-term schedule), None where the mask
-    disables a chain.
+    unpack_trace, the long-term ones ending with the long-term schedule),
+    None where the mask disables a chain.
     """
     views = [(locations, bounds)]
     trace = forward_trajectory(params, mask, [user], views)
     unpacked = vars(unpack_trace(params, mask, trace, views))
-    unpacked["contexts"] = trace.contexts
-    rows = {name: None if array is None else array[0]
-            for name, array in unpacked.items()}
+    unpacked["contexts"] = [trace.contexts]
+    rows = {name: None if arrays is None else arrays[0]
+            for name, arrays in unpacked.items()}
     gates, d = rows.pop("gates"), params.dim
     for k, name in enumerate(("input_gates", "forget_gates",
                               "candidate_states")):

@@ -165,11 +165,11 @@ def test_teacher_forcing_consumes_ground_truth(monkeypatch):
             last = bounds[-1][0]
             assert cached.steps.lengths[b] == last > 0
             split = [(locations, [(0, last), (last, len(locations))])]
-            padded = unpack_trace(params, FULL_VARIANT, forward(
+            states = unpack_trace(params, FULL_VARIANT, forward(
                 params, FULL_VARIANT, [b], split), split)
-            assert np.all(padded.long_hidden[0, last + 1:] == 0.0)
-            assert np.any(padded.long_hidden[0, last] != 0.0)
-            assert np.all(padded.gates[0, :last, :2 * params.dim] > 0.0)
+            assert len(states.long_hidden[0]) == last + 1
+            assert np.any(states.long_hidden[0][last] != 0.0)
+            assert np.all(states.gates[0][:, :2 * params.dim] > 0.0)
         chain = chain_fn(params, views, caches)
         np.testing.assert_array_equal(chain.hidden, cached.hidden)
         chains.append(chain)
@@ -291,41 +291,6 @@ def test_batched_eval_rows_straddle_score_blocks(monkeypatch, mode,
                               part="test")
 
 
-@pytest.mark.parametrize("rows_per_block", [4, 10])
-@pytest.mark.parametrize("mode", ["general", "new-only"])
-def test_batched_eval_score_blocks_hold_whole_users(monkeypatch, mode,
-                                                    rows_per_block):
-    ds, splits = _revisiting_dataset(7, num_users=9)
-    monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES",
-                        rows_per_block * ds.num_locations)
-    # rank-only groups of two users
-    monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS",
-                        max(len(t) for t in ds.trajectories))
-    blocks = []
-    evaluated_rows = evaluation._evaluated_rows
-
-    def recording_rows(*args):
-        for rows in evaluated_rows(*args):
-            blocks.append(rows[0])
-            yield rows
-
-    monkeypatch.setattr(evaluation, "_evaluated_rows", recording_rows)
-    params = random_params(np.random.default_rng(7), ds.num_users,
-                           ds.num_locations, 3, scale=0.8)
-    _assert_matches_reference(params, FULL_VARIANT, ds, splits, mode=mode,
-                              part="test")
-    owners = np.concatenate(blocks)
-    assert np.all(np.diff(owners) >= 0) and len(blocks) > 1
-    for block, after in zip(blocks, blocks[1:] + [None]):
-        users = np.unique(block)
-        # whole users: at most rows_per_block rows unless one user has more
-        assert len(users) == 1 or len(block) <= rows_per_block
-        if after is not None:
-            assert after[0] > users[-1]
-            # full: the next block's first user would not have fitted
-            assert len(block) + np.count_nonzero(after == after[0]) > rows_per_block
-
-
 @pytest.mark.parametrize("users_per_group", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["general", "new-only"])
 def test_batched_eval_forward_groups_straddle_score_blocks(monkeypatch, mode,
@@ -338,26 +303,38 @@ def test_batched_eval_forward_groups_straddle_score_blocks(monkeypatch, mode,
     # a rank-only forward takes groups of twice FORWARD_GROUP_POSITIONS
     monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", bound / 2)
     monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES", 2 * ds.num_locations)
-    groups = []
+    groups, yielded = [], []
     forward = evaluation.forward_trajectory
+    evaluated_rows = evaluation._evaluated_rows
 
     def recording_forward(params, mask, users, views, *long_states):
         groups.append((list(users), [len(locs) for locs, _ in views]))
         return forward(params, mask, users, views, *long_states)
 
+    def recording_rows(*args):
+        for rows in evaluated_rows(*args):
+            yielded.append(rows[0])
+            yield rows
+
     monkeypatch.setattr(evaluation, "forward_trajectory", recording_forward)
+    monkeypatch.setattr(evaluation, "_evaluated_rows", recording_rows)
     params = random_params(np.random.default_rng(6), ds.num_users,
                            ds.num_locations, 3, scale=0.8)
     for mask in ALL_VARIANTS:
         groups.clear()
+        yielded.clear()
         _assert_matches_reference(params, mask, ds, splits, mode=mode,
                                   part="test")
         # groups follow user order; each fits the bound or is one user
         order = [u for users, _ in groups for u in users]
         assert order == sorted(order) and len(groups) > 1
         for users, lengths in groups:
-            assert len(users) == 1 or len(users) * max(lengths) <= bound
+            assert len(users) == 1 or sum(lengths) <= bound
         assert max(len(users) for users, _ in groups) >= users_per_group
+        # each yield holds one forward group's rows, its users in order
+        assert len(yielded) == len(groups)
+        for owners, (users, lengths) in zip(yielded, groups):
+            np.testing.assert_array_equal(owners, np.repeat(users, lengths))
 
 
 REPORTS = [(mode, user_slice) for mode in ("general", "new-only")

@@ -246,9 +246,8 @@ def test_forward_chains_match_step_functions():
                               (fused_gates, gates, last)):
         # relative to the chain's scale: single entries may cancel to ~0
         stepped = np.asarray(stepped[:m])
-        assert np.abs(fused[:m] - stepped).max() <= \
-            1e-12 * np.abs(stepped).max()
-        np.testing.assert_array_equal(fused[m:], 0.0)
+        assert fused.shape == stepped.shape
+        assert np.abs(fused - stepped).max() <= 1e-12 * np.abs(stepped).max()
     for b, e in bounds:
         state = p.S0
         for q in range(b, e):
@@ -284,36 +283,35 @@ def test_lockstep_batch_matches_one_user_calls(mask, order):
             "shuffled": rng.permutation(7)}[order]
     permuted = [views[i] for i in perm]
     traced = forward_trajectory(p, mask, users[perm], permuted)
-    width = max(len(locs) for locs, _ in views)
-    assert traced.contexts.shape == (7, width, 12)
+    # user b's positions are consecutive rows, in batch order
+    assert traced.contexts.shape == (sum(len(locs) for locs, _ in views), 12)
+    starts = np.cumsum(traced.lengths) - traced.lengths
     batch = unpack_trace(p, mask, traced, permuted)
     for b, i in enumerate(perm):
         n = len(views[i][0])
         alone = forward_trajectory(p, mask, users[i:i + 1], [views[i]])
         one = unpack_trace(p, mask, alone, [views[i]])
         assert traced.lengths[b] == alone.lengths[0] == n
-        pairs = [(traced.contexts, alone.contexts, n)]
+        pairs = [(traced.contexts[starts[b]:starts[b] + n], alone.contexts)]
         if mask.use_short:
-            pairs.append((batch.short_states, one.short_states, n))
+            pairs.append((batch.short_states[b], one.short_states[0]))
         else:
             assert batch.short_states is None and one.short_states is None
         if mask.use_long:
-            pairs += [(batch.long_cells, one.long_cells, n + 1),
-                      (batch.long_hidden, one.long_hidden, n + 1),
-                      (batch.gates, one.gates, n)]
+            pairs += [(batch.long_cells[b], one.long_cells[0]),
+                      (batch.long_hidden[b], one.long_hidden[0]),
+                      (batch.gates[b], one.gates[0])]
             # the chain stops where the last subtrajectory starts
             last = views[i][1][-1][0] if views[i][1] else 0
-            np.testing.assert_array_equal(one.long_hidden[0, last + 1:], 0.0)
-            np.testing.assert_array_equal(one.gates[0, last:], 0.0)
-            assert np.all(one.gates[0, :last, :2 * p.dim] > 0.0)
+            assert len(one.long_hidden[0]) == last + 1
+            assert len(one.gates[0]) == last
+            assert np.all(one.gates[0][:, :2 * p.dim] > 0.0)
         else:
             assert batch.long_hidden is None and batch.gates is None
-        for padded, single, m in pairs:
-            assert single.shape[1] == m
+        for batched, single in pairs:
+            assert batched.shape == single.shape
             scale = max(np.abs(single).max(initial=0.0), 1.0)
-            assert np.abs(padded[b, :m] - single[0]).max(initial=0.0) <= \
-                1e-12 * scale
-            np.testing.assert_array_equal(padded[b, m:], 0.0)
+            assert np.abs(batched - single).max(initial=0.0) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("caches", [True, False], ids=["cached", "ranking"])
@@ -339,12 +337,14 @@ def test_long_term_schedule_ends_at_the_last_consulted_boundary(mask, caches):
         len(bounds) for _, bounds in views)
     trace = forward_trajectory(p, mask, users, views,
                                chain.hidden if mask.use_long else None)
+    start = 0
     for b, (locs, bounds) in enumerate(views):
         expected = reference_contexts(p, mask, users[b], locs, bounds)
         scale = max(np.abs(expected).max(initial=0.0), 1.0)
-        assert np.abs(trace.contexts[b, :len(locs)] - expected).max(
+        assert np.abs(trace.contexts[start:start + len(locs)] - expected).max(
             initial=0.0) <= 1e-12 * scale
-        np.testing.assert_array_equal(trace.contexts[b, len(locs):], 0.0)
+        start += len(locs)
+    assert start == len(trace.contexts)
 
 
 @pytest.mark.parametrize("mask", ALL_VARIANTS,
@@ -405,10 +405,10 @@ def test_forward_empty_batch_and_empty_views():
     rng = np.random.default_rng(12)
     p = params_with(rng, num_users=2, num_locations=4, dim=2, scale=0.5)
     none = forward_trajectory(p, FULL_VARIANT, [], [])
-    assert none.contexts.shape == (0, 0, 8) and none.lengths.shape == (0,)
+    assert none.contexts.shape == (0, 8) and none.lengths.shape == (0,)
     empty = forward_trajectory(p, FULL_VARIANT, [0, 1],
                                [(np.zeros(0, dtype=np.int64), [])] * 2)
-    assert empty.contexts.shape == (2, 0, 8)
+    assert empty.contexts.shape == (0, 8)
     np.testing.assert_array_equal(empty.lengths, [0, 0])
 
 

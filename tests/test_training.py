@@ -18,7 +18,7 @@ from lbsnrec.model import (BASE_VARIANT, FULL_VARIANT, ModelParams,
                            EMBEDDING_NAMES, TENSOR_NAMES, VariantMask,
                            joint_log_likelihood_full,
                            load_checkpoint, location_log_prob_full,
-                           network_log_likelihood_full)
+                           network_log_likelihood_full, save_checkpoint)
 from lbsnrec.training import (Gradients, OptimizerState, TrainConfig,
                               adagrad_update, draw_network_batch,
                               draw_trajectory_batch, init_params,
@@ -573,21 +573,36 @@ def test_trajectory_grads_match_finite_differences_all_tensors(n2, ragged):
                 1e-5 * max(abs(analytic), abs(numeric)), 1e-8), (name, idx)
 
 
-def ragged_batch(rng, num_locations, n2):
-    """Users of different lengths: an empty view, one-check-in
-    subtrajectories, a last subtrajectory of one position, longer ones."""
-    layouts = [[4, 2, 1], [], [1, 1, 1], [7], [3, 5, 2, 1], [1], [2, 6]]
+RAGGED_LAYOUTS = [[4, 2, 1], [], [1, 1, 1], [7], [3, 5, 2, 1], [1], [2, 6]]
+
+
+def ragged_batch(rng, num_locations, n2, layouts=RAGGED_LAYOUTS):
+    """Users of different lengths, by default an empty view, one-check-in
+    subtrajectories, a last subtrajectory of one position, longer ones;
+    layouts lists each user's subtrajectory sizes."""
     views, negatives = [], []
     for sizes in layouts:
         ends = np.cumsum(sizes, dtype=np.int64)
         locs = rng.integers(0, num_locations, size=sum(sizes))
         views.append((locs, [(int(e - n), int(e)) for n, e in zip(sizes, ends)]))
         negatives.append(sample_negative_locations(num_locations, locs, n2, rng))
-    return training.TrajectoryBatch(users=np.array([4, 0, 8, 2, 5, 1, 7]),
-                                    views=views, negatives=negatives)
+    users = np.array([4, 0, 8, 2, 5, 1, 7])[:len(layouts)]
+    return training.TrajectoryBatch(users=users, views=views,
+                                    negatives=negatives)
 
 
 ALL_VARIANTS = [VariantMask(s, g) for s in (True, False) for g in (True, False)]
+
+
+def one_user_batches(params, mask, batch):
+    """Loss and gradients of the batch's users run as one-user batches."""
+    grads, loss = Gradients.like(params), 0.0
+    for b in range(len(batch.users)):
+        one = training.TrajectoryBatch(users=batch.users[b:b + 1],
+                                       views=batch.views[b:b + 1],
+                                       negatives=batch.negatives[b:b + 1])
+        loss += trajectory_loss_and_grads(params, mask, one, grads)[0]
+    return loss, grads
 
 
 @pytest.mark.parametrize("order", ["given", "reversed", "shuffled"])
@@ -603,13 +618,7 @@ def test_lockstep_batch_grads_match_one_user_batches(mask, order):
         users=batch.users[perm], views=[batch.views[i] for i in perm],
         negatives=[batch.negatives[i] for i in perm])
     loss, grads = trajectory_loss_and_grads(params, mask, batch)
-    want = Gradients.like(params)
-    want_loss = 0.0
-    for b in range(7):
-        one = training.TrajectoryBatch(users=batch.users[b:b + 1],
-                                       views=batch.views[b:b + 1],
-                                       negatives=batch.negatives[b:b + 1])
-        want_loss += trajectory_loss_and_grads(params, mask, one, want)[0]
+    want_loss, want = one_user_batches(params, mask, batch)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     for name in TENSOR_NAMES:
         got, expected = grads.tensor(name), want.tensor(name)
@@ -631,30 +640,54 @@ def planted_batch(seed, num_users=32, scale=0.3):
 
 
 # (batch shape, positions per forward group, forward calls). Ragged lengths
-# are 7, 0, 3, 7, 11, 1, 8: at 20 positions the groups are users (0, 1), (2,
-# 3), (4,) and (5, 6). Planted users have 102 training positions each, so 102
-# positions make one group per user and 512 positions groups of 5.
+# are 7, 0, 3, 7, 11, 1, 8: at 20 positions the groups are users (0, 1, 2,
+# 3) and (4, 5, 6). Uneven lengths are 0, 1, 7, 3, 0, 12: at 11 positions the
+# groups are users (0 .. 4) and (5,), where bounding users x longest history
+# would make four, and at 1 position (0, 1), (2,), (3,), (4,) and (5,), the
+# fourth without positions. Planted users have 102 training positions each,
+# so 102 positions make one group per user and 512 positions groups of 5.
 FORWARD_GROUP_CASES = [
-    pytest.param("ragged", 1, 7, id="1"), pytest.param("ragged", 20, 4, id="20"),
+    pytest.param("ragged", 1, 7, id="1"), pytest.param("ragged", 20, 2, id="20"),
+    pytest.param("uneven", 1, 5, id="uneven-1"),
+    pytest.param("uneven", 11, 2, id="uneven-11"),
+    pytest.param("uneven", 10**6, 1, id="uneven-whole"),
     pytest.param("planted", 102, 32, id="planted-102"),
     pytest.param("planted", 512, 7, id="planted-512"),
     pytest.param("planted", 10**6, 1, id="planted-whole")]
+UNEVEN_LAYOUTS = [[], [1], [4, 3], [1, 2], [], [5, 1, 6]]
 
 
 @pytest.mark.parametrize("shape, positions, calls", FORWARD_GROUP_CASES)
 def test_trajectory_grads_independent_of_forward_groups(monkeypatch, shape,
                                                         positions, calls):
-    if shape == "ragged":
-        rng = np.random.default_rng(22)
-        params = random_params(rng, 9, 12, 3, scale=0.8)
-        batch = ragged_batch(rng, 12, 5)
-    else:
+    # grouped against the default groups; the uneven batch, under all four
+    # masks, against one-user batches
+    masks, tolerance = [FULL_VARIANT], 1e-12
+    if shape == "planted":
         params, batch = planted_batch(5)
         # the default bound: 6 planted users a group
         assert [hi - lo for lo, hi in lbsn_model.forward_groups(
             [len(locs) for locs, _ in batch.views])] == [6, 6, 6, 6, 6, 2]
-    loss, grads = trajectory_loss_and_grads(params, FULL_VARIANT, batch)
+    else:
+        rng = np.random.default_rng(22)
+        params = random_params(rng, 9, 12, 3, scale=0.8)
+        if shape == "ragged":
+            batch = ragged_batch(rng, 12, 5)
+        else:
+            batch = ragged_batch(rng, 12, 5, UNEVEN_LAYOUTS)
+            masks, tolerance = ALL_VARIANTS, 1e-14
+    lengths = [len(locs) for locs, _ in batch.views]
+    wanted = [one_user_batches(params, mask, batch) if shape == "uneven"
+              else trajectory_loss_and_grads(params, mask, batch)
+              for mask in masks]
     monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS", positions)
+    groups = list(lbsn_model.forward_groups(lengths))
+    # consecutive groups of at most `positions` summed positions or one
+    # user, each ending where the next user would not fit
+    assert [lo for lo, _ in groups[1:]] == [hi for _, hi in groups[:-1]]
+    for lo, hi in groups:
+        assert sum(lengths[lo:hi]) <= positions or hi - lo == 1
+        assert hi == len(lengths) or sum(lengths[lo:hi + 1]) > positions
     recorded, chains = [], []
     forward = training.forward_trajectory
     monkeypatch.setattr(training, "forward_trajectory",
@@ -662,19 +695,24 @@ def test_trajectory_grads_independent_of_forward_groups(monkeypatch, shape,
     chain = training.long_term_chain
     monkeypatch.setattr(training, "long_term_chain",
                         lambda *args: chains.append(args) or chain(*args))
-    grouped_loss, grouped = trajectory_loss_and_grads(params, FULL_VARIANT,
-                                                      batch)
-    # one chain over the batch; each group reads its users' hidden states
-    assert len(recorded) == calls and len(chains) == 1
-    assert [len(args[2]) for args in recorded] == [
-        hi - lo for lo, hi in lbsn_model.forward_groups(
-            [len(locs) for locs, _ in batch.views])]
-    assert abs(grouped_loss - loss) <= 1e-12 * abs(loss)
-    for name in TENSOR_NAMES:
-        scale = np.abs(grads.tensor(name)).max()
-        assert np.abs(grouped.tensor(name) - grads.tensor(name)).max() <= \
-            1e-12 * scale, name
-    assert touched_rows(grouped) == touched_rows(grads)
+    for mask, (loss, grads) in zip(masks, wanted):
+        recorded.clear()
+        chains.clear()
+        grouped_loss, grouped = trajectory_loss_and_grads(params, mask, batch)
+        # one chain over the batch; each group reads its users' hidden states
+        assert len(recorded) == calls and len(chains) == mask.use_long
+        assert [len(args[2]) for args in recorded] == [
+            hi - lo for lo, hi in groups]
+        assert abs(grouped_loss - loss) <= tolerance * abs(loss)
+        for name in TENSOR_NAMES:
+            scale = np.abs(grads.tensor(name)).max()
+            assert np.abs(grouped.tensor(name) - grads.tensor(name)).max() <= \
+                tolerance * scale, name
+        touched = touched_rows(grouped)
+        assert touched == touched_rows(grads)
+        # users without positions record no F or P row
+        assert touched["F"] == touched["P"] == {
+            int(u) for u, n in zip(batch.users, lengths) if n}
 
 
 def record_softmax_calls(monkeypatch):
@@ -704,7 +742,7 @@ def softmax_path(num_locations, n2):
     return "dense" if dense else "gathered"
 
 
-def valid_contexts(params, mask, batch):
+def batch_contexts(params, mask, batch):
     """The forward contexts of every position of the batch, in batch order."""
     out = []
     views = batch.views
@@ -714,16 +752,14 @@ def valid_contexts(params, mask, batch):
         trace = lbsn_model.forward_trajectory(
             params, mask, batch.users[lo:hi], views[lo:hi],
             hidden[firsts[lo]:firsts[hi]] if mask.use_long else None)
-        width = trace.locations.shape[1]
-        valid = np.flatnonzero(np.arange(width) < trace.lengths[:, None])
-        out.append(trace.contexts.reshape(-1, 4 * params.dim)[valid])
+        out.append(trace.contexts)
     return np.concatenate(out)
 
 
 def assert_each_position_scored_once(calls, params, mask, batch):
     np.testing.assert_array_equal(
         np.concatenate([contexts for _, contexts in calls]),
-        valid_contexts(params, mask, batch))
+        batch_contexts(params, mask, batch))
 
 
 @pytest.mark.parametrize("num_locations, n2, path", [
@@ -827,8 +863,8 @@ def test_planted_softmax_calls_follow_the_block_rule(monkeypatch):
         blocked_loss, blocked = trajectory_loss_and_grads(params, FULL_VARIANT,
                                                           batch)
         want = []
-        for valid in groups:
-            want += [p] * (valid // p) + ([valid % p] if valid % p else [])
+        for n in groups:
+            want += [p] * (n // p) + ([n % p] if n % p else [])
         assert [len(c) for _, c in calls] == want
         assert abs(blocked_loss - loss) <= 1e-12 * abs(loss)
         for name in TENSOR_NAMES:
@@ -902,7 +938,7 @@ def test_gathered_softmax_equals_block_softmax(monkeypatch, mask,
 
 def test_gathered_softmax_skips_groups_without_positions(monkeypatch):
     # one user per forward group: the second user's empty view makes a group
-    # with no valid position, which calls no softmax
+    # with no position, which calls no softmax
     rng = np.random.default_rng(26)
     params = random_params(rng, 9, 1000, 3, scale=0.8)
     batch = ragged_batch(rng, 1000, 100)
@@ -1412,6 +1448,31 @@ def test_train_zero_iterations_checkpoints_init(tmp_path):
     for name in TENSOR_NAMES:
         np.testing.assert_array_equal(loaded.tensor(name), expected.tensor(name))
     assert log_path.read_text().strip() == "epoch,net_loss,traj_loss,val_recall5,seconds"
+
+
+def test_train_failed_first_epoch_leaves_out_untouched(monkeypatch, tmp_path):
+    # the initial parameters are checkpointed only when no epoch runs, so a
+    # first epoch that raises leaves an earlier file at the path as it was;
+    # a NaN U_out row makes the first trajectory batch's gradients non-finite
+    ds = toy_dataset(seed=13)
+    splits = lbsn_data.make_splits(ds, link_train_ratio=0.5, seed=0)
+    path = tmp_path / "m.jntm"
+    save_checkpoint(path, ModelParams.zeros(ds.num_users, ds.num_locations, 3),
+                    FULL_VARIANT, ds.user_vocab.ids, ds.location_vocab.ids)
+    before = path.read_bytes()
+    init = training.init_params
+
+    def poisoned(*args):
+        params = init(*args)
+        params.U_out[0] = np.nan
+        return params
+
+    monkeypatch.setattr(training, "init_params", poisoned)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            FloatingPointError, match="non-finite gradient"):
+        train(ds, splits, toy_config(seed=5, max_iterations=1), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.jntm"]
 
 
 def test_train_deterministic_checkpoint(tmp_path):
