@@ -166,32 +166,29 @@ def cmd_eval(args):
     params, mask, user_ids, location_ids = load_checkpoint(args.model)
     if user_ids != dataset.user_vocab.ids or location_ids != dataset.location_vocab.ids:
         raise ConfigError("checkpoint vocabulary does not match the dataset")
-    reports = []
-    dumps = [] if args.per_user_json else None
+    reports, per_users = [], []
     if args.task in ("next", "both"):
         # One forward and score pass serves all four reports.
         ranks = evaluation.rank_next_locations(params, mask, dataset, splits,
                                                "test", new_only=True)
         for mode in ("general", "new-only"):
             for user_slice in ("all", "cold-start"):
-                per_user = {} if dumps is not None else None
+                per_users.append({} if args.per_user_json else None)
                 reports.append(evaluation.eval_next_location(
                     params, mask, dataset, splits, ks=ks_next, mode=mode,
-                    user_slice=user_slice, per_user_out=per_user, ranks=ranks))
-                if dumps is not None:
-                    dumps.append({"task": "next-location", "mode": mode,
-                                  "slice": user_slice, "per_user": per_user})
+                    user_slice=user_slice, per_user_out=per_users[-1],
+                    ranks=ranks))
     if args.task in ("friend", "both"):
         for user_slice in ("all", "low-degree"):
-            per_user = {} if dumps is not None else None
+            per_users.append({} if args.per_user_json else None)
             reports.append(evaluation.eval_friend_rec(
                 params, dataset, splits, ks=(5, 10), user_slice=user_slice,
-                per_user_out=per_user))
-            if dumps is not None:
-                dumps.append({"task": "friend", "mode": "-",
-                              "slice": user_slice, "per_user": per_user})
+                per_user_out=per_users[-1]))
     evaluation.write_reports_csv(reports, args.out)
-    if dumps is not None:
+    if args.per_user_json:
+        dumps = [{"task": r.task, "mode": r.mode, "slice": r.user_slice,
+                  "per_user": per_user}
+                 for r, per_user in zip(reports, per_users)]
         with open(args.per_user_json, "w", encoding="utf-8") as handle:
             json.dump(dumps, handle, indent=2, sort_keys=True)
             handle.write("\n")

@@ -14,15 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import build_graph
 from .model import (forward_groups, forward_trajectory, log_sigmoid,
                     long_term_chain)
 
 COLD_START_MAX_SUBTRAJECTORIES = 5
 LOW_DEGREE_MAX_FRIENDS = 5
-# Scores are computed in blocks of whole rows, at most this many entries
-# (8 MB of float64) per block unless one row is longer.
-SCORE_BLOCK_ENTRIES = 1 << 20
+# Score blocks hold at most this many entries (2 MB), or one row or column
+# if longer: all rows x some columns, or whole rows (score_blocks).
+SCORE_BLOCK_ENTRIES = 1 << 18
 
 
 def score_block_rows(num_columns):
@@ -37,6 +36,63 @@ def score_blocks(contexts, u_out):
     for a in range(0, len(contexts), width):
         rows = slice(a, a + width)
         yield rows, contexts[rows] @ u_out.T
+
+
+def rank_columns(scores, targets, num_columns, ex_rows, ex_cols):
+    """Each row's 1-based rank of its target column among all num_columns
+    columns, and among them less its excluded columns.
+
+    scores(rows, a, b) gives columns a .. b-1 of the rows (an index array,
+    or slice(None) for all). A column beats the target iff it scores higher,
+    or the same with a smaller index. Each block of all rows x some columns
+    is scored at once, and each row counts the columns beating its target
+    score t, read from the target's block; the pairs (ex_rows, ex_cols),
+    never a target, keep their scores, and those that beat t are subtracted.
+    A GEMM over the rows with targets in a later block gives their t first:
+    it may round differently, so columns within 2^-30 |t| of it are kept and
+    judged by the block's t, and the walk runs again if that is further off.
+    """
+    num_rows = len(targets)
+    width = max(1, SCORE_BLOCK_ENTRIES // max(1, num_rows))
+    starts = range(0, num_columns, width)
+    owns = [np.flatnonzero(targets // width == k) for k in range(len(starts))]
+    t = np.empty(num_rows)
+    for a, own in zip(starts[1:], owns[1:]):
+        t[own] = scores(own, a, a + width)[range(len(own)), targets[own] - a]
+    by_column = np.argsort(ex_cols, kind="stable")
+    ex_rows, ex_cols = ex_rows[by_column], ex_cols[by_column]
+    ex_scores = np.empty(len(ex_cols))
+    for _ in range(2):
+        beats, exact = np.ones(num_rows, dtype=np.int64), np.empty(num_rows)
+        kept = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
+        for a, own in zip(starts, owns):
+            block = scores(slice(None), a, a + width)
+            exact[own] = block[own, targets[own] - a]
+            if not a:
+                t[own] = exact[own]
+                margin = np.abs(t) * 2.0 ** -30
+                margin[margin == np.inf] = 0.0    # only ties near t = inf
+                lo, hi = (t - margin)[:, None], (t + margin)[:, None]
+            above = (block > hi).sum(axis=1, dtype=np.int32)
+            beats += above
+            near = block >= lo
+            # columns this near t are rare, bar the targets' own
+            if np.count_nonzero(near) > above.sum() + len(own):
+                r, c = np.nonzero(near & (block <= hi))
+                kept.append((r, a + c, block[r, c]))
+            e = slice(*np.searchsorted(ex_cols, (a, a + width)))
+            ex_scores[e] = block[ex_rows[e], ex_cols[e] - a]
+        if not np.any(np.abs(exact - t) > margin):
+            break
+        t = exact
+
+    def beaten(rows, cols, values):
+        t = exact[rows]
+        wins = (values > t) | ((values == t) & (cols < targets[rows]))
+        return np.bincount(rows[wins], minlength=num_rows)
+
+    ranks = beats + beaten(*map(np.concatenate, zip(*kept)))
+    return ranks, ranks - beaten(ex_rows, ex_cols, ex_scores)
 
 
 @dataclass
@@ -78,8 +134,7 @@ def _evaluated_users(dataset, splits, part):
         traj = dataset.trajectories[user]
         bounds = traj.subtrajectory_bounds
         lo, hi = _part_range(splits, user, part)
-        if hi is None:
-            hi = len(bounds)
+        hi = len(bounds) if hi is None else hi
         if lo >= hi:
             continue
         end = bounds[hi - 1][1]
@@ -92,11 +147,9 @@ def _evaluated_rows(params, mask, dataset, splits, new_only, part):
     One long_term_chain over every evaluated user's history gives the hidden
     state each of the part's subtrajectories consults; forward_trajectory
     then runs over the part's positions in forward_groups groups, its
-    contexts all evaluated rows. owners holds each row's user. new indexes
-    the rows that are first visits of their location (none unless new_only),
-    and (ex_rows, ex_cols), sorted by row, pairs each of these (its index
-    into new) with the locations visited before its position, which are not
-    its new-only candidates.
+    contexts all evaluated rows. owners holds each row's user, new the rows
+    that first visit their location (none unless new_only), and (ex_rows,
+    ex_cols) pairs these with the locations visited before, not candidates.
     """
     evaluated = list(_evaluated_users(dataset, splits, part))
     hidden = (long_term_chain(params, [item[1:3] for item in evaluated],
@@ -111,56 +164,33 @@ def _evaluated_rows(params, mask, dataset, splits, new_only, part):
         trace = forward_trajectory(
             params, mask, users[lo:hi], views[lo:hi],
             None if hidden is None else hidden[firsts[lo]:firsts[hi]])
-        blocks, row, num_new = [(empty, empty, empty)], 0, 0
+        blocks, row = [(empty, empty, empty)], 0
         for _, locs, _, start in evaluated[lo:hi] if new_only else ():
-            # Position p is new iff it is the first visit of its location;
-            # its candidates are the locations first visited at p or later.
-            positions = np.arange(start, len(locs))
-            visited, first, inverse = np.unique(locs, return_index=True,
-                                                return_inverse=True)
-            new = np.flatnonzero(first[inverse[start:]] == positions)
-            order = np.argsort(first)
-            counts = np.searchsorted(first[order], positions[new])
-            ex_rows = np.repeat(np.arange(len(new)), counts)
-            ex_cols = visited[order][np.arange(len(ex_rows)) - np.repeat(
-                np.cumsum(counts) - counts, counts)]
-            blocks.append((row + new, num_new + ex_rows, ex_cols))
-            row += len(positions)
-            num_new += len(new)
+            # The k-th location visited, first at position seen[k], is new
+            # there; the k locations first visited before it are excluded.
+            seen = np.sort(np.unique(locs, return_index=True)[1])
+            k = np.arange(np.searchsorted(seen, start), len(seen))
+            new = row + seen[k] - start
+            j = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+            blocks.append((new, np.repeat(new, k), locs[seen[j]]))
+            row += len(locs) - start
         yield (np.repeat(users[lo:hi], trace.lengths), trace.contexts,
                trace.locations, *map(np.concatenate, zip(*blocks)))
-
-
-def _rank_rows(scores, targets):
-    """1-based rank of each row's target column.
-
-    A column beats the target iff it scores higher, or scores the same with
-    a smaller index (ties break by ascending index). Columns that are not
-    candidates hold -inf, so they never beat a finite target score.
-    """
-    target_scores = scores[np.arange(len(targets)), targets][:, None]
-    beats = scores > target_scores
-    ties = scores == target_scores
-    ties &= np.arange(scores.shape[1]) < targets[:, None]
-    beats |= ties
-    return 1 + np.count_nonzero(beats, axis=1)
 
 
 def _report(task, mode, user_slice, ks, owners, ranks, per_user_out):
     """EvalReport over events with these ranks, micro-averaged.
 
-    owners and ranks are lists of arrays holding each event's user and rank.
-    per_user_out, when a dict, receives {user: {"events": n, "hits": {k: n}}}.
+    owners and ranks hold each event's user and rank. per_user_out, when a
+    dict, receives {user: {"events": n, "hits": {k: n}}}.
     """
     ks = tuple(sorted(ks))
     if ks and ks[0] < 1:
         raise ValueError("k must be >= 1")
-    events = sum(len(r) for r in ranks)
+    events = len(ranks)
     if not events:
         return EvalReport(task=task, mode=mode, user_slice=user_slice,
                           recall_at={}, num_events=0)
-    ranks = np.concatenate(ranks)
-    owners = np.concatenate(owners)
     hits = {k: ranks <= k for k in ks}
     recall = {k: int(np.count_nonzero(hits[k])) / events for k in ks}
     if per_user_out is not None:
@@ -179,8 +209,7 @@ class NextLocationRanks:
     """Next-location events of one part, ranked once for several reports.
 
     rows maps each ranked mode to (owners, ranks): each event's user and the
-    1-based rank of its target among that mode's candidates, over every user
-    with events in the part.
+    1-based rank of its target among that mode's candidates.
     """
     part: str
     rows: dict
@@ -189,35 +218,21 @@ class NextLocationRanks:
 def rank_next_locations(params, mask, dataset, splits, part="test",
                         new_only=False):
     """NextLocationRanks of every general event, and of every new-only event
-    when new_only.
-
-    Every user with events in the part is forwarded once (_evaluated_rows),
-    and each forward group's rows are scored in score_blocks: one GEMM
-    against U_out per block. General rows are ranked on these scores.
-    New-only rows (first visits) are ranked on a copy of theirs with each
-    row's previously visited locations set to -inf.
+    when new_only: every user with events in the part is forwarded once
+    (_evaluated_rows), and rank_columns ranks each forward group's rows, the
+    new-only rank less the previously visited locations that beat the target.
     """
-    empty = np.empty(0, dtype=np.int64)
-    owners, ranks, new_owners, new_ranks = [empty], [empty], [empty], [empty]
+    groups = [(np.empty(0, dtype=np.int64),) * 4]
     for users, contexts, targets, new, ex_rows, ex_cols in _evaluated_rows(
             params, mask, dataset, splits, new_only, part):
-        owners.append(users)
-        new_owners.append(users[new])
-        for block, scores in score_blocks(contexts, params.U_out):
-            block_targets = targets[block]
-            ranks.append(_rank_rows(scores, block_targets))
-            i, j = np.searchsorted(new, (block.start, block.stop))
-            if i == j:
-                continue
-            rows = new[i:j] - block.start
-            scores = scores[rows]
-            lo, hi = np.searchsorted(ex_rows, (i, j))
-            scores[ex_rows[lo:hi] - i, ex_cols[lo:hi]] = -np.inf
-            new_ranks.append(_rank_rows(scores, block_targets[rows]))
-    rows = {"general": (np.concatenate(owners), np.concatenate(ranks))}
+        general, fresh = rank_columns(
+            lambda rows, a, b: contexts[rows] @ params.U_out[a:b].T,
+            targets, params.num_locations, ex_rows, ex_cols)
+        groups.append((users, general, users[new], fresh[new]))
+    owners, ranks, new_owners, new_ranks = map(np.concatenate, zip(*groups))
+    rows = {"general": (owners, ranks)}
     if new_only:
-        rows["new-only"] = (np.concatenate(new_owners),
-                            np.concatenate(new_ranks))
+        rows["new-only"] = (new_owners, new_ranks)
     return NextLocationRanks(part=part, rows=rows)
 
 
@@ -254,8 +269,8 @@ def eval_next_location(params, mask, dataset, splits, ks=(1, 5, 10),
                           dtype=np.int64)
         keep = counts[owners] <= COLD_START_MAX_SUBTRAJECTORIES
         owners, event_ranks = owners[keep], event_ranks[keep]
-    return _report("next-location", mode, user_slice, ks, [owners],
-                   [event_ranks], per_user_out)
+    return _report("next-location", mode, user_slice, ks, owners,
+                   event_ranks, per_user_out)
 
 
 def eval_friend_rec(params, dataset, splits, ks=(5, 10), user_slice="all",
@@ -265,35 +280,41 @@ def eval_friend_rec(params, dataset, splits, ks=(5, 10), user_slice="all",
     Candidates for user v are all users except v and v's training friends;
     a candidate u is scored by the sum of both directed link log-likelihoods.
     user_slice "low-degree" keeps users with fewer than five training friends.
-
-    Each held-out friend is one event row, scored against every user; rows
-    are taken in blocks of at most SCORE_BLOCK_ENTRIES scores, one pair of
-    GEMMs over the block's distinct users per block.
+    Each held-out friend is a row for rank_columns, which excludes v and v's
+    training friends.
     """
     if user_slice not in ("all", "low-degree"):
         raise ValueError(f"unknown slice {user_slice!r}")
-    num_users = dataset.num_users
-    train_adj = build_graph(num_users, splits.train_edges).adjacency
-    test_adj = build_graph(num_users, splits.test_edges).adjacency
-    users = [v for v in range(num_users) if len(test_adj[v])
-             and (user_slice == "all"
-                  or len(train_adj[v]) < LOW_DEGREE_MAX_FRIENDS)]
-    owners = np.repeat(np.array(users, dtype=np.int64),
-                       [len(test_adj[v]) for v in users])
-    targets = np.concatenate([np.empty(0, dtype=np.int64)]
-                             + [test_adj[v] for v in users])
-    width = score_block_rows(num_users)
-    ranks = []
-    for a in range(0, len(targets), width):
-        block, rows = np.unique(owners[a:a + width], return_inverse=True)
-        scores = (log_sigmoid(params.F[block] @ params.F_ctx.T)
-                  + log_sigmoid(params.F_ctx[block] @ params.F.T))
-        for i, v in enumerate(block.tolist()):
-            scores[i, v] = -np.inf
-            scores[i, train_adj[v]] = -np.inf
-        ranks.append(_rank_rows(scores[rows], targets[a:a + width]))
-    return _report("friend", "-", user_slice, ks, [owners], ranks,
-                   per_user_out)
+    # sorted edges (v, u): event rows; excluded columns, v and its friends
+    events, excluded = (
+        np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+        for edges in (splits.test_edges, splits.train_edges
+                      | {(v, v) for v in range(dataset.num_users)}))
+    sizes = np.bincount(excluded[:, 0], minlength=dataset.num_users)
+    if user_slice == "low-degree":
+        events = events[sizes[events[:, 0]] <= LOW_DEGREE_MAX_FRIENDS]
+    owners, targets = events.T
+    n = sizes[owners]
+    ex_rows = np.repeat(np.arange(len(owners)), n)
+    ex_cols = excluded[np.arange(len(ex_rows)) + np.repeat(
+        (np.cumsum(sizes) - sizes)[owners] - np.cumsum(n) + n, n), 1]
+
+    def scores(users, a, b):
+        # one pair of GEMMs over the distinct users
+        block, inverse = np.unique(users, return_inverse=True)
+        return (log_sigmoid(params.F[block] @ params.F_ctx[a:b].T)
+                + log_sigmoid(params.F_ctx[block] @ params.F[a:b].T))[inverse]
+
+    # ranked in groups of as many rows as a rank-only forward group's
+    ranks = [np.empty(0, dtype=np.int64)]
+    for lo, hi in forward_groups([1] * len(owners), caches=False):
+        e = slice(*np.searchsorted(ex_rows, (lo, hi)))
+        ranks.append(rank_columns(
+            lambda rows, a, b: scores(owners[lo:hi][rows], a, b),
+            targets[lo:hi], dataset.num_users, ex_rows[e] - lo,
+            ex_cols[e])[1])
+    return _report("friend", "-", user_slice, ks, owners,
+                   np.concatenate(ranks), per_user_out)
 
 
 def write_reports_csv(reports, path):

@@ -213,6 +213,7 @@ def test_criterion_6_train_determinism(tmp_path):
     config_path.write_text(json.dumps({"d": 6, "max_iterations": 2, "seed": 3,
                                        "n1_per_user": 10, "n2": 10}))
     outputs = []
+    env = {**os.environ, "PYTHONPATH": str(Path(training.__file__).parents[1])}
     for tag in ("a", "b"):
         model = tmp_path / f"{tag}.jntm"
         log = tmp_path / f"{tag}.csv"
@@ -220,7 +221,7 @@ def test_criterion_6_train_determinism(tmp_path):
             [sys.executable, "-m", "lbsnrec.cli", "--threads", "1", "train",
              "--data", str(data_path), "--config", str(config_path),
              "--out", str(model), "--log", str(log)],
-            capture_output=True, text=True)
+            env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         outputs.append((model.read_bytes(), log.read_text()))
     checkpoints_equal = outputs[0][0] == outputs[1][0]

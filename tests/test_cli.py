@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -602,6 +604,7 @@ def test_cli_subprocess_entry(tmp_path):
          "--users-per-community", "3", "--locations-per-community", "4",
          "--shared-locations", "1", "--subtrajectories-per-user", "2",
          "--locations-per-subtrajectory", "3", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
         capture_output=True, text=True)
     assert result.returncode == 0
     assert out.exists()

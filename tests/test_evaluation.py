@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lbsnrec import data as lbsn_data
-from lbsnrec import evaluation
+from lbsnrec import evaluation, synth, training
 from lbsnrec import model as lbsn_model
 from lbsnrec.evaluation import (eval_friend_rec, eval_next_location,
                                 recall_at_k, write_reports_csv)
@@ -563,3 +563,218 @@ def test_planted_validation_ranking_memory_below_the_padded_trace_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1.57 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the counting ranker
+# ---------------------------------------------------------------------------
+
+def brute_force_ranks(scores, targets, ex_rows, ex_cols):
+    """Per row: 1 + the candidates that score higher than the target, or
+    the same with a smaller index; all columns, then less the excluded."""
+    ranks, fewer = [], []
+    for i, target in enumerate(targets):
+        t = scores[i, target]
+        beats = (scores[i] > t) | ((scores[i] == t)
+                                   & (np.arange(scores.shape[1]) < target))
+        ranks.append(1 + np.count_nonzero(beats))
+        fewer.append(ranks[-1] - np.count_nonzero(beats[ex_cols[ex_rows == i]]))
+    return np.array(ranks), np.array(fewer)
+
+
+def tied_scores(rng, num_rows, num_columns):
+    """Scores drawn from a few values, so that ties are common; the first
+    row scores all columns the same."""
+    scores = rng.integers(-2, 3, size=(num_rows, num_columns)) * 0.75
+    scores[0] = 1.5
+    return scores
+
+
+def excluded_pairs(rng, scores, targets):
+    """For each row, a random set of its non-target columns, which always
+    holds the columns tied with its target just before and after it."""
+    rows, cols = [], []
+    for i, target in enumerate(targets):
+        ties = np.flatnonzero(scores[i] == scores[i, target])
+        before, after = ties[ties < target], ties[ties > target]
+        pick = rng.random(scores.shape[1]) < 0.3
+        pick[before[-1:]] = pick[after[:1]] = True
+        pick[target] = False
+        cols.append(np.flatnonzero(pick))
+        rows.append(np.full(len(cols[-1]), i))
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def block_edge_targets(rng, num_rows, num_columns, width):
+    """Targets in the first and last columns, on both sides of every block
+    edge, and at random."""
+    edges = np.arange(0, num_columns, width)
+    special = np.concatenate(([0, num_columns - 1], edges, edges - 1))
+    special = special[(special >= 0) & (special < num_columns)]
+    return np.where(np.arange(num_rows) < len(special),
+                    np.resize(special, num_rows),
+                    rng.integers(num_columns, size=num_rows))
+
+
+@pytest.mark.parametrize("num_rows, num_columns", [(1, 1), (1, 9), (6, 1),
+                                                   (13, 16), (30, 7)])
+def test_rank_columns_matches_the_brute_force_rule(monkeypatch, num_rows,
+                                                   num_columns):
+    rng = np.random.default_rng(num_rows * 100 + num_columns)
+    for width in range(1, num_columns + 1):
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES",
+                            width * num_rows)
+        for _ in range(4):
+            scores = tied_scores(rng, num_rows, num_columns)
+            targets = block_edge_targets(rng, num_rows, num_columns, width)
+            ex_rows, ex_cols = excluded_pairs(rng, scores, targets)
+            walked = []
+
+            def blocks(rows, a, b):
+                assert b - a == width or b >= num_columns
+                if isinstance(rows, slice):
+                    walked.append(a)
+                return scores[rows, a:b]
+
+            ranks, fewer = evaluation.rank_columns(
+                blocks, targets, num_columns, ex_rows, ex_cols)
+            want, want_fewer = brute_force_ranks(scores, targets, ex_rows,
+                                                 ex_cols)
+            np.testing.assert_array_equal(ranks, want)
+            np.testing.assert_array_equal(fewer, want_fewer)
+            # one walk over every column block, all rows in each
+            assert walked == list(range(0, num_columns, width))
+
+
+def test_rank_columns_counts_a_lone_tie(monkeypatch):
+    # distinct scores but for one column tied with the target, in every
+    # place against every block width
+    scores = np.random.default_rng(9).permutation(10)[None, :] + 0.5
+    for width in range(1, 11):
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES", width)
+        for target, tie in itertools.permutations(range(10), 2):
+            tied = scores.copy()
+            tied[0, tie] = tied[0, target]
+            ranks, fewer = evaluation.rank_columns(
+                lambda rows, a, b: tied[rows, a:b], np.array([target]), 10,
+                np.array([0]), np.array([tie]))
+            want = 1 + np.count_nonzero(tied[0] > tied[0, target])
+            assert ranks[0] == want + (tie < target)
+            assert fewer[0] == want
+
+
+@pytest.mark.parametrize("offset", ["one_ulp_up", "one_ulp_down", "far"])
+def test_rank_columns_judges_ties_by_the_block_score(monkeypatch, offset):
+    # the GEMM over the rows with targets in a later block may round
+    # differently from the block's own: ties with the block's target score
+    # still count by index, and a score far off walks the blocks again
+    rng = np.random.default_rng(7)
+    num_rows, num_columns, width = 12, 20, 3
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES", width * num_rows)
+    scores = tied_scores(rng, num_rows, num_columns) + 0.25   # none zero
+    targets = block_edge_targets(rng, num_rows, num_columns, width)
+    ex_rows, ex_cols = excluded_pairs(rng, scores, targets)
+    shift = {"one_ulp_up": lambda s: np.nextafter(s, np.inf),
+             "one_ulp_down": lambda s: np.nextafter(s, -np.inf),
+             "far": lambda s: s + 1.0}[offset]
+    walked = []
+
+    def blocks(rows, a, b):
+        if isinstance(rows, slice):
+            walked.append(a)
+            return scores[rows, a:b]
+        return shift(scores[rows, a:b])
+
+    ranks, fewer = evaluation.rank_columns(blocks, targets, num_columns,
+                                           ex_rows, ex_cols)
+    want, want_fewer = brute_force_ranks(scores, targets, ex_rows, ex_cols)
+    np.testing.assert_array_equal(ranks, want)
+    np.testing.assert_array_equal(fewer, want_fewer)
+    assert walked == list(range(0, num_columns, width)) * (
+        2 if offset == "far" else 1)
+
+
+def test_rank_columns_of_one_block_reads_targets_from_it():
+    # one block holds every column: no GEMM before the walk
+    rng = np.random.default_rng(8)
+    scores = tied_scores(rng, 9, 11)
+    targets = rng.integers(11, size=9)
+    calls = []
+
+    def blocks(rows, a, b):
+        calls.append((rows, a, b))
+        return scores[rows, a:b]
+
+    ranks, _ = evaluation.rank_columns(blocks, targets, 11, targets[:0],
+                                       targets[:0])
+    assert calls == [(slice(None), 0, evaluation.SCORE_BLOCK_ENTRIES // 9)]
+    np.testing.assert_array_equal(
+        ranks, brute_force_ranks(scores, targets, targets[:0], targets[:0])[0])
+
+
+@pytest.mark.parametrize("users_per_group", [1, 2, 5])
+def test_friend_rec_groups_match_reference(monkeypatch, users_per_group):
+    # friend events are ranked in the groups of a rank-only forward pass
+    rng = np.random.default_rng(12)
+    edges = [(f"u{i}", f"u{j}") for i in range(12) for j in range(i + 1, 12)
+             if rng.random() < 0.55]
+    ds = lbsn_data.build_dataset(
+        make_checkins({f"u{v}": [["x"]] for v in range(12)}), edges)
+    splits = lbsn_data.make_splits(ds, link_train_ratio=0.5, seed=12)
+    most = max(sum(i == v for i, _ in splits.test_edges)
+               for v in range(ds.num_users))
+    monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS",
+                        users_per_group * most / 2)
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES", 2 * ds.num_users)
+    groups = []
+    rank_columns = evaluation.rank_columns
+
+    def recording(scores, targets, *rest):
+        groups.append(len(targets))
+        return rank_columns(scores, targets, *rest)
+
+    monkeypatch.setattr(evaluation, "rank_columns", recording)
+    params = random_params(rng, ds.num_users, ds.num_locations, 3, scale=0.8)
+    for user_slice in ("all", "low-degree"):
+        groups.clear()
+        users, reference_users = {}, {}
+        report = eval_friend_rec(params, ds, splits, ks=(1, 3, 5),
+                                 user_slice=user_slice, per_user_out=users)
+        reference = reference_eval_friend_rec(
+            params, ds, splits, ks=(1, 3, 5), user_slice=user_slice,
+            per_user_out=reference_users)
+        assert report.num_events == reference.num_events > 0
+        assert report.recall_at == reference.recall_at
+        assert users == reference_users
+        assert sum(groups) == report.num_events
+        assert len(groups) > 1 and max(groups) <= max(users_per_group * most,
+                                                      most)
+
+
+# Peaks of rank_next_locations at the parent of the column-block ranker
+# (row blocks of 2^20 scores, new-only rows ranked on a -inf-masked copy),
+# measured on this part: 450 rows x 20,000 locations, d = 50.
+ROW_BLOCK_PEAKS = {False: 17_470_926, True: 12_632_269}
+
+
+@pytest.mark.parametrize("new_only", [False, True], ids=["general", "both"])
+def test_bk_shape_ranking_memory_below_row_blocks(new_only):
+    config = synth.SynthConfig(
+        num_communities=5, users_per_community=10, locations_per_community=50,
+        shared_locations=19750, intra_edge_prob=0.8, inter_edge_prob=0.005,
+        subtrajectories_per_user=30, locations_per_subtrajectory=3, seed=11)
+    dataset = synth.generate(config)
+    splits = lbsn_data.make_splits(dataset, seed=11)
+    params = training.init_params(training.TrainConfig(d=50, seed=3),
+                                  dataset.num_users, dataset.num_locations)
+    tracemalloc.start()
+    try:
+        ranks = evaluation.rank_next_locations(params, FULL_VARIANT, dataset,
+                                               splits, "test", new_only)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ranks.rows["general"][1]) == 450
+    # whole-row score blocks of the 450 rows would take 72 MB
+    assert peak <= ROW_BLOCK_PEAKS[new_only]
+    assert peak < params.U_out.nbytes / 2
