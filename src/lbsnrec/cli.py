@@ -34,12 +34,13 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_json_config(path, allowed_keys):
-    if path is None:
-        return {}
+def _load_json_config(args, allowed_keys):
+    """The --config file's keys, each overridden by its flag when given."""
+    path, loaded = getattr(args, "config", None), {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as handle:
+                loaded = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -49,16 +50,15 @@ def _load_json_config(path, allowed_keys):
     for key in loaded:
         if key not in allowed_keys:
             raise ConfigError(f"unknown config key: {key}")
+    for key in allowed_keys:
+        if getattr(args, key, None) is not None:
+            loaded[key] = getattr(args, key)
     return loaded
 
 
 def _train_setup(args):
     """Build (TrainConfig, split kwargs) from config file plus flag overrides."""
-    raw = _load_json_config(getattr(args, "config", None), TRAIN_CONFIG_KEYS)
-    for key in TRAIN_CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            raw[key] = value
+    raw = _load_json_config(args, TRAIN_CONFIG_KEYS)
     split_kwargs = dict(SPLIT_DEFAULTS)
     for key in SPLIT_DEFAULTS:
         if key in raw:
@@ -87,17 +87,10 @@ def _make_splits(dataset, config, split_kwargs):
 
 
 def cmd_preprocess(args):
-    try:
-        checkins = lbsn_data.parse_checkins(args.checkins)
-        edges = lbsn_data.parse_edges(args.edges)
-    except FileNotFoundError as exc:
-        print(f"error: missing input file: {exc.filename}", file=sys.stderr)
-        return 2
-    except lbsn_data.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     checkins, edges = lbsn_data.filter_dataset(
-        checkins, edges, args.min_user_checkins, args.min_loc_checkins)
+        lbsn_data.parse_checkins(args.checkins),
+        lbsn_data.parse_edges(args.edges), args.min_user_checkins,
+        args.min_loc_checkins)
     dataset = lbsn_data.build_dataset(checkins, edges)
     lbsn_data.save_dataset(dataset, args.out)
     pairs = dataset.graph.num_directed_edges // 2
@@ -111,11 +104,7 @@ SYNTH_CONFIG_KEYS = {f.name for f in dataclasses.fields(synth.SynthConfig)}
 
 
 def cmd_synth(args):
-    raw = _load_json_config(args.config, SYNTH_CONFIG_KEYS)
-    for key in SYNTH_CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            raw[key] = value
+    raw = _load_json_config(args, SYNTH_CONFIG_KEYS)
     try:
         config = synth.SynthConfig(**raw)
     except (TypeError, ValueError) as exc:
@@ -221,10 +210,9 @@ def cmd_bench(args):
             dataset, splits, dataclasses.replace(config, max_iterations=args.reps),
             os.path.join(work, "bench.jntm"))
     num_checkins = dataset.num_checkins
-    fastest = {name: min(getattr(r, name) for r in records) for name in (
-        "net_seconds", "traj_seconds", "sample_seconds", "update_seconds",
-        "forward_seconds", "softmax_seconds", "bptt_seconds",
-        "validation_seconds", "checkpoint_seconds", "lockstep_steps")}
+    fastest = {f.name: min(getattr(r, f.name) for r in records)
+               for f in dataclasses.fields(training.EpochRecord)
+               if f.name.endswith(("_seconds", "_steps"))}
     traj_seconds = fastest["traj_seconds"]
     per_checkin = traj_seconds / num_checkins if num_checkins else 0.0
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

@@ -14,7 +14,7 @@ import math
 import os
 import struct
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,11 +124,6 @@ class Splits:
     test_edges: set
 
 
-def _parse_timestamp(text):
-    parsed = time.strptime(text, CHECKIN_TIME_FORMAT)
-    return calendar.timegm(parsed)
-
-
 def _tsv_rows(path, width):
     """Yield (line number, fields) of each non-blank line of a TSV whose lines
     must hold `width` tab-separated fields."""
@@ -152,7 +147,7 @@ def parse_checkins(path):
     checkins = []
     for line_number, (user, stamp, lat, lon, location) in _tsv_rows(path, 5):
         try:
-            epoch = _parse_timestamp(stamp)
+            epoch = calendar.timegm(time.strptime(stamp, CHECKIN_TIME_FORMAT))
         except ValueError as exc:
             raise ParseError(path, line_number, f"bad timestamp {stamp!r}") from exc
         try:
@@ -179,15 +174,11 @@ def filter_dataset(checkins, edges, min_user_checkins, min_loc_checkins):
     """
     if min_user_checkins < 0 or min_loc_checkins < 0:
         raise ValueError("thresholds must be >= 0")
-    user_counts = defaultdict(int)
-    for c in checkins:
-        user_counts[c.user] += 1
+    user_counts = Counter(c.user for c in checkins)
     kept_users = {u for u, n in user_counts.items() if n >= min_user_checkins}
     stage1 = [c for c in checkins if c.user in kept_users]
 
-    loc_counts = defaultdict(int)
-    for c in stage1:
-        loc_counts[c.location] += 1
+    loc_counts = Counter(c.location for c in stage1)
     kept_locs = {l for l, n in loc_counts.items() if n >= min_loc_checkins}
     stage2 = [c for c in stage1 if c.location in kept_locs]
 
@@ -557,11 +548,14 @@ def load_dataset(path):
             raise FormatError(f"{path}: edge ({i}, {j}) has an endpoint "
                               f"outside [0, {num_users})")
         # friendship is undirected: every edge is stored in both directions
-        directed = set(map(tuple, edges.tolist()))
-        for i, j in directed:
-            if i == j or (j, i) not in directed:
-                raise FormatError(f"{path}: edge ({i}, {j}) is a self-loop "
-                                  "or lacks its reverse")
+        i, j = edges.T.astype(np.int64)
+        keys, reverse = np.sort(i * num_users + j), j * num_users + i
+        at = np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)
+        bad = np.flatnonzero((i == j) | (keys[at] != reverse))
+        if len(bad):
+            raise FormatError(f"{path}: edge ({i[bad[0]]}, {j[bad[0]]}) is a "
+                              "self-loop or lacks its reverse")
+        directed = set(zip(i.tolist(), j.tolist()))
     # One gap scan over all users: a subtrajectory starts at each user's
     # first check-in and after each gap of more than SIX_HOURS.
     first = np.zeros(total, dtype=bool)

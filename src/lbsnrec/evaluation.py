@@ -285,19 +285,22 @@ def eval_friend_rec(params, dataset, splits, ks=(5, 10), user_slice="all",
     """
     if user_slice not in ("all", "low-degree"):
         raise ValueError(f"unknown slice {user_slice!r}")
-    # sorted edges (v, u): event rows; excluded columns, v and its friends
-    events, excluded = (
-        np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-        for edges in (splits.test_edges, splits.train_edges
-                      | {(v, v) for v in range(dataset.num_users)}))
-    sizes = np.bincount(excluded[:, 0], minlength=dataset.num_users)
+    # pairs (v, u) as sorted keys v |V| + u: held-out friends are the event
+    # rows; v and its training friends (no (v, v) among them) the excluded
+    m = dataset.num_users
+    (owners, targets), (ex_owners, ex_users) = (
+        np.divmod(np.sort(np.fromiter((v * m + u for v, u in edges),
+                                      np.int64)), m)
+        for edges in (splits.test_edges,
+                      [*splits.train_edges, *zip(range(m), range(m))]))
+    sizes = np.bincount(ex_owners, minlength=m)
     if user_slice == "low-degree":
-        events = events[sizes[events[:, 0]] <= LOW_DEGREE_MAX_FRIENDS]
-    owners, targets = events.T
+        owners, targets = np.compress(
+            sizes[owners] <= LOW_DEGREE_MAX_FRIENDS, (owners, targets), axis=1)
     n = sizes[owners]
     ex_rows = np.repeat(np.arange(len(owners)), n)
-    ex_cols = excluded[np.arange(len(ex_rows)) + np.repeat(
-        (np.cumsum(sizes) - sizes)[owners] - np.cumsum(n) + n, n), 1]
+    ex_cols = ex_users[np.arange(len(ex_rows)) + np.repeat(
+        (np.cumsum(sizes) - sizes)[owners] - np.cumsum(n) + n, n)]
 
     def scores(users, a, b):
         # one pair of GEMMs over the distinct users

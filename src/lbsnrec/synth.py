@@ -10,7 +10,7 @@ six-hour splitter reproduces the configured segmentation bit for bit.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,12 +182,8 @@ def chance_baselines(config, link_train_ratio=0.5, split_seed=0, ks=(5, 10)):
     num_locations = dataset.num_locations
     next_location = {k: min(1.0, k / num_locations) for k in ks}
 
-    train_deg = defaultdict(int)
-    test_truths = defaultdict(int)
-    for i, _ in splits.train_edges:
-        train_deg[i] += 1
-    for i, _ in splits.test_edges:
-        test_truths[i] += 1
+    train_deg = Counter(i for i, _ in splits.train_edges)
+    test_truths = Counter(i for i, _ in splits.test_edges)
     friend = {}
     for k in ks:
         num = 0.0

@@ -118,26 +118,44 @@ class Gradients:
         self.records[name].append(
             (rows[first], np.add.reduceat(values[order], first, axis=0)))
 
-    def rows(self, name, chunk):
+    def rows(self, name, chunk, out=None, spare=None):
         """Rows `chunk` of a gradient, a slice or a piece of touched_rows:
-        a view of a buffer, or a new array summing an embedding tensor's
-        records in record order."""
+        a view of a buffer, or an embedding tensor's records summed in
+        record order into the flat buffer `out` (new if None). A (G, C)
+        record adds G[chunk] @ C, on a slice by scipy's csr_matvecs (G[chunk]
+        @ C's kernel) over G's CSR window; after the first record, formed in
+        the flat buffer `spare` (new if None) and then added."""
         if name not in self.records:
             return getattr(self, name)[chunk]
         if isinstance(chunk, slice):
             start, stop, _ = chunk.indices(self.shapes[name][0])
-            out = np.zeros((stop - start,) + self.shapes[name][1:])
+            count = stop - start
         else:
-            start, stop = chunk[0], chunk[-1] + 1
-            out = np.zeros((len(chunk),) + self.shapes[name][1:])
-        for rows, values in self.records[name]:
-            if not isinstance(rows, np.ndarray):
+            start, stop, count = chunk[0], chunk[-1] + 1, len(chunk)
+        shape = (count,) + self.shapes[name][1:]
+        size = math.prod(shape)
+        out, spare = (np.empty(shape) if b is None else b[:size].reshape(shape)
+                      for b in (out, spare))
+        out.fill(0.0)
+        for i, (rows, values) in enumerate(self.records[name]):
+            if isinstance(rows, np.ndarray):
+                lo, hi = np.searchsorted(rows, (start, stop))
+                at = (rows[lo:hi] - start if isinstance(chunk, slice)
+                      else np.searchsorted(chunk, rows[lo:hi]))
+                out[at] += values[lo:hi]
+            elif not isinstance(chunk, slice):
                 out += rows[chunk] @ values
-                continue
-            lo, hi = np.searchsorted(rows, (start, stop))
-            at = (rows[lo:hi] - start if isinstance(chunk, slice)
-                  else np.searchsorted(chunk, rows[lo:hi]))
-            out[at] += values[lo:hi]
+            else:
+                # imported here, as in _gathered_softmax
+                from scipy.sparse._sparsetools import csr_matvecs
+                if i:
+                    spare.fill(0.0)
+                csr_matvecs(count, rows.shape[1], values.shape[1],
+                            rows.indptr[start:stop + 1], rows.indices,
+                            rows.data, values.ravel(),
+                            (spare if i else out).ravel())
+                if i:
+                    out += spare
         return out
 
     def tensor(self, name):
@@ -185,7 +203,8 @@ def _row_chunks(array, entries, rows=None):
 
 
 class OptimizerState:
-    """Per-entry sums of squared gradients for AdaGrad, plus its scratch."""
+    """Per-entry sums of squared gradients for AdaGrad, plus its scratch: a
+    chunk's gradient, denominator and step (Gradients.rows' spare)."""
 
     def __init__(self, params):
         self.accumulators = {name: np.zeros_like(params.tensor(name))
@@ -193,8 +212,7 @@ class OptimizerState:
         size = max(GATHER_CHUNK_ENTRIES,
                    *(math.prod(params.tensor(name).shape[1:])
                      for name in TENSOR_NAMES))
-        self.scratch = (np.empty(size), np.empty(size),
-                        np.empty(size, dtype=bool))
+        self.scratch = tuple(np.empty(size) for _ in range(3))
 
 
 def init_params(config, num_users, num_locations):
@@ -752,7 +770,8 @@ def _lockstep_loss_and_grads(params, mask, users, views, negatives,
     return total
 
 
-def adagrad_update(params, grads, optimizer_state, learning_rate, epsilon):
+def adagrad_update(params, grads, optimizer_state, learning_rate, epsilon,
+                   norms=None):
     """In-place AdaGrad step over every tensor with a gradient.
 
     Embedding tensors without touched rows are skipped, and sparsely touched
@@ -761,25 +780,29 @@ def adagrad_update(params, grads, optimizer_state, learning_rate, epsilon):
     which leaves those rows and accumulators bit-for-bit unchanged, so every
     path equals the lazy row update. Tensors are walked in chunks of whole
     rows (GATHER_CHUNK_ENTRIES) through the optimizer's scratch buffers, an
-    embedding tensor's chunks formed from its records (Gradients.rows), and
-    each chunk is checked for non-finite gradients before it is used.
+    embedding tensor's chunks formed there from its records (Gradients.rows).
+    Only a chunk whose squares do not sum finite is checked entry by entry
+    for a non-finite gradient. Tensor L2 norms are added to norms if given.
     """
-    denom_buf, step_buf, finite_buf = optimizer_state.scratch
+    grad_buf, denom_buf, step_buf = optimizer_state.scratch
     for name in TENSOR_NAMES:
         rows = grads.sparse_rows(name)
         if rows is not None and not len(rows):
             continue
         acc = optimizer_state.accumulators[name]
         target = params.tensor(name)
+        squares = 0.0
         for chunk in _row_chunks(target, GATHER_CHUNK_ENTRIES, rows):
             # views of a slice; copies, written back below, of gathered rows
-            gc = grads.rows(name, chunk)
+            gc = grads.rows(name, chunk, grad_buf, step_buf)
             acc_rows, target_rows = acc[chunk], target[chunk]
             shape, n = gc.shape, gc.size
-            finite = finite_buf[:n].reshape(shape)
-            if not np.isfinite(gc, out=finite).all():
-                raise FloatingPointError(f"non-finite gradient in tensor {name}")
             denom = np.multiply(gc, gc, out=denom_buf[:n].reshape(shape))
+            with np.errstate(over="ignore"):
+                square = float(denom.sum())
+            if not math.isfinite(square) and not np.isfinite(gc).all():
+                raise FloatingPointError(f"non-finite gradient in tensor {name}")
+            squares += square
             acc_rows += denom
             np.sqrt(acc_rows, out=denom)
             denom += epsilon
@@ -789,6 +812,8 @@ def adagrad_update(params, grads, optimizer_state, learning_rate, epsilon):
             if rows is not None:
                 acc[chunk] = acc_rows
                 target[chunk] = target_rows
+        if norms is not None:
+            norms[name] += math.sqrt(squares)
 
 
 @dataclass
@@ -811,6 +836,9 @@ class EpochRecord:
     lockstep_steps: int     # long-term lockstep steps of the trajectory pass
     validation_seconds: float   # the validation eval_next_location call
     checkpoint_seconds: float   # this epoch's save_checkpoint, 0.0 if none
+    # per tensor, the sum over the epoch's batches of each batch gradient's
+    # L2 norm (adagrad_update)
+    grad_norms: dict = field(default_factory=dict)
 
 
 def write_training_log(records, path, k=5):
@@ -856,7 +884,7 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
         """AdaGrad step, then re-zero grads for the next batch; its seconds."""
         begin = time.perf_counter()
         adagrad_update(params, grads, state, config.learning_rate,
-                       config.adagrad_epsilon)
+                       config.adagrad_epsilon, norms)
         grads.zero()
         return time.perf_counter() - begin
 
@@ -867,6 +895,7 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
         start = time.perf_counter()
         sample_seconds = update_seconds = 0.0
         net_loss = 0.0
+        norms = Counter(dict.fromkeys(TENSOR_NAMES, 0.0))
         order = streams.shuffle.permutation(dataset.num_users)
         for users in _chunks(order, config.batch_users):
             begin = time.perf_counter()
@@ -911,7 +940,7 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
                                    checkpoint_seconds=(
                                        time.perf_counter() - validation_end
                                        if improved else 0.0),
-                                   **phases))
+                                   grad_norms=dict(norms), **phases))
         if recall is None:
             continue
         if improved:

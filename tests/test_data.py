@@ -312,6 +312,44 @@ def test_dataset_cache_rejects_an_edge_without_its_reverse(tmp_path,
         load_dataset(path)
 
 
+def cache_with_edges(dataset, path, edges):
+    """Save `dataset` as a cache whose edge section holds `edges`, in this
+    order (save_dataset sorts them); the section ends the file."""
+    save_dataset(dataset, path)
+    stored = 8 + 16 * dataset.graph.num_directed_edges
+    path.write_bytes(path.read_bytes()[:-stored] + struct.pack("<Q", len(edges))
+                     + np.array(edges, dtype="<u8").tobytes())
+    return path
+
+
+@pytest.mark.parametrize("edges, named", [
+    ([(0, 1), (1, 0), (2, 2), (0, 2)], (2, 2)),
+    ([(0, 1), (0, 2), (1, 0), (1, 1)], (0, 2)),
+    ([(1, 1), (0, 2), (0, 1), (1, 0)], (1, 1)),
+    ([(2, 0), (1, 1), (1, 0), (0, 1)], (2, 0)),
+], ids=["loop_first", "reverse_first", "unsorted_loop", "unsorted_reverse"])
+def test_dataset_cache_names_the_first_bad_edge_in_storage_order(
+        tmp_path, edges, named):
+    # one self-loop and one edge without its reverse in the same file
+    dataset = build_dataset(make_checkins({"a": [["x"]], "b": [["y"]],
+                                           "c": [["x"]]}), [("a", "b")])
+    path = cache_with_edges(dataset, tmp_path / "bad.bin", edges)
+    with pytest.raises(lbsn_data.FormatError,
+                       match=rf"edge \({named[0]}, {named[1]}\) is a "
+                             "self-loop or lacks its reverse"):
+        load_dataset(path)
+
+
+def test_dataset_cache_accepts_repeated_and_unsorted_edges(tmp_path):
+    dataset = build_dataset(make_checkins({"a": [["x"]], "b": [["y"]],
+                                           "c": [["x"]]}), [("a", "b")])
+    path = cache_with_edges(dataset, tmp_path / "ok.bin",
+                            [(1, 0), (0, 1), (1, 0), (2, 1), (1, 2)])
+    graph = load_dataset(path).graph
+    assert graph.directed_edges == {(0, 1), (1, 0), (1, 2), (2, 1)}
+    assert [a.tolist() for a in graph.adjacency] == [[1], [0, 2], [1]]
+
+
 def test_string_table_layout():
     # u64 entry count, u64 byte length, then the ids joined by "\n" as UTF-8
     assert lbsn_data._string_table(["a", "", "\u00fc\u00df"]) == (

@@ -1409,6 +1409,189 @@ def test_adagrad_rejects_a_non_finite_recorded_context(shape):
         adagrad_update(params, grads, OptimizerState(params), 0.1, 1e-8)
 
 
+# U_out records for the chunk-formation tests, in record order: "csr" a
+# gathered (G, C) pair, "rows" an add_rows record
+CHUNK_RECORDS = {"one_csr": ["csr"], "two_csr": ["csr", "csr"],
+                 "three_csr": ["csr", "csr", "csr"],
+                 "rows_then_csr": ["rows", "csr"],
+                 "csr_rows_csr": ["csr", "rows", "csr"]}
+
+
+def u_out_records(kinds, num_locations, width, index_dtype, rng):
+    """Random U_out records of these kinds over num_locations rows: each
+    (G, C) has 30 positions and no entry in rows 100-299, so whole chunks
+    there have empty CSR windows."""
+    from scipy import sparse
+
+    records = []
+    for kind in kinds:
+        if kind == "rows":
+            rows = np.sort(rng.choice(num_locations, 50, replace=False))
+            records.append((rows, rng.normal(size=(50, width))))
+            continue
+        dense = rng.normal(size=(num_locations, 30))
+        dense[rng.random(dense.shape) > 0.1] = 0.0
+        dense[100:300] = 0.0
+        g = sparse.csr_matrix(dense)
+        g.indptr, g.indices = (g.indptr.astype(index_dtype),
+                               g.indices.astype(index_dtype))
+        records.append((g, rng.normal(size=(30, width))))
+    return records
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("kinds", sorted(CHUNK_RECORDS))
+def test_rows_forms_whole_walk_chunks_in_scratch_bit_for_bit(
+        monkeypatch, kinds, index_dtype):
+    # |L| = 1000 in chunks of 37 rows: the last chunk holds 1 row, and the
+    # chunks inside rows 100-299 have no CSR entry
+    monkeypatch.setattr(training, "GATHER_CHUNK_ENTRIES", 37 * 8)
+    rng = np.random.default_rng(40)
+    params = random_params(rng, 3, 1000, 2)
+    grads = Gradients.like(params)
+    grads.records["U_out"] = u_out_records(CHUNK_RECORDS[kinds], 1000, 8,
+                                           index_dtype, rng)
+    assert grads.sparse_rows("U_out") is None
+    want = np.zeros((1000, 8))
+    for rows, values in grads.records["U_out"]:
+        if isinstance(rows, np.ndarray):
+            want[rows] += values
+        else:
+            want += rows @ values
+    state = OptimizerState(params)
+    out, _, spare = state.scratch
+    out.fill(np.nan)
+    spare.fill(np.nan)
+    chunks = list(training._row_chunks(want, training.GATHER_CHUNK_ENTRIES))
+    assert len(chunks) == 28 and len(range(1000)[chunks[-1]]) == 1
+    for chunk in chunks:
+        got = grads.rows("U_out", chunk, out, spare)
+        assert np.shares_memory(got, out)
+        assert got.tobytes() == want[chunk].tobytes()
+    assert grads.tensor("U_out").tobytes() == want.tobytes()
+
+    # the update formed from these chunks equals the one from their sum
+    dense_params = params.copy()
+    acc = np.zeros_like(want)
+    adagrad_update(params, grads, state, 0.1, 1e-8)
+    acc += want * want
+    dense_params.U_out -= 0.1 * want / (np.sqrt(acc) + 1e-8)
+    np.testing.assert_array_equal(params.U_out, dense_params.U_out)
+    np.testing.assert_array_equal(state.accumulators["U_out"], acc)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("shape", sorted(RECORD_SHAPES))
+def test_adagrad_rejects_an_infinite_recorded_context(shape, value):
+    num_locations, n2, checkins = RECORD_SHAPES[shape]
+    params, batch = bk_shaped_batch(36, num_locations, d=4, n2=n2, users=4,
+                                    checkins=checkins)
+    grads = Gradients.like(params)
+    trajectory_loss_and_grads(params, FULL_VARIANT, batch, grads)
+    grads.records["U_out"][-1][1][5, 2] = value
+    before = params.copy()
+    with pytest.raises(FloatingPointError, match="U_out"):
+        adagrad_update(params, grads, OptimizerState(params), 0.1, 1e-8)
+    # the tensors before U_out updated, U_out and the ones after did not
+    for name in TENSOR_NAMES[TENSOR_NAMES.index("U_out"):]:
+        np.testing.assert_array_equal(params.tensor(name), before.tensor(name))
+
+
+@pytest.mark.parametrize("magnitude, warns", [(1e155, True), (1e154, False)],
+                         ids=["squares_overflow", "sum_overflows"])
+@pytest.mark.parametrize("walk", ["touched_rows", "whole_walk"])
+def test_adagrad_steps_finite_gradients_whose_squares_overflow(
+        monkeypatch, walk, magnitude, warns):
+    # |g| = 1e155 squares to inf (numpy warns about that multiply, as it
+    # always did); |g| = 1e154 squares to a finite 1e308 whose chunk sum
+    # overflows, which is no error and warns nothing
+    import warnings
+
+    monkeypatch.setattr(training, "SPARSE_ROW_SHARE",
+                        2.0 if walk == "touched_rows" else 0.0)
+    rng = np.random.default_rng(41)
+    params = random_params(rng, 3, 1000, 2)
+    grads = Gradients.like(params)
+    records = u_out_records(["rows", "csr"], 1000, 8, np.int32, rng)
+    records[0][1][:3] = magnitude * np.sign(records[0][1][:3])
+    grads.records["U_out"] = records
+    grads.W[0] = magnitude
+    dense_params = params.copy()
+    state = OptimizerState(params)
+    norms = Counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        adagrad_update(params, grads, state, 0.1, 1e-8, norms)
+    messages = {str(w.message) for w in caught}
+    assert messages == ({"overflow encountered in multiply"} if warns
+                        else set())
+    with np.errstate(over="ignore"):
+        for name in ("U_out", "W"):
+            g = grads.tensor(name)
+            acc = g * g
+            dense_params.tensor(name)[...] -= 0.1 * g / (np.sqrt(acc) + 1e-8)
+            np.testing.assert_array_equal(params.tensor(name),
+                                          dense_params.tensor(name))
+            np.testing.assert_array_equal(state.accumulators[name], acc)
+    assert norms["U_out"] == norms["W"] == np.inf
+
+
+@pytest.mark.parametrize("walk", ["touched_rows", "whole_walk"])
+def test_adagrad_norms_equal_the_gradient_norms(monkeypatch, walk):
+    # a network and a trajectory pass give every tensor a gradient; the
+    # norms come from the sums of squares of many chunks (U_out's 1000 rows
+    # in chunks of 37), on both embedding paths
+    monkeypatch.setattr(training, "SPARSE_ROW_SHARE",
+                        2.0 if walk == "touched_rows" else 0.0)
+    monkeypatch.setattr(training, "GATHER_CHUNK_ENTRIES", 37 * 16 + 9)
+    num_locations, n2, checkins = RECORD_SHAPES["touched_rows"]
+    params, batch = bk_shaped_batch(42, num_locations, d=4, n2=n2, users=4,
+                                    checkins=checkins)
+    graph = lbsn_data.build_graph(4, {(0, 1), (1, 0), (1, 2), (2, 1)})
+    grads = Gradients.like(params)
+    network_loss_and_grads(params, graph, draw_network_batch(
+        graph, np.arange(4), 2, np.random.default_rng(43)), grads)
+    trajectory_loss_and_grads(params, FULL_VARIANT, batch, grads)
+    norms = Counter(W=1.0)
+    adagrad_update(params, grads, OptimizerState(params), 0.1, 1e-8, norms)
+    assert set(norms) == set(TENSOR_NAMES)
+    for name in TENSOR_NAMES:
+        want = np.linalg.norm(grads.tensor(name)) + (name == "W")
+        assert want > 0
+        assert norms[name] == pytest.approx(want, rel=1e-12, abs=0), name
+    # a tensor without a touched row is skipped and adds nothing
+    monkeypatch.undo()
+    grads.zero()
+    grads.W[...] = 1.0
+    norms = Counter()
+    adagrad_update(params, grads, OptimizerState(params), 0.1, 1e-8, norms)
+    assert set(norms) == set(TENSOR_NAMES) - EMBEDDING_NAMES
+
+
+def test_adagrad_forms_bk_shape_chunks_without_allocating_them():
+    # one bk_shape-shaped update (|L| = 20k, d = 50, n2 = 100, 900
+    # positions); forming each 409 x 200 U_out chunk (654 KB) as new arrays,
+    # np.zeros plus a G[chunk] @ C product, peaked at 2,370,243 bytes here
+    params, batch = bk_shaped_batch(27)
+    grads = Gradients.like(params)
+    trajectory_loss_and_grads(params, FULL_VARIANT, batch, grads)
+    assert grads.sparse_rows("U_out") is None
+    state = OptimizerState(params)
+    tracemalloc.start()
+    try:
+        adagrad_update(params, grads, state, 0.1, 1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for chunk in training._row_chunks(params.U_out,
+                                          training.GATHER_CHUNK_ENTRIES):
+            grads.rows("U_out", chunk, state.scratch[0], state.scratch[2])
+        _, forming = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_370_243 / 2
+    assert forming < 2**14
+
+
 @pytest.mark.parametrize("n2", [3, 399])
 def test_gradients_zero_clears_every_tensor_and_mask(n2):
     # n2 = 3 touches few U_out rows, n2 = 399 enumerates all 400
@@ -1610,3 +1793,27 @@ def test_train_pass_times_lie_within_the_epoch(tmp_path):
         improved = r.val_recall is None or r.val_recall > best
         assert (r.checkpoint_seconds > 0) == improved
         best = max(best, -np.inf if r.val_recall is None else r.val_recall)
+
+
+def test_train_records_the_summed_batch_gradient_norms(monkeypatch, tmp_path):
+    # batches of 2 of 5 users: 3 network and 3 trajectory updates an epoch,
+    # each gradient's norm taken here before the update
+    ds = toy_dataset(seed=19, num_users=5)
+    splits = lbsn_data.make_splits(ds, link_train_ratio=0.5, seed=2)
+    seen = []
+
+    def update(params, grads, *args):
+        seen.append({name: np.linalg.norm(grads.tensor(name))
+                     for name in TENSOR_NAMES})
+        return adagrad_update(params, grads, *args)
+
+    monkeypatch.setattr(training, "adagrad_update", update)
+    config = toy_config(seed=4, max_iterations=2, batch_users=2, patience=5)
+    records = train(ds, splits, config, tmp_path / "m.jntm")
+    assert len(records) == 2 and len(seen) == 12
+    for r, epoch in zip(records, (seen[:6], seen[6:])):
+        assert set(r.grad_norms) == set(TENSOR_NAMES)
+        for name in TENSOR_NAMES:
+            want = sum(norms[name] for norms in epoch)
+            assert r.grad_norms[name] == pytest.approx(want, rel=1e-12), name
+        assert r.grad_norms["U_out"] > 0
