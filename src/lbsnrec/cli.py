@@ -2,7 +2,7 @@
 
 Commands read a JSON config (flags override individual keys), write their
 data to files, and print a one-line summary. Exit codes: 0 success, 1 check
-failure, 2 usage/config error.
+failure, 2 usage, config, input, file or memory error.
 """
 
 from __future__ import annotations
@@ -157,9 +157,9 @@ def cmd_eval(args):
         raise ConfigError("checkpoint vocabulary does not match the dataset")
     reports, per_users = [], []
     if args.task in ("next", "both"):
-        # One forward and score pass serves all four reports.
-        ranks = evaluation.rank_next_locations(params, mask, dataset, splits,
-                                               "test", new_only=True)
+        # One forward and score pass, to the largest K, serves all four.
+        ranks = evaluation.rank_next_locations(
+            params, mask, dataset, splits, "test", True, cap=max(ks_next))
         for mode in ("general", "new-only"):
             for user_slice in ("all", "cold-start"):
                 per_users.append({} if args.per_user_json else None)
@@ -343,12 +343,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename}", file=sys.stderr)
-        return 2
     except (lbsn_data.ParseError, lbsn_data.FormatError, CheckpointError,
-            FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            FloatingPointError, OSError, MemoryError) as exc:
+        print("error:", str(exc) or ("out of memory" if isinstance(
+            exc, MemoryError) else type(exc).__name__), file=sys.stderr)
         return 2
 
 

@@ -38,19 +38,22 @@ def score_blocks(contexts, u_out):
         yield rows, contexts[rows] @ u_out.T
 
 
-def rank_columns(scores, targets, num_columns, ex_rows, ex_cols):
+def rank_columns(scores, targets, num_columns, ex_rows, ex_cols, cap):
     """Each row's 1-based rank of its target column among all num_columns
-    columns, and among them less its excluded columns.
+    columns, and among them less its excluded columns: exact up to cap, and
+    cap + 1 beyond it.
 
     scores(rows, a, b) gives columns a .. b-1 of the rows (an index array,
     or slice(None) for all). A column beats the target iff it scores higher,
-    or the same with a smaller index. Each block of all rows x some columns
-    is scored at once, and each row counts the columns beating its target
-    score t, read from the target's block; the pairs (ex_rows, ex_cols),
-    never a target, keep their scores, and those that beat t are subtracted.
-    A GEMM over the rows with targets in a later block gives their t first:
-    it may round differently, so columns within 2^-30 |t| of it are kept and
-    judged by the block's t, and the walk runs again if that is further off.
+    or the same with a smaller index. Each block of the live rows x some
+    columns is scored at once, and each row counts the columns beating its
+    target score t, read from the target's block; the pairs (ex_rows,
+    ex_cols), never a target, keep their scores, and those that beat t are
+    subtracted. A GEMM over the rows with targets in a later block gives
+    their t first: it may round differently, so columns within 2^-30 |t| of
+    it are kept and judged by the block's t, and the walk runs again if that
+    is further off. A row whose columns above t exceed cap plus its excluded
+    columns leaves the walk once its target's block has passed.
     """
     num_rows = len(targets)
     width = max(1, SCORE_BLOCK_ENTRIES // max(1, num_rows))
@@ -61,27 +64,37 @@ def rank_columns(scores, targets, num_columns, ex_rows, ex_cols):
         t[own] = scores(own, a, a + width)[range(len(own)), targets[own] - a]
     by_column = np.argsort(ex_cols, kind="stable")
     ex_rows, ex_cols = ex_rows[by_column], ex_cols[by_column]
-    ex_scores = np.empty(len(ex_cols))
+    ex_scores = np.zeros(len(ex_cols))
+    limit = cap + np.bincount(ex_rows, minlength=num_rows)
     for _ in range(2):
         beats, exact = np.ones(num_rows, dtype=np.int64), np.empty(num_rows)
         kept = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
+        # the live rows, and each row's place among them (-1 once decided)
+        live, ids, at = slice(None), np.arange(num_rows), np.arange(num_rows)
         for a, own in zip(starts, owns):
-            block = scores(slice(None), a, a + width)
-            exact[own] = block[own, targets[own] - a]
+            block = scores(live, a, a + width)
+            exact[own] = block[at[own], targets[own] - a]
             if not a:
                 t[own] = exact[own]
                 margin = np.abs(t) * 2.0 ** -30
                 margin[margin == np.inf] = 0.0    # only ties near t = inf
-                lo, hi = (t - margin)[:, None], (t + margin)[:, None]
-            above = (block > hi).sum(axis=1, dtype=np.int32)
-            beats += above
-            near = block >= lo
+                lo, hi = t - margin, t + margin
+            above = (block > hi[live, None]).sum(axis=1, dtype=np.int32)
+            beats[live] += above
+            near = block >= lo[live, None]
             # columns this near t are rare, bar the targets' own
             if np.count_nonzero(near) > above.sum() + len(own):
-                r, c = np.nonzero(near & (block <= hi))
-                kept.append((r, a + c, block[r, c]))
-            e = slice(*np.searchsorted(ex_cols, (a, a + width)))
-            ex_scores[e] = block[ex_rows[e], ex_cols[e] - a]
+                r, c = np.nonzero(near & (block <= hi[live, None]))
+                kept.append((ids[r], a + c, block[r, c]))
+            e = np.arange(*np.searchsorted(ex_cols, (a, a + width)))
+            e = e[at[ex_rows[e]] >= 0]
+            ex_scores[e] = block[at[ex_rows[e]], ex_cols[e] - a]
+            if a + width < num_columns:
+                done = (beats[ids] > limit[ids]) & (targets[ids] < a + width)
+                if done.any():
+                    at[ids[done]] = -1
+                    live = ids = ids[~done]
+                    at[ids] = np.arange(len(ids))
         if not np.any(np.abs(exact - t) > margin):
             break
         t = exact
@@ -92,7 +105,8 @@ def rank_columns(scores, targets, num_columns, ex_rows, ex_cols):
         return np.bincount(rows[wins], minlength=num_rows)
 
     ranks = beats + beaten(*map(np.concatenate, zip(*kept)))
-    return ranks, ranks - beaten(ex_rows, ex_cols, ex_scores)
+    return np.minimum((ranks, ranks - beaten(ex_rows, ex_cols, ex_scores)),
+                      cap + 1)
 
 
 @dataclass
@@ -209,31 +223,33 @@ class NextLocationRanks:
     """Next-location events of one part, ranked once for several reports.
 
     rows maps each ranked mode to (owners, ranks): each event's user and the
-    1-based rank of its target among that mode's candidates.
+    1-based rank of its target among that mode's candidates, exact up to cap
+    and cap + 1 beyond it (rank_columns): they serve reports of K <= cap.
     """
     part: str
     rows: dict
+    cap: int
 
 
 def rank_next_locations(params, mask, dataset, splits, part="test",
-                        new_only=False):
+                        new_only=False, *, cap):
     """NextLocationRanks of every general event, and of every new-only event
-    when new_only: every user with events in the part is forwarded once
-    (_evaluated_rows), and rank_columns ranks each forward group's rows, the
-    new-only rank less the previously visited locations that beat the target.
+    when new_only, to cap: every user with events in the part is forwarded
+    once (_evaluated_rows), and rank_columns ranks each forward group's rows,
+    the new-only rank less the previously visited locations that beat it.
     """
     groups = [(np.empty(0, dtype=np.int64),) * 4]
     for users, contexts, targets, new, ex_rows, ex_cols in _evaluated_rows(
             params, mask, dataset, splits, new_only, part):
         general, fresh = rank_columns(
             lambda rows, a, b: contexts[rows] @ params.U_out[a:b].T,
-            targets, params.num_locations, ex_rows, ex_cols)
+            targets, params.num_locations, ex_rows, ex_cols, cap)
         groups.append((users, general, users[new], fresh[new]))
     owners, ranks, new_owners, new_ranks = map(np.concatenate, zip(*groups))
     rows = {"general": (owners, ranks)}
     if new_only:
         rows["new-only"] = (new_owners, new_ranks)
-    return NextLocationRanks(part=part, rows=rows)
+    return NextLocationRanks(part=part, rows=rows, cap=cap)
 
 
 def eval_next_location(params, mask, dataset, splits, ks=(1, 5, 10),
@@ -250,19 +266,20 @@ def eval_next_location(params, mask, dataset, splits, ks=(1, 5, 10),
     dict, receives {user: {"events": n, "hits": {k: n}}} for debugging.
 
     ranks, when given, is a rank_next_locations result for this part that
-    holds this mode, so that several reports share one forward pass;
-    otherwise the part is ranked here.
+    holds this mode at a cap of max(ks) or more, so that several reports
+    share one forward pass; otherwise the part is ranked here.
     """
     if mode not in ("general", "new-only"):
         raise ValueError(f"unknown mode {mode!r}")
     if user_slice not in ("all", "cold-start"):
         raise ValueError(f"unknown slice {user_slice!r}")
+    cap = max(ks, default=1)
     if ranks is None:
         ranks = rank_next_locations(params, mask, dataset, splits, part,
-                                    new_only=mode == "new-only")
-    elif ranks.part != part or mode not in ranks.rows:
-        raise ValueError(f"ranks of part {ranks.part!r} hold no {mode} "
-                         f"events of part {part!r}")
+                                    new_only=mode == "new-only", cap=cap)
+    elif ranks.part != part or mode not in ranks.rows or ranks.cap < cap:
+        raise ValueError(f"ranks of part {ranks.part!r} to {ranks.cap} hold "
+                         f"no {mode} events of part {part!r} to {cap}")
     owners, event_ranks = ranks.rows[mode]
     if user_slice == "cold-start":
         counts = np.array([t.num_subtrajectories for t in dataset.trajectories],
@@ -281,7 +298,7 @@ def eval_friend_rec(params, dataset, splits, ks=(5, 10), user_slice="all",
     a candidate u is scored by the sum of both directed link log-likelihoods.
     user_slice "low-degree" keeps users with fewer than five training friends.
     Each held-out friend is a row for rank_columns, which excludes v and v's
-    training friends.
+    training friends and ranks to the cap max(ks).
     """
     if user_slice not in ("all", "low-degree"):
         raise ValueError(f"unknown slice {user_slice!r}")
@@ -315,7 +332,7 @@ def eval_friend_rec(params, dataset, splits, ks=(5, 10), user_slice="all",
         ranks.append(rank_columns(
             lambda rows, a, b: scores(owners[lo:hi][rows], a, b),
             targets[lo:hi], dataset.num_users, ex_rows[e] - lo,
-            ex_cols[e])[1])
+            ex_cols[e], max(ks, default=1))[1])
     return _report("friend", "-", user_slice, ks, owners,
                    np.concatenate(ranks), per_user_out)
 

@@ -111,15 +111,13 @@ def generate_raw(config):
         entropy=config.seed, spawn_key=(2,)))
 
     num_users = config.num_users
+    community = community_of_user(config, np.arange(num_users))
     edges = []
-    for i in range(num_users):
-        ci = community_of_user(config, i)
-        for j in range(i + 1, num_users):
-            p = (config.intra_edge_prob
-                 if ci == community_of_user(config, j)
-                 else config.inter_edge_prob)
-            if edge_rng.random() < p:
-                edges.append((user_name(i), user_name(j)))
+    for i in range(num_users):      # one draw per pair (i, j > i), in order
+        p = np.where(community[i + 1:] == community[i],
+                     config.intra_edge_prob, config.inter_edge_prob)
+        hits = np.flatnonzero(edge_rng.random(len(p)) < p) + i + 1
+        edges += [(user_name(i), user_name(j)) for j in hits.tolist()]
 
     sh_lo, sh_hi = shared_block(config)
     checkins = []

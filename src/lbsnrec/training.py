@@ -873,6 +873,8 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
     from .data import build_graph
     from .model import save_checkpoint
 
+    if log_path is not None:
+        open(log_path, "a").close()     # unwritable: fail before epoch 1
     streams = rng_streams(config.seed)
     params = init_params(config, dataset.num_users, dataset.num_locations)
     state = OptimizerState(params)

@@ -437,15 +437,17 @@ def test_eval_rejects_bad_checkpoint_variant_flag(tmp_path, synth_cache, capsys,
 
 def test_train_non_finite_gradients_exit_2(tmp_path, synth_cache, capsys):
     # a learning rate of 1e300 sends the parameters to about +-1e300 in one
-    # step, after which scores overflow and the gradients turn non-finite
+    # step, after which scores overflow and the gradients turn non-finite;
+    # the log, created before the first epoch, is left empty
     with np.errstate(all="ignore"):
         code = run_cli(["train", "--data", synth_cache, "--out",
                         tmp_path / "m.jntm", "--d", 2, "--max-iterations", 3,
-                        "--learning-rate", 1e300])
+                        "--learning-rate", 1e300, "--log", tmp_path / "l.csv"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: non-finite gradient in tensor ")
+    assert (tmp_path / "l.csv").read_bytes() == b""
 
 
 def test_stats_command(tmp_path, synth_cache, capsys):
@@ -567,6 +569,60 @@ def test_commands_reject_bad_counts(tmp_path, synth_cache, capsys, argv):
     err = capsys.readouterr().err
     assert "error: " in err and "Traceback" not in err
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "{dir}"],
+    ["train", "--data", "{dir}", "--out", "{out}"],
+    ["train", "--data", "{data}", "--out", "{dir}"],
+    ["train", "--data", "{data}", "--out", "{out}", "--log", "{dir}"],
+    ["eval", "--model", "{model}", "--data", "{data}", "--out", "{dir}"]],
+    ids=lambda argv: " ".join(argv).format(
+        dir="DIR", data="FILE", out="FILE", model="FILE"))
+def test_commands_name_a_directory_they_cannot_use(tmp_path, synth_cache,
+                                                   capsys, monkeypatch, argv):
+    # an OSError is an input error: exit 2, one error line naming the path
+    paths = {"dir": tmp_path / "dir", "data": synth_cache,
+             "out": tmp_path / "m.jntm", "model": tmp_path / "model.jntm"}
+    paths["dir"].mkdir()
+    paths["out"].write_bytes(b"previous")
+    ds = lbsn_data.load_dataset(synth_cache)
+    save_checkpoint(paths["model"],
+                    ModelParams.zeros(ds.num_users, ds.num_locations, 2),
+                    VariantMask(), ds.user_vocab.ids, ds.location_vocab.ids)
+    epochs = []
+    draw = training.draw_network_batch
+    monkeypatch.setattr(training, "draw_network_batch",
+                        lambda *args: epochs.append(1) or draw(*args))
+    code = run_cli([a.format(**paths) for a in argv]
+                   + (["--d", 2, "--max-iterations", 1]
+                      if argv[0] == "train" else []))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Is a directory" in err and "Traceback" not in err
+    assert str(paths["dir"]) in err
+    if "--log" in argv:
+        # the log is opened before the first epoch
+        assert not epochs
+        assert paths["out"].read_bytes() == b"previous"
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 7.45 GiB"),
+     "Unable to allocate 7.45 GiB"),
+    (MemoryError(), "out of memory"), (OSError(), "OSError")])
+def test_out_of_memory_exits_2(tmp_path, synth_cache, capsys, monkeypatch,
+                               error, line):
+    # a bare MemoryError reads as out of memory; no other error does
+    def allocate(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(training, "train", allocate)
+    assert run_cli(["train", "--data", synth_cache,
+                    "--out", tmp_path / "m.jntm"]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "m.jntm").exists()
 
 
 @pytest.mark.parametrize("flags", [

@@ -372,7 +372,8 @@ def test_shared_ranks_match_reference_for_every_report_subset(
             for subset in itertools.combinations(REPORTS, size):
                 ranks = evaluation.rank_next_locations(
                     params, FULL_VARIANT, ds, splits, part,
-                    new_only=any(mode == "new-only" for mode, _ in subset))
+                    new_only=any(mode == "new-only" for mode, _ in subset),
+                    cap=5)
                 for mode, user_slice in subset:
                     users = {}
                     report = eval_next_location(
@@ -389,12 +390,13 @@ def test_shared_ranks_reject_reports_they_do_not_hold():
     ds, splits = _revisiting_dataset(8, num_users=9)
     params = ModelParams.zeros(ds.num_users, ds.num_locations, 3)
     ranks = evaluation.rank_next_locations(params, FULL_VARIANT, ds, splits,
-                                           "test")
+                                           "test", cap=10)
     eval_next_location(params, FULL_VARIANT, ds, splits, mode="general",
                        user_slice="cold-start", ranks=ranks)
     for kwargs in ({"mode": "new-only", "user_slice": "cold-start"},
                    {"mode": "general", "user_slice": "cold-start",
-                    "part": "validation"}):
+                    "part": "validation"},
+                   {"mode": "general", "ks": (1, 5, 11)}):
         with pytest.raises(ValueError):
             eval_next_location(params, FULL_VARIANT, ds, splits, ranks=ranks,
                                **kwargs)
@@ -408,7 +410,7 @@ def test_eval_next_location_rejects_unknown_mode_or_slice(kwargs, shared):
     ds, splits = _revisiting_dataset(8, num_users=9)
     params = ModelParams.zeros(ds.num_users, ds.num_locations, 3)
     ranks = (evaluation.rank_next_locations(params, FULL_VARIANT, ds, splits,
-                                            "test", new_only=True)
+                                            "test", new_only=True, cap=10)
              if shared else None)
     with pytest.raises(ValueError, match="unknown"):
         eval_next_location(params, FULL_VARIANT, ds, splits, ranks=ranks,
@@ -558,7 +560,7 @@ def test_planted_validation_ranking_memory_below_the_padded_trace_peak():
     tracemalloc.start()
     try:
         evaluation.rank_next_locations(params, FULL_VARIANT, dataset, splits,
-                                       "validation")
+                                       "validation", cap=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -616,11 +618,63 @@ def block_edge_targets(rng, num_rows, num_columns, width):
                     rng.integers(num_columns, size=num_rows))
 
 
+def recorded(scores, width, shift=lambda s: s):
+    """A scores(rows, a, b) callback over the matrix scores that asserts
+    every call, pre-pass and walk alike, asks for one block of width
+    columns (the last may end past the matrix), and the list of its walk's
+    calls as (a, rows). The calls before the first with slice(None) are the
+    target pre-pass; their scores pass through shift."""
+    walk = []
+
+    def blocks(rows, a, b):
+        assert a % width == 0
+        assert b - a == width or b >= scores.shape[1]
+        if isinstance(rows, slice) or walk:
+            walk.append((a, rows))
+            return scores[rows, a:b]
+        return shift(scores[rows, a:b])
+
+    return blocks, walk
+
+
+def live_rows(scores, targets, ex_rows, cap, a):
+    """The rows a single walk scores in the block from column a: all but
+    those with targets before a whose columns before a scoring above the
+    target, plus 1, exceed cap plus their excluded columns."""
+    t = scores[np.arange(len(targets)), targets][:, None]
+    beats = 1 + np.count_nonzero(scores[:, :a] > t, axis=1)
+    limit = cap + np.bincount(ex_rows, minlength=len(targets))
+    return np.flatnonzero((targets >= a) | (beats <= limit))
+
+
+def check_capped_walk(scores, targets, ex_rows, ex_cols, cap, width):
+    """Rank with rank_columns at this cap: ranks are the brute-force ranks
+    up to cap and cap + 1 beyond it, and the walk scores each column block
+    once, with every row until one is decided and the live rows after.
+    The number of walk calls that left a row out."""
+    num_rows, num_columns = scores.shape
+    blocks, walk = recorded(scores, width)
+    ranks, fewer = evaluation.rank_columns(blocks, targets, num_columns,
+                                           ex_rows, ex_cols, cap)
+    want, want_fewer = brute_force_ranks(scores, targets, ex_rows, ex_cols)
+    np.testing.assert_array_equal(ranks, np.minimum(want, cap + 1))
+    np.testing.assert_array_equal(fewer, np.minimum(want_fewer, cap + 1))
+    assert [a for a, _ in walk] == list(range(0, num_columns, width))
+    for a, rows in walk:
+        live = live_rows(scores, targets, ex_rows, cap, a)
+        if isinstance(rows, slice):
+            assert rows == slice(None) and len(live) == num_rows
+        else:
+            np.testing.assert_array_equal(rows, live)
+    return sum(not isinstance(rows, slice) for _, rows in walk)
+
+
 @pytest.mark.parametrize("num_rows, num_columns", [(1, 1), (1, 9), (6, 1),
                                                    (13, 16), (30, 7)])
 def test_rank_columns_matches_the_brute_force_rule(monkeypatch, num_rows,
                                                    num_columns):
     rng = np.random.default_rng(num_rows * 100 + num_columns)
+    compacted = 0
     for width in range(1, num_columns + 1):
         monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES",
                             width * num_rows)
@@ -628,22 +682,45 @@ def test_rank_columns_matches_the_brute_force_rule(monkeypatch, num_rows,
             scores = tied_scores(rng, num_rows, num_columns)
             targets = block_edge_targets(rng, num_rows, num_columns, width)
             ex_rows, ex_cols = excluded_pairs(rng, scores, targets)
-            walked = []
+            for cap in range(1, num_columns + 1):
+                compacted += check_capped_walk(scores, targets, ex_rows,
+                                               ex_cols, cap, width)
+    # the first row ties every column, so a lone row is never decided
+    assert compacted or num_rows == 1 or num_columns == 1
 
-            def blocks(rows, a, b):
-                assert b - a == width or b >= num_columns
-                if isinstance(rows, slice):
-                    walked.append(a)
-                return scores[rows, a:b]
 
-            ranks, fewer = evaluation.rank_columns(
-                blocks, targets, num_columns, ex_rows, ex_cols)
-            want, want_fewer = brute_force_ranks(scores, targets, ex_rows,
-                                                 ex_cols)
-            np.testing.assert_array_equal(ranks, want)
-            np.testing.assert_array_equal(fewer, want_fewer)
-            # one walk over every column block, all rows in each
-            assert walked == list(range(0, num_columns, width))
+def test_rank_columns_counts_ties_at_the_cap(monkeypatch):
+    # row 0's target (column 6) is beaten by 3 columns above it and 2 ties
+    # before it: rank 6, and 5 without its excluded tie (column 4). Its 4
+    # sure beaters decide it only at caps 1 and 2; at caps 3-5 its ranks
+    # reach the cap through ties alone. Row 1 ranks first.
+    scores = np.array([[1, 1, 0, 1, 0, -1, 0, -1, -1, 0, -1, -1],
+                       [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]]) * 0.5
+    targets, ex_rows, ex_cols = np.array([6, 11]), np.array([0]), np.array([4])
+    for width in range(1, 13):
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES", 2 * width)
+        for cap in range(1, 13):
+            left_out = check_capped_walk(scores, targets, ex_rows, ex_cols,
+                                         cap, width)
+            assert bool(left_out) == (cap <= 2 and (6 // width + 1) * width
+                                      < 12)
+
+
+def test_rank_columns_keeps_rows_their_excluded_columns_bring_under_the_cap(
+        monkeypatch):
+    # 8 of 10 columns beat row 0's target (column 5), 6 of them excluded:
+    # rank 9 among all columns, 3 among the new ones. At caps 3-8 the row
+    # must stay in the walk for its new-only rank, although its rank
+    # among all columns already exceeds the cap.
+    scores = np.array([[9, 8, 7, 6, 0, 1, 5, 4, 3, 2, 10]]) + 0.5
+    targets, ex_rows = np.array([5]), np.zeros(6, dtype=np.int64)
+    ex_cols = np.array([0, 2, 3, 6, 8, 10])
+    for width in range(1, 12):
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES", width)
+        for cap in range(1, 12):
+            left_out = check_capped_walk(scores, targets, ex_rows, ex_cols,
+                                         cap, width)
+            assert cap <= 2 or not left_out
 
 
 def test_rank_columns_counts_a_lone_tie(monkeypatch):
@@ -657,7 +734,7 @@ def test_rank_columns_counts_a_lone_tie(monkeypatch):
             tied[0, tie] = tied[0, target]
             ranks, fewer = evaluation.rank_columns(
                 lambda rows, a, b: tied[rows, a:b], np.array([target]), 10,
-                np.array([0]), np.array([tie]))
+                np.array([0]), np.array([tie]), 10)
             want = 1 + np.count_nonzero(tied[0] > tied[0, target])
             assert ranks[0] == want + (tie < target)
             assert fewer[0] == want
@@ -667,7 +744,9 @@ def test_rank_columns_counts_a_lone_tie(monkeypatch):
 def test_rank_columns_judges_ties_by_the_block_score(monkeypatch, offset):
     # the GEMM over the rows with targets in a later block may round
     # differently from the block's own: ties with the block's target score
-    # still count by index, and a score far off walks the blocks again
+    # still count by index, and a score far off walks the blocks again; a
+    # row that passes the cap before its target's block stays in the walk
+    # until that block
     rng = np.random.default_rng(7)
     num_rows, num_columns, width = 12, 20, 3
     monkeypatch.setattr(evaluation, "SCORE_BLOCK_ENTRIES", width * num_rows)
@@ -677,21 +756,27 @@ def test_rank_columns_judges_ties_by_the_block_score(monkeypatch, offset):
     shift = {"one_ulp_up": lambda s: np.nextafter(s, np.inf),
              "one_ulp_down": lambda s: np.nextafter(s, -np.inf),
              "far": lambda s: s + 1.0}[offset]
-    walked = []
-
-    def blocks(rows, a, b):
-        if isinstance(rows, slice):
-            walked.append(a)
-            return scores[rows, a:b]
-        return shift(scores[rows, a:b])
-
-    ranks, fewer = evaluation.rank_columns(blocks, targets, num_columns,
-                                           ex_rows, ex_cols)
     want, want_fewer = brute_force_ranks(scores, targets, ex_rows, ex_cols)
-    np.testing.assert_array_equal(ranks, want)
-    np.testing.assert_array_equal(fewer, want_fewer)
-    assert walked == list(range(0, num_columns, width)) * (
-        2 if offset == "far" else 1)
+    owns = targets // width * width     # each target block's first column
+    passed_early = 0
+    for cap in range(1, num_columns + 1):
+        blocks, walk = recorded(scores, width, shift)
+        ranks, fewer = evaluation.rank_columns(blocks, targets, num_columns,
+                                               ex_rows, ex_cols, cap)
+        np.testing.assert_array_equal(ranks, np.minimum(want, cap + 1))
+        np.testing.assert_array_equal(fewer, np.minimum(want_fewer, cap + 1))
+        assert [a for a, _ in walk] == list(range(0, num_columns, width)) * (
+            2 if offset == "far" else 1)
+        for a, rows in walk:    # no row leaves before its target's block
+            assert np.isin(np.flatnonzero(owns == a),
+                           np.arange(num_rows)[rows]).all()
+        # rows whose sure beaters exceed the cap before their target's block
+        t = scores[np.arange(num_rows), targets][:, None]
+        beats = 1 + np.count_nonzero(
+            (scores > t) & (np.arange(num_columns) < owns[:, None]), axis=1)
+        passed_early += np.count_nonzero(
+            beats > cap + np.bincount(ex_rows, minlength=num_rows))
+    assert passed_early
 
 
 def test_rank_columns_of_one_block_reads_targets_from_it():
@@ -706,7 +791,7 @@ def test_rank_columns_of_one_block_reads_targets_from_it():
         return scores[rows, a:b]
 
     ranks, _ = evaluation.rank_columns(blocks, targets, 11, targets[:0],
-                                       targets[:0])
+                                       targets[:0], 11)
     assert calls == [(slice(None), 0, evaluation.SCORE_BLOCK_ENTRIES // 9)]
     np.testing.assert_array_equal(
         ranks, brute_force_ranks(scores, targets, targets[:0], targets[:0])[0])
@@ -770,7 +855,8 @@ def test_bk_shape_ranking_memory_below_row_blocks(new_only):
     tracemalloc.start()
     try:
         ranks = evaluation.rank_next_locations(params, FULL_VARIANT, dataset,
-                                               splits, "test", new_only)
+                                               splits, "test", new_only,
+                                               cap=10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -41,6 +41,27 @@ def test_disconnected_blocks_without_inter_edges():
         assert community_of_user(cfg, i) == community_of_user(cfg, j)
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_edges_match_the_scalar_pair_loop(seed):
+    # one uniform draw per pair (i, j > i) in row-major order, as a scalar
+    # edge_rng.random() per pair drew them
+    cfg = small_config(num_communities=3, users_per_community=4,
+                       intra_edge_prob=0.6, inter_edge_prob=0.2, seed=seed)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(0,)))
+    want = []
+    for i in range(cfg.num_users):
+        for j in range(i + 1, cfg.num_users):
+            same = community_of_user(cfg, i) == community_of_user(cfg, j)
+            p = cfg.intra_edge_prob if same else cfg.inter_edge_prob
+            if rng.random() < p:
+                want.append((synth.user_name(i), synth.user_name(j)))
+    _, edges = generate_raw(cfg)
+    assert edges == want
+    assert any(community_of_user(cfg, int(u[1:])) != community_of_user(
+        cfg, int(v[1:])) for u, v in edges)
+
+
 def test_full_stickiness_follows_planted_chain():
     cfg = small_config(markov_stickiness=1.0, seed=5)
     ds = generate(cfg)
