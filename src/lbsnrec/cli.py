@@ -173,14 +173,14 @@ def cmd_eval(args):
             reports.append(evaluation.eval_friend_rec(
                 params, dataset, splits, ks=(5, 10), user_slice=user_slice,
                 per_user_out=per_users[-1]))
-    evaluation.write_reports_csv(reports, args.out)
-    if args.per_user_json:
+    if args.per_user_json:      # first, so a failed dump leaves --out alone
         dumps = [{"task": r.task, "mode": r.mode, "slice": r.user_slice,
                   "per_user": per_user}
                  for r, per_user in zip(reports, per_users)]
         with open(args.per_user_json, "w", encoding="utf-8") as handle:
             json.dump(dumps, handle, indent=2, sort_keys=True)
             handle.write("\n")
+    evaluation.write_reports_csv(reports, args.out)
     print(f"wrote {len(reports)} evaluation reports -> {args.out}")
     return 0
 

@@ -16,6 +16,7 @@ import struct
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -227,21 +228,21 @@ def build_dataset(checkins, edges):
     for a, b in edges:
         ia = user_vocab.index.get(a)
         ib = user_vocab.index.get(b)
-        if ia is None or ib is None or ia == ib:
-            continue
-        directed.add((ia, ib))
-        directed.add((ib, ia))
+        if ia is not None and ib is not None and ia != ib:
+            directed |= {(ia, ib), (ib, ia)}
     graph = build_graph(len(user_vocab), directed)
     return Dataset(graph=graph, trajectories=trajectories,
                    user_vocab=user_vocab, location_vocab=location_vocab)
 
 
 def build_graph(num_users, directed_edges):
-    neighbors = defaultdict(list)
-    for i, j in directed_edges:
-        neighbors[i].append(j)
-    adjacency = [np.array(sorted(neighbors[u]), dtype=np.int64)
-                 for u in range(num_users)]
+    """Adjacency: the sorted i * |V| + j keys' tails split at each user's
+    first key ([:num_users] drops np.split's one piece when |V| = 0)."""
+    i, j = np.fromiter(chain.from_iterable(directed_edges),
+                       np.int64).reshape(-1, 2).T
+    keys = np.sort(i * num_users + j)
+    firsts = np.searchsorted(keys, np.arange(1, num_users) * num_users)
+    adjacency = np.split(keys % num_users, firsts)[:num_users]
     return SocialGraph(num_users=num_users, directed_edges=set(directed_edges),
                        adjacency=adjacency)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -447,41 +448,24 @@ def network_loss_and_grads(params, graph, batch, grads=None):
     """Negative log-likelihood of observed links vs. frozen negatives, with grads.
 
     Per user v: -sum log sigmoid(F_v . F'_u) over out-neighbors u, minus
-    sum log(1 - sigmoid(F_v . F'_w)) over the batch's negatives w.
+    sum log(1 - sigmoid(F_v . F'_w)) over the batch's negatives w: all
+    pairs scored by one row-wise dot, their terms summed by math.fsum.
     """
     if grads is None:
         grads = Gradients.like(params)
-    links = [(graph.adjacency[int(u)], negs)
-             for u, negs in zip(batch.users, batch.negatives)]
-    # F_ctx gradient of each row the batch reaches, summed in user order
-    reached, where = np.unique(np.concatenate(
-        [np.zeros(0, dtype=np.int64)] + [p for pair in links for p in pair]),
-        return_inverse=True)
-    d_ctx = np.zeros((len(reached), params.dim))
-    d_f = np.zeros((len(links), params.dim))
-    loss, at = 0.0, 0
-    for u, (pos, negs), dfv in zip(batch.users, links, d_f):
-        fv = params.F[u]
-        if len(pos):
-            s = params.F_ctx[pos] @ fv
-            loss += np.logaddexp(0.0, -s).sum()
-            coef = expit(s) - 1.0
-            dfv += coef @ params.F_ctx[pos]
-            d_ctx[where[at:at + len(pos)]] += np.outer(coef, fv)
-            at += len(pos)
-        if len(negs):
-            s = params.F_ctx[negs] @ fv
-            loss += np.logaddexp(0.0, s).sum()
-            coef = expit(s)
-            dfv += coef @ params.F_ctx[negs]
-            d_ctx[where[at:at + len(negs)]] += np.outer(coef, fv)
-            at += len(negs)
-    linked = np.array([len(pos) + len(negs) > 0 for pos, negs in links],
-                      dtype=bool)
-    grads.add_rows("F", np.asarray(batch.users, dtype=np.int64)[linked],
-                   d_f[linked])
-    grads.records["F_ctx"].append((reached, d_ctx))
-    return float(loss), grads
+    lists = [part for u, negs in zip(batch.users.tolist(), batch.negatives)
+             for part in (graph.adjacency[u], negs)]
+    sizes = np.array([len(part) for part in lists], dtype=np.int64)
+    owners = np.repeat(np.repeat(batch.users, 2), sizes)
+    others = np.concatenate([np.zeros(0, dtype=np.int64)] + lists)
+    observed = np.repeat(np.tile([1.0, 0.0], len(batch.users)), sizes)
+    here, there = params.F[owners], params.F_ctx[others]
+    scores = np.einsum("ij,ij->i", here, there)
+    loss = math.fsum(np.logaddexp(0.0, (1.0 - 2.0 * observed) * scores))
+    coef = (expit(scores) - observed)[:, None]
+    grads.add_rows("F", owners, coef * there)
+    grads.add_rows("F_ctx", others, coef * here)
+    return loss, grads
 
 
 def sampled_location_loss(params, context, target, negatives):
@@ -868,13 +852,18 @@ def train(dataset, splits, config, checkpoint_path, log_path=None):
     for config.patience consecutive epochs. Without validation events every
     epoch checkpoints and only max_iterations stops the loop. Only when no
     epoch runs (max_iterations = 0) are the initial parameters checkpointed,
-    so a first epoch that raises leaves checkpoint_path as it was.
+    so a first epoch that raises leaves checkpoint_path as it was; an
+    unwritable checkpoint_path (or directory) or log_path fails before it.
     """
     from .data import build_graph
     from .model import save_checkpoint
 
+    if os.path.isdir(checkpoint_path):
+        raise IsADirectoryError(f"Is a directory: '{checkpoint_path}'")
+    open(f"{checkpoint_path}.tmp", "wb").close()    # save_checkpoint's temp
+    os.remove(f"{checkpoint_path}.tmp")
     if log_path is not None:
-        open(log_path, "a").close()     # unwritable: fail before epoch 1
+        open(log_path, "a").close()
     streams = rng_streams(config.seed)
     params = init_params(config, dataset.num_users, dataset.num_locations)
     state = OptimizerState(params)

@@ -487,10 +487,64 @@ def check_adagrad_accumulator_monotone(cases=100, seed=4):
     return failures
 
 
+def reference_network_pass(params, graph, batch):
+    """(loss, dF, dF_ctx, F rows, F_ctx rows) of the network pass, one
+    (user, other) pair at a time on link_logit."""
+    loss = 0.0
+    d_f, d_ctx = np.zeros_like(params.F), np.zeros_like(params.F_ctx)
+    f_rows, ctx_rows = set(), set()
+    for v, negatives in zip(batch.users.tolist(), batch.negatives):
+        for others, label in ((graph.adjacency[v], 1.0), (negatives, 0.0)):
+            for u in np.asarray(others).tolist():
+                s = link_logit(params, v, u)
+                loss += np.logaddexp(0.0, -s if label else s)
+                coef = expit(s) - label
+                d_f[v] += coef * params.F_ctx[u]
+                d_ctx[u] += coef * params.F[v]
+                f_rows.add(v)
+                ctx_rows.add(u)
+    return loss, d_f, d_ctx, sorted(f_rows), sorted(ctx_rows)
+
+
+def check_network_pass_matches_pairs(cases=100, seed=5):
+    """training.network_loss_and_grads equals the per-pair reference (the
+    loss to 1e-12 relative, each gradient to 1e-12 of its largest entry)
+    and touches the same rows, on random graphs with edgeless users, n1 = 0
+    and single-user batches."""
+    rng = np.random.default_rng(seed)
+    failures = 0
+    for _ in range(cases):
+        num_users = int(rng.integers(1, 12))
+        edges = set()
+        for _ in range(int(rng.integers(0, 2 * num_users))):
+            i, j = rng.integers(0, num_users, size=2).tolist()
+            if i != j:
+                edges |= {(i, j), (j, i)}
+        graph = lbsn_data.build_graph(num_users, edges)
+        params = random_params(rng, num_users, 3, int(rng.integers(1, 6)),
+                               scale=float(rng.uniform(0.1, 2.0)))
+        size = 1 if rng.random() < 0.3 else int(rng.integers(1, num_users + 1))
+        users = rng.choice(num_users, size=size, replace=False)
+        n1 = 0 if rng.random() < 0.3 else int(rng.integers(1, num_users + 1))
+        batch = training.draw_network_batch(graph, users, n1, rng)
+        loss, grads = training.network_loss_and_grads(params, graph, batch)
+        want_loss, d_f, d_ctx, f_rows, ctx_rows = reference_network_pass(
+            params, graph, batch)
+        ok = abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        for name, want in (("F", d_f), ("F_ctx", d_ctx)):
+            error = np.abs(grads.tensor(name) - want).max()
+            ok &= error <= 1e-12 * np.abs(want).max()
+        ok &= grads.touched_rows("F").tolist() == f_rows
+        ok &= grads.touched_rows("F_ctx").tolist() == ctx_rows
+        failures += not ok
+    return failures
+
+
 ALL_CHECKS = (
     ("trajectory splitting round-trip", check_splitting_round_trip),
     ("recall monotonicity in K", check_recall_monotonic),
     ("location-permutation equivariance", check_location_permutation_equivariance),
     ("gate/tanh range bounds", check_gate_and_tanh_ranges),
     ("adagrad accumulator monotonicity", check_adagrad_accumulator_monotone),
+    ("network pass vs per-pair reference", check_network_pass_matches_pairs),
 )

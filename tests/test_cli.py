@@ -576,7 +576,9 @@ def test_commands_reject_bad_counts(tmp_path, synth_cache, capsys, argv):
     ["train", "--data", "{dir}", "--out", "{out}"],
     ["train", "--data", "{data}", "--out", "{dir}"],
     ["train", "--data", "{data}", "--out", "{out}", "--log", "{dir}"],
-    ["eval", "--model", "{model}", "--data", "{data}", "--out", "{dir}"]],
+    ["eval", "--model", "{model}", "--data", "{data}", "--out", "{dir}"],
+    ["eval", "--model", "{model}", "--data", "{data}", "--out", "{out}",
+     "--per-user-json", "{dir}"]],
     ids=lambda argv: " ".join(argv).format(
         dir="DIR", data="FILE", out="FILE", model="FILE"))
 def test_commands_name_a_directory_they_cannot_use(tmp_path, synth_cache,
@@ -602,10 +604,37 @@ def test_commands_name_a_directory_they_cannot_use(tmp_path, synth_cache,
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "Is a directory" in err and "Traceback" not in err
     assert str(paths["dir"]) in err
-    if "--log" in argv:
-        # the log is opened before the first epoch
-        assert not epochs
+    # train checks its paths before the first epoch, and a command whose
+    # other path fails leaves --out as it was
+    assert not epochs
+    if "{out}" in argv:
         assert paths["out"].read_bytes() == b"previous"
+
+
+@pytest.mark.parametrize("log_before", [b"old log", None])
+@pytest.mark.parametrize("out", ["dir", "missing/m.jntm"])
+def test_train_checks_out_before_epoch_1(tmp_path, synth_cache, capsys,
+                                         monkeypatch, out, log_before):
+    # a directory or unwritable --out exits 2 before any training, leaving
+    # --out and --log as they were
+    (tmp_path / "dir").mkdir()
+    log = tmp_path / "l.csv"
+    if log_before is not None:
+        log.write_bytes(log_before)
+    epochs = []
+    draw = training.draw_network_batch
+    monkeypatch.setattr(training, "draw_network_batch",
+                        lambda *args: epochs.append(1) or draw(*args))
+    assert run_cli(["train", "--data", synth_cache, "--out", tmp_path / out,
+                    "--log", log, "--d", 2, "--max-iterations", 1]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / out) in err and "Traceback" not in err
+    assert not epochs
+    assert (log.read_bytes() if log.exists() else None) == log_before
+    assert not any((tmp_path / "dir").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["d.bin", "dir"] + ["l.csv"] * (log_before is not None))
 
 
 @pytest.mark.parametrize("error, line", [

@@ -138,6 +138,20 @@ def test_build_dataset_directed_expansion(two_user_dataset):
     assert graph.num_users == 2
     assert graph.directed_edges == {(0, 1), (1, 0)}
     assert two_user_dataset.num_locations == 2
+    # build_graph: one ascending int64 array per user, edges or none
+    assert lbsn_data.build_graph(0, set()).adjacency == []
+    rng = np.random.default_rng(0)
+    for num_users in [1, 1, 2, 3, 7, 20, 50]:
+        count = int(rng.integers(0, num_users * num_users // 2 + 1))
+        edges = set(map(tuple, rng.integers(0, num_users, (count, 2)).tolist()))
+        graph = lbsn_data.build_graph(num_users, list(edges))
+        assert graph.directed_edges == edges
+        assert len(graph.adjacency) == num_users
+        for u, row in enumerate(graph.adjacency):
+            assert row.dtype == np.int64
+            assert row.tolist() == sorted(j for i, j in edges if i == u)
+    assert [a.tolist() for a in lbsn_data.build_graph(4, {(2, 1)}).adjacency] \
+        == [[], [], [1], []]
 
 
 def test_build_dataset_drops_unknown_and_self_edges():

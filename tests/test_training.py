@@ -347,20 +347,24 @@ def finite_diff(loss_fn, params, name, idx, h=1e-6):
 
 
 def test_network_grads_match_finite_differences():
-    rng = np.random.default_rng(7)
+    # the central difference divides the loss's rounding error by h = 1e-6,
+    # so all 40 seeds pass only with a correctly rounded (math.fsum) loss
     graph = lbsn_data.build_graph(6, {(0, 1), (1, 0), (2, 4), (4, 2), (3, 5), (5, 3)})
-    params = random_params(rng, 6, 4, 3, scale=0.7)
-    batch = draw_network_batch(graph, np.arange(6), 3, rng)
-    _, grads = network_loss_and_grads(params, graph, batch)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, 6, 4, 3, scale=0.7)
+        batch = draw_network_batch(graph, np.arange(6), 3, rng)
+        _, grads = network_loss_and_grads(params, graph, batch)
 
-    def loss_fn(p):
-        return network_loss_and_grads(p, graph, batch)[0]
+        def loss_fn(p):
+            return network_loss_and_grads(p, graph, batch)[0]
 
-    for name in ("F", "F_ctx"):
-        for idx in range(params.tensor(name).size):
-            numeric = finite_diff(loss_fn, params, name, idx)
-            analytic = grads.tensor(name).flat[idx]
-            assert analytic == pytest.approx(numeric, rel=1e-6, abs=1e-9)
+        for name in ("F", "F_ctx"):
+            for idx in range(params.tensor(name).size):
+                numeric = finite_diff(loss_fn, params, name, idx)
+                analytic = grads.tensor(name).flat[idx]
+                assert analytic == pytest.approx(numeric, rel=1e-6, abs=1e-9), \
+                    (seed, name, idx)
 
 
 def test_sampled_location_loss_uniform():
