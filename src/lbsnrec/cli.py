@@ -93,7 +93,7 @@ def cmd_preprocess(args):
         args.min_loc_checkins)
     dataset = lbsn_data.build_dataset(checkins, edges)
     lbsn_data.save_dataset(dataset, args.out)
-    pairs = dataset.graph.num_directed_edges // 2
+    pairs = len(dataset.graph.directed_edges) // 2
     print(f"|V|={dataset.num_users} |E|={pairs} |D|={dataset.num_checkins} "
           f"|L|={dataset.num_locations} "
           f"subtrajectories={dataset.num_subtrajectories}")

@@ -16,7 +16,6 @@ import struct
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -60,13 +59,13 @@ class Trajectory:
 
 @dataclass
 class SocialGraph:
-    num_users: int
-    directed_edges: set         # {(i, j)} ordered pairs, no self-pairs
-    adjacency: list             # per-user sorted int64 array of out-neighbors
+    """G = (V, E). Each directed edge (i, j), i != j, is the key i * |V| + j:
+    directed_edges holds them sorted and distinct (int64), and adjacency[i]
+    is user i's ascending int64 array of out-neighbors."""
 
-    @property
-    def num_directed_edges(self):
-        return len(self.directed_edges)
+    num_users: int
+    directed_edges: np.ndarray
+    adjacency: list
 
 
 @dataclass
@@ -116,13 +115,15 @@ class Splits:
     For user u the subtrajectory ranges are train [0, train_end[u]),
     validation [train_end[u], test_start[u]) and test [test_start[u], m_u).
     Validation subtrajectories are the tail of the training block and are
-    excluded from gradient updates.
+    excluded from gradient updates. train_edges and test_edges split the
+    graph's directed-edge keys i * |V| + j (each sorted, distinct int64),
+    with both directions of a friendship on the same side.
     """
 
     train_end: np.ndarray
     test_start: np.ndarray
-    train_edges: set
-    test_edges: set
+    train_edges: np.ndarray
+    test_edges: np.ndarray
 
 
 def _tsv_rows(path, width):
@@ -224,31 +225,22 @@ def build_dataset(checkins, edges):
             user_index=u, locations=locs, timestamps=ts,
             subtrajectory_bounds=split_into_subtrajectories(ts)))
 
-    directed = set()
-    for a, b in edges:
-        ia = user_vocab.index.get(a)
-        ib = user_vocab.index.get(b)
-        if ia is not None and ib is not None and ia != ib:
-            directed |= {(ia, ib), (ib, ia)}
-    graph = build_graph(len(user_vocab), directed)
+    n, index = len(user_vocab), user_vocab.index
+    i, j = np.array([(index.get(a, -1), index.get(b, -1)) for a, b in edges],
+                    dtype=np.int64).reshape(-1, 2).T
+    i, j = np.compress((np.minimum(i, j) >= 0) & (i != j), (i, j), axis=1)
+    graph = build_graph(n, np.unique(np.concatenate([i * n + j, j * n + i])))
     return Dataset(graph=graph, trajectories=trajectories,
                    user_vocab=user_vocab, location_vocab=location_vocab)
 
 
-def build_graph(num_users, directed_edges):
-    """Adjacency: the sorted i * |V| + j keys' tails split at each user's
-    first key ([:num_users] drops np.split's one piece when |V| = 0)."""
-    i, j = np.fromiter(chain.from_iterable(directed_edges),
-                       np.int64).reshape(-1, 2).T
-    keys = np.sort(i * num_users + j)
-    firsts = np.searchsorted(keys, np.arange(1, num_users) * num_users)
-    adjacency = np.split(keys % num_users, firsts)[:num_users]
-    return SocialGraph(num_users=num_users, directed_edges=set(directed_edges),
-                       adjacency=adjacency)
-
-
-def undirected_pairs(edges):
-    return sorted({(min(i, j), max(i, j)) for i, j in edges})
+def build_graph(num_users, keys):
+    """The graph of these sorted, distinct edge keys: user i's adjacency is
+    the tails of the keys in [i |V|, (i + 1) |V|)."""
+    ends = np.searchsorted(keys, np.arange(num_users + 1) * num_users).tolist()
+    tails = keys % num_users
+    return SocialGraph(num_users=num_users, directed_edges=keys, adjacency=[
+        tails[a:b] for a, b in zip(ends, ends[1:])])
 
 
 def make_splits(dataset, trajectory_train_frac=0.9, validation_frac_of_train=0.1,
@@ -285,18 +277,16 @@ def make_splits(dataset, trajectory_train_frac=0.9, validation_frac_of_train=0.1
         train_end[u] = t
         test_start[u] = k
 
-    pairs = undirected_pairs(dataset.graph.directed_edges)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(pairs))
+    # the pairs i < j in key order, which is sorted (i, j) order, shuffled
+    keys = dataset.graph.directed_edges
+    pairs = keys[keys // num_users < keys % num_users]
+    pairs = pairs[np.random.default_rng(seed).permutation(len(pairs))]
+    i, j = np.divmod(pairs, num_users)
+    both = np.stack([pairs, j * num_users + i])
     n_train = int(link_train_ratio * len(pairs))
-    train_edges, test_edges = set(), set()
-    for rank, pair_idx in enumerate(order):
-        i, j = pairs[pair_idx]
-        target = train_edges if rank < n_train else test_edges
-        target.add((i, j))
-        target.add((j, i))
     return Splits(train_end=train_end, test_start=test_start,
-                  train_edges=train_edges, test_edges=test_edges)
+                  train_edges=np.sort(both[:, :n_train], axis=None),
+                  test_edges=np.sort(both[:, n_train:], axis=None))
 
 
 def full_train_splits(dataset):
@@ -304,7 +294,8 @@ def full_train_splits(dataset):
     m = np.array([t.num_subtrajectories for t in dataset.trajectories],
                  dtype=np.int64)
     return Splits(train_end=m, test_start=m,
-                  train_edges=set(dataset.graph.directed_edges), test_edges=set())
+                  train_edges=dataset.graph.directed_edges,
+                  test_edges=np.zeros(0, dtype=np.int64))
 
 
 def overlap_coefficient(set_a, set_b):
@@ -359,27 +350,25 @@ def correlation_report(dataset, num_pair_samples=10000, seed=0):
     """
     rng = np.random.default_rng(seed)
     location_sets = [set(t.locations.tolist()) for t in dataset.trajectories]
-    edge_set = dataset.graph.directed_edges
+    keys, n = dataset.graph.directed_edges, dataset.num_users
 
-    friend_pairs = undirected_pairs(edge_set)
-    if len(friend_pairs) > num_pair_samples:
-        chosen = rng.choice(len(friend_pairs), size=num_pair_samples, replace=False)
-        friend_sample = [friend_pairs[int(i)] for i in chosen]
-    else:
-        friend_sample = friend_pairs
+    friend_sample = keys[keys // n < keys % n]
+    if len(friend_sample) > num_pair_samples:
+        friend_sample = friend_sample[rng.choice(
+            len(friend_sample), size=num_pair_samples, replace=False)]
     friend_mean = None
-    if friend_sample:
+    if len(friend_sample):
         friend_mean = float(np.mean([
             overlap_coefficient(location_sets[i], location_sets[j])
-            for i, j in friend_sample]))
+            for i, j in zip(*(a.tolist() for a in np.divmod(friend_sample, n)))]))
 
-    random_pairs = _sample_unordered_pairs(dataset.num_users, num_pair_samples, rng)
+    random_pairs = _sample_unordered_pairs(n, num_pair_samples, rng)
+    friends = np.isin([i * n + j for i, j in random_pairs], keys).tolist()
     nonfriend_overlaps = []
     n_friends = 0
     n_common = 0
     n_common_friends = 0
-    for i, j in random_pairs:
-        is_friend = (i, j) in edge_set
+    for (i, j), is_friend in zip(random_pairs, friends):
         if is_friend:
             n_friends += 1
         else:
@@ -411,7 +400,8 @@ def correlation_report(dataset, num_pair_samples=10000, seed=0):
 # joined by "\n" as UTF-8), |V| + 1 u64 offsets (0 first, never falling;
 # user u's check-ins are offsets[u] .. offsets[u + 1] - 1), every location
 # id (u64), then every timestamp (i64), in user order, then a u64
-# directed-edge count followed by (u64, u64) pairs.
+# directed-edge count followed by (u64, u64) pairs (written in ascending
+# key order), which end the file.
 # ---------------------------------------------------------------------------
 
 DATASET_MAGIC = b"LBSN"
@@ -492,7 +482,8 @@ def save_dataset(dataset, path):
     columns = [np.concatenate([np.zeros(0, dtype)] + [
         getattr(t, name) for t in trajectories], dtype=dtype, casting="unsafe")
         for name, dtype in (("locations", "<u8"), ("timestamps", "<i8"))]
-    edges = np.array(sorted(dataset.graph.directed_edges), dtype="<u8")
+    edges = np.stack(np.divmod(dataset.graph.directed_edges,
+                               dataset.num_users), axis=1).astype("<u8")
     with open(path, "wb") as handle:
         handle.write(DATASET_MAGIC + struct.pack(
             "<IQQ", DATASET_VERSION, dataset.num_users, dataset.num_locations))
@@ -542,8 +533,9 @@ def load_dataset(path):
             raise _user_error(path, offsets, bad[0],
                               "a negative or falling timestamp")
         (edge_count,) = struct.unpack("<Q", _read_exact(handle, 8, "edges"))
-        edges = np.frombuffer(_read_exact(handle, edge_count * 16, "edges"),
-                              dtype="<u8").reshape(-1, 2)
+        edges = _read_into(handle, (edge_count, 2), "<u8", "edges")
+        if handle.read(1):
+            raise FormatError(f"{path}: trailing bytes after the edges")
         if len(edges) and edges.max() >= num_users:
             i, j = edges[np.flatnonzero(edges.max(axis=1) >= num_users)[0]]
             raise FormatError(f"{path}: edge ({i}, {j}) has an endpoint "
@@ -556,7 +548,10 @@ def load_dataset(path):
         if len(bad):
             raise FormatError(f"{path}: edge ({i[bad[0]]}, {j[bad[0]]}) is a "
                               "self-loop or lacks its reverse")
-        directed = set(zip(i.tolist(), j.tolist()))
+        repeats = keys[1:][keys[1:] == keys[:-1]]
+        if len(repeats):
+            raise FormatError(f"{path}: edge {divmod(int(repeats[0]), num_users)} "
+                              "is stored more than once")
     # One gap scan over all users: a subtrajectory starts at each user's
     # first check-in and after each gap of more than SIX_HOURS.
     first = np.zeros(total, dtype=bool)
@@ -573,7 +568,7 @@ def load_dataset(path):
                                subtrajectory_bounds=bounds[i:j])
                     for u, (a, b, i, j) in enumerate(zip(
                         ends, ends[1:], per_user, per_user[1:]))]
-    graph = build_graph(num_users, directed)
+    graph = build_graph(num_users, keys)
     user_vocab = Vocab(ids=user_ids, index=dict(zip(user_ids, range(num_users))))
     location_vocab = Vocab(ids=location_ids, index=dict(
         zip(location_ids, range(num_locations))))

@@ -305,11 +305,9 @@ def eval_friend_rec(params, dataset, splits, ks=(5, 10), user_slice="all",
     # pairs (v, u) as sorted keys v |V| + u: held-out friends are the event
     # rows; v and its training friends (no (v, v) among them) the excluded
     m = dataset.num_users
-    (owners, targets), (ex_owners, ex_users) = (
-        np.divmod(np.sort(np.fromiter((v * m + u for v, u in edges),
-                                      np.int64)), m)
-        for edges in (splits.test_edges,
-                      [*splits.train_edges, *zip(range(m), range(m))]))
+    owners, targets = np.divmod(splits.test_edges, m)
+    ex_owners, ex_users = np.divmod(np.sort(np.concatenate(
+        [splits.train_edges, np.arange(m) * (m + 1)])), m)
     sizes = np.bincount(ex_owners, minlength=m)
     if user_slice == "low-degree":
         owners, targets = np.compress(

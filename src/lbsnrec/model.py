@@ -219,8 +219,7 @@ def network_log_likelihood_full(params, graph):
     log_edge = -np.logaddexp(0.0, -logits)
     log_non = -np.logaddexp(0.0, logits)
     edge_mask = np.zeros(logits.shape, dtype=bool)
-    for i, j in graph.directed_edges:
-        edge_mask[i, j] = True
+    edge_mask.flat[graph.directed_edges] = True
     total = np.where(edge_mask, log_edge, log_non)
     np.fill_diagonal(total, 0.0)
     return float(total.sum())
@@ -399,7 +398,7 @@ def joint_log_likelihood_full(params, mask, dataset):
 # per variant flag (use_short, use_long), the 17 tensors as row-major
 # little-endian float64 in TENSOR_NAMES order, then the user and location
 # vocabularies (u64 entry count, u64 byte length, the ids joined by "\n" as
-# UTF-8).
+# UTF-8), which end the file.
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"JNTM"
@@ -469,6 +468,9 @@ def load_checkpoint(path):
             tensors[name] = tensor
         user_ids = _read_string_table(handle, CheckpointError)
         location_ids = _read_string_table(handle, CheckpointError)
+        if handle.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after the location "
+                                  "vocabulary")
     if len(user_ids) != num_users or len(location_ids) != num_locations:
         raise CheckpointError(f"{path}: vocab sizes disagree with header")
     if (len(set(user_ids)) != num_users

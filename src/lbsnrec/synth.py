@@ -10,7 +10,6 @@ six-hour splitter reproduces the configured segmentation bit for bit.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,18 +176,16 @@ def chance_baselines(config, link_train_ratio=0.5, split_seed=0, ks=(5, 10)):
     dataset = generate(config)
     splits = lbsn_data.make_splits(dataset, link_train_ratio=link_train_ratio,
                                    seed=split_seed)
-    num_locations = dataset.num_locations
+    num_locations, n = dataset.num_locations, dataset.num_users
     next_location = {k: min(1.0, k / num_locations) for k in ks}
 
-    train_deg = Counter(i for i, _ in splits.train_edges)
-    test_truths = Counter(i for i, _ in splits.test_edges)
+    train_deg, test_truths = (np.bincount(edges // n, minlength=n).tolist()
+                              for edges in (splits.train_edges, splits.test_edges))
+    events = len(splits.test_edges)
     friend = {}
     for k in ks:
         num = 0.0
-        den = 0
-        for v, truths in test_truths.items():
-            candidates = dataset.num_users - 1 - train_deg[v]
-            num += truths * min(1.0, k / candidates)
-            den += truths
-        friend[k] = num / den if den else None
+        for v in np.flatnonzero(test_truths).tolist():
+            num += test_truths[v] * min(1.0, k / (n - 1 - train_deg[v]))
+        friend[k] = num / events if events else None
     return {"next_location": next_location, "friend": friend}

@@ -1,3 +1,4 @@
+import struct
 import sys
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from lbsnrec import data as lbsn_data
+
+from property_checks import edge_pairs
 
 
 def make_checkins(layout, start=1_000_000, intra_gap=3600, inter_gap=30000):
@@ -23,17 +26,31 @@ def make_checkins(layout, start=1_000_000, intra_gap=3600, inter_gap=30000):
     return checkins
 
 
+def cache_with_edges(dataset, path, edges):
+    """Save `dataset` as a cache whose edge section holds `edges`, in this
+    order (save_dataset writes them in key order); the section ends the
+    file."""
+    lbsn_data.save_dataset(dataset, path)
+    stored = 8 + 16 * len(dataset.graph.directed_edges)
+    path.write_bytes(path.read_bytes()[:-stored] + struct.pack("<Q", len(edges))
+                     + np.array(edges, dtype="<u8").reshape(-1, 2).tobytes())
+    return path
+
+
 def corrupt_cache(dataset, path, location=None, edge=None):
     """Save `dataset` as a cache with its first location id replaced and/or
-    one extra directed edge; ids may lie outside the vocabularies."""
+    one extra directed edge, stored in sorted order among the others; ids
+    may lie outside the vocabularies."""
     if location is not None:
         locs = dataset.trajectories[0].locations.astype(np.uint64)
         locs[0] = location
         dataset.trajectories[0].locations = locs
-    if edge is not None:
-        dataset.graph.directed_edges.add(edge)
-    lbsn_data.save_dataset(dataset, path)
-    return path
+    if edge is None:
+        lbsn_data.save_dataset(dataset, path)
+        return path
+    graph = dataset.graph
+    return cache_with_edges(dataset, path, sorted(
+        edge_pairs(graph.num_users, graph.directed_edges) | {edge}))
 
 
 @pytest.fixture

@@ -4,7 +4,9 @@ Each function runs `cases` seeded random trials and returns the number of
 failing trials (0 expected).
 """
 
-from collections import defaultdict
+import os
+import tempfile
+from collections import Counter, defaultdict
 from datetime import datetime, timezone
 from types import SimpleNamespace
 
@@ -19,6 +21,33 @@ from lbsnrec.model import (ModelParams, VariantMask, chain_weights,
                            long_term_chain, tensor_shapes)
 from lbsnrec import synth
 from lbsnrec.synth import community_of_user
+
+
+def edge_keys(num_users, pairs):
+    """The sorted, distinct int64 edge keys i * |V| + j of (i, j) pairs."""
+    return np.unique(np.array([i * num_users + j for i, j in pairs],
+                              dtype=np.int64))
+
+
+def edge_pairs(num_users, keys):
+    """The {(i, j)} set of an edge-key array, which must hold sorted,
+    distinct int64 keys of pairs in [0, |V|)^2."""
+    assert isinstance(keys, np.ndarray) and keys.dtype == np.int64
+    assert (np.diff(keys) > 0).all()
+    assert not len(keys) or 0 <= keys[0] <= keys[-1] < num_users * num_users
+    return set(zip(*(a.tolist() for a in np.divmod(keys, num_users))))
+
+
+def assert_same_edges(a, b):
+    """Two edge-key arrays hold the same sorted, distinct int64 keys."""
+    for keys in (a, b):
+        assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
+    np.testing.assert_array_equal(a, b)
+
+
+def graph_of(num_users, pairs):
+    """build_graph over the keys of these (i, j) pairs."""
+    return lbsn_data.build_graph(num_users, edge_keys(num_users, pairs))
 
 
 def planted_instance(seed, dim=16):
@@ -223,9 +252,9 @@ def community_oracle_recall(config, splits, k):
     min(1, max(0, k - |same|)/|other|). Events are micro-averaged.
     """
     train_adj, test_adj = defaultdict(set), defaultdict(set)
-    for i, j in splits.train_edges:
+    for i, j in edge_pairs(config.num_users, splits.train_edges):
         train_adj[i].add(j)
-    for i, j in splits.test_edges:
+    for i, j in edge_pairs(config.num_users, splits.test_edges):
         test_adj[i].add(j)
     hits = 0.0
     events = 0
@@ -520,7 +549,7 @@ def check_network_pass_matches_pairs(cases=100, seed=5):
             i, j = rng.integers(0, num_users, size=2).tolist()
             if i != j:
                 edges |= {(i, j), (j, i)}
-        graph = lbsn_data.build_graph(num_users, edges)
+        graph = graph_of(num_users, edges)
         params = random_params(rng, num_users, 3, int(rng.integers(1, 6)),
                                scale=float(rng.uniform(0.1, 2.0)))
         size = 1 if rng.random() < 0.3 else int(rng.integers(1, num_users + 1))
@@ -540,6 +569,107 @@ def check_network_pass_matches_pairs(cases=100, seed=5):
     return failures
 
 
+def reference_pair_edges(index, edges):
+    """build_dataset's directed edges as a set of (i, j) pairs: both
+    directions of each external-id pair with both ids in `index`, bar
+    self-loops."""
+    directed = set()
+    for a, b in edges:
+        if a in index and b in index and a != b:
+            directed |= {(index[a], index[b]), (index[b], index[a])}
+    return directed
+
+
+def reference_pair_splits(directed, link_train_ratio, seed):
+    """make_splits' link hold-out over a set of (i, j) pairs, one pair at a
+    time: the sorted pairs i < j, shuffled by one seeded permutation; the
+    first floor(ratio * n) train, both directions on one side."""
+    pairs = sorted({(min(i, j), max(i, j)) for i, j in directed})
+    order = np.random.default_rng(seed).permutation(len(pairs))
+    n_train = int(link_train_ratio * len(pairs))
+    train, test = set(), set()
+    for rank, k in enumerate(order):
+        i, j = pairs[k]
+        (train if rank < n_train else test).update({(i, j), (j, i)})
+    return train, test
+
+
+def reference_friend_chance(num_users, train, test, k):
+    """synth.chance_baselines' friend floor from pair sets, summed over the
+    users with held-out friends in ascending order."""
+    train_deg, truths = (Counter(i for i, _ in pairs) for pairs in (train, test))
+    if not truths:
+        return None
+    num = 0.0
+    for v, t in sorted(truths.items()):
+        num += t * min(1.0, k / (num_users - 1 - train_deg[v]))
+    return num / sum(truths.values())
+
+
+def check_edge_keys_match_pair_sets(cases=100, seed=6):
+    """The edge-key arrays equal a tuple-set reference end to end.
+
+    Random external-id edge lists (self-loops, repeats, both directions,
+    ids without check-ins) go through build_dataset and a cache round trip:
+    the edges and adjacency match the reference. make_splits over three
+    seeds assigns the same pairs to train and test; eval_friend_rec over
+    every K (all users and the low-degree slice) gives each user the hits
+    of the per-user reference on those pair sets, so each held-out pair is
+    ranked among the same candidates. synth.chance_baselines matches the
+    reference on a small instance per case.
+    """
+    rng = np.random.default_rng(seed)
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.bin")
+        for _ in range(cases):
+            n = int(rng.integers(1, 10))
+            names = [f"u{v}" for v in range(n + 2)]    # the last two: no check-ins
+            checkins = [lbsn_data.CheckIn(name, "x", 0) for name in names[:n]]
+            edges = [(names[a], names[b]) for a, b in rng.integers(
+                0, n + 2, size=(int(rng.integers(0, 4 * n)), 2)).tolist()]
+            dataset = lbsn_data.build_dataset(checkins, edges)
+            directed = reference_pair_edges(dataset.user_vocab.index, edges)
+            lbsn_data.save_dataset(dataset, path)
+            ok = True
+            for graph in (dataset.graph, lbsn_data.load_dataset(path).graph):
+                ok &= edge_pairs(n, graph.directed_edges) == directed
+                ok &= [a.tolist() for a in graph.adjacency] == [
+                    sorted(j for i, j in directed if i == v) for v in range(n)]
+            for split_seed in range(3):
+                ratio = float(rng.uniform(0.05, 0.95))
+                splits = lbsn_data.make_splits(dataset, link_train_ratio=ratio,
+                                               seed=split_seed)
+                train, test = reference_pair_splits(directed, ratio, split_seed)
+                ok &= edge_pairs(n, splits.train_edges) == train
+                ok &= edge_pairs(n, splits.test_edges) == test
+                params = random_params(rng, n, 1, 2)
+                pair_splits = SimpleNamespace(train_edges=edge_keys(n, train),
+                                              test_edges=edge_keys(n, test))
+                for user_slice in ("all", "low-degree"):
+                    got, want = {}, {}
+                    evaluation.eval_friend_rec(params, dataset, splits,
+                                               range(1, n + 1), user_slice, got)
+                    reference_eval_friend_rec(params, dataset, pair_splits,
+                                              range(1, n + 1), user_slice, want)
+                    ok &= got == want
+            config = synth.SynthConfig(
+                users_per_community=int(rng.integers(2, 7)),
+                locations_per_community=2, shared_locations=0,
+                intra_edge_prob=0.6, inter_edge_prob=0.1,
+                subtrajectories_per_user=2, locations_per_subtrajectory=1,
+                seed=int(rng.integers(0, 2**31)))
+            checkins, edges = synth.generate_raw(config)
+            index = {synth.user_name(v): v for v in range(config.num_users)}
+            train, test = reference_pair_splits(
+                reference_pair_edges(index, edges), 0.5, 7)
+            floors = synth.chance_baselines(config, split_seed=7, ks=(1, 3))
+            ok &= floors["friend"] == {k: reference_friend_chance(
+                config.num_users, train, test, k) for k in (1, 3)}
+            failures += not ok
+    return failures
+
+
 ALL_CHECKS = (
     ("trajectory splitting round-trip", check_splitting_round_trip),
     ("recall monotonicity in K", check_recall_monotonic),
@@ -547,4 +677,5 @@ ALL_CHECKS = (
     ("gate/tanh range bounds", check_gate_and_tanh_ranges),
     ("adagrad accumulator monotonicity", check_adagrad_accumulator_monotone),
     ("network pass vs per-pair reference", check_network_pass_matches_pairs),
+    ("edge keys vs tuple-set reference", check_edge_keys_match_pair_sets),
 )

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lbsnrec import data as lbsn_data
 from lbsnrec.training import sample_negative_links, sample_negative_locations
+
+from property_checks import graph_of
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,7 +39,7 @@ def values_drawn(seed, population, final_state, limit=100_000):
 
 
 TARGETS = np.random.default_rng(2).integers(0, 126, size=12)
-GRAPH = lbsn_data.build_graph(30, {(0, 1), (1, 0), (2, 0), (0, 2), (4, 5)})
+GRAPH = graph_of(30, {(0, 1), (1, 0), (2, 0), (0, 2), (4, 5)})
 
 
 # |L| = 126, n2 = 100 often falls short of distinct values in a first round;

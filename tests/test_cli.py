@@ -15,8 +15,8 @@ from lbsnrec import model as lbsn_model
 from lbsnrec.model import (ModelParams, VariantMask, forward_groups,
                            save_checkpoint, tensor_shapes)
 
-from conftest import corrupt_cache, make_checkins
-from property_checks import write_checkins_tsv, write_edges_tsv
+from conftest import cache_with_edges, corrupt_cache, make_checkins
+from property_checks import edge_pairs, write_checkins_tsv, write_edges_tsv
 
 
 def run_cli(args):
@@ -156,6 +156,45 @@ def test_eval_rejects_corrupt_checkpoint(tmp_path, synth_cache, capsys):
     assert err.count("\n") == 1 and "bad magic" in err
 
 
+@pytest.mark.parametrize("fault", ["repeated_edge", "trailing_byte"])
+def test_train_rejects_repeated_edge_or_trailing_bytes(tmp_path, synth_cache,
+                                                      capsys, fault):
+    ds = lbsn_data.load_dataset(synth_cache)
+    bad = tmp_path / "bad.bin"
+    if fault == "repeated_edge":
+        edges = sorted(edge_pairs(ds.num_users, ds.graph.directed_edges))
+        cache_with_edges(ds, bad, edges[:1] + edges)
+    else:
+        bad.write_bytes(synth_cache.read_bytes() + b"\0")
+    code = run_cli(["train", "--data", bad, "--out", tmp_path / "m.jntm",
+                    "--d", 2, "--max-iterations", 1])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert {"repeated_edge": "is stored more than once",
+            "trailing_byte": "trailing bytes after the edges"}[fault] in err
+    assert not (tmp_path / "m.jntm").exists()
+
+
+def test_eval_rejects_checkpoint_with_trailing_byte(tmp_path, synth_cache,
+                                                    capsys):
+    ds = lbsn_data.load_dataset(synth_cache)
+    model = tmp_path / "m.jntm"
+    save_checkpoint(model, ModelParams.zeros(ds.num_users, ds.num_locations, 2),
+                    VariantMask(), ds.user_vocab.ids, ds.location_vocab.ids)
+    assert run_cli(["eval", "--model", model, "--data", synth_cache,
+                    "--out", tmp_path / "r.csv"]) == 0
+    model.write_bytes(model.read_bytes() + b"\0")
+    capsys.readouterr()
+    code = run_cli(["eval", "--model", model, "--data", synth_cache,
+                    "--out", tmp_path / "r2.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "trailing bytes after the location " \
+        "vocabulary" in err
+    assert not (tmp_path / "r2.csv").exists()
+
+
 def test_train_rejects_version_1_cache(tmp_path, synth_cache, capsys):
     # version 1 held per-user arrays and length-prefixed ids; no reader is
     # kept, and the version is read before either
@@ -283,7 +322,7 @@ def _cache_sections(path):
                + _string_table_size(ds.location_vocab.ids))
     locations = offsets + 8 * (ds.num_users + 1)
     timestamps = locations + 8 * ds.num_checkins
-    edges = path.stat().st_size - 8 - 16 * ds.graph.num_directed_edges
+    edges = path.stat().st_size - 8 - 16 * len(ds.graph.directed_edges)
     assert edges == timestamps + 8 * ds.num_checkins
     return offsets, locations, timestamps, edges, ds
 
@@ -368,7 +407,7 @@ def _cache_counts(path):
             "user_vocabulary": (24, "<Q", ds.num_users),
             "string_length": (32, "<Q", _string_table_size(ds.user_vocab.ids)
                               - 16),
-            "edges": (edges, "<Q", ds.graph.num_directed_edges)}
+            "edges": (edges, "<Q", len(ds.graph.directed_edges))}
 
 
 @pytest.mark.parametrize("value", ["huge", "one_more"])

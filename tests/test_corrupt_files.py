@@ -15,7 +15,8 @@ from lbsnrec import synth
 from lbsnrec.model import (CheckpointError, FULL_VARIANT, load_checkpoint,
                            save_checkpoint, tensor_shapes)
 
-from property_checks import random_params
+from conftest import cache_with_edges
+from property_checks import edge_pairs, random_params
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -50,9 +51,10 @@ def _check_dataset(path):
         assert len(ts) == 0 or (ts[0] >= 0 and np.all(ts[1:] >= ts[:-1]))
         assert traj.subtrajectory_bounds == \
             lbsn_data.split_into_subtrajectories(ts)
-    for i, j in dataset.graph.directed_edges:
+    edges = edge_pairs(dataset.num_users, dataset.graph.directed_edges)
+    for i, j in edges:
         assert 0 <= i < dataset.num_users and 0 <= j < dataset.num_users
-        assert i != j and (j, i) in dataset.graph.directed_edges
+        assert i != j and (j, i) in edges
 
 
 def _check_checkpoint(path):
@@ -95,6 +97,30 @@ def test_every_bit_flip_loads_or_raises_named_error(small_files, kind):
     # both outcomes occur: most header and count flips are rejected, most
     # payload flips load
     assert 0 < rejected < 8 * len(raw)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_one_appended_byte_raises_named_error(small_files, kind):
+    # a bit flip that lowers the cache's edge count leaves bytes behind too
+    check, error = LOADERS[kind]
+    path = small_files["case"]
+    path.write_bytes(small_files[kind] + b"\0")
+    with pytest.raises(error, match="trailing bytes"):
+        check(path)
+
+
+def test_repeated_edge_raises_named_error(small_files):
+    # a set of pairs hid a repeat; a key array would count the link twice
+    path = small_files["case"]
+    path.write_bytes(small_files["cache"])
+    dataset = lbsn_data.load_dataset(path)
+    edges = sorted(edge_pairs(dataset.num_users, dataset.graph.directed_edges))
+    i, j = edges[-1]
+    cache_with_edges(dataset, path, edges + [(j, i), (i, j)])
+    with pytest.raises(lbsn_data.FormatError,
+                       match=rf"edge \({min(i, j)}, {max(i, j)}\) is stored "
+                             "more than once"):
+        lbsn_data.load_dataset(path)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],

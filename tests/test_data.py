@@ -11,8 +11,9 @@ from lbsnrec.data import (CheckIn, ParseError, build_dataset, filter_dataset,
                           split_into_subtrajectories, correlation_report,
                           full_train_splits, SIX_HOURS)
 
-from conftest import corrupt_cache, make_checkins
-from property_checks import write_checkins_tsv, write_edges_tsv
+from conftest import cache_with_edges, corrupt_cache, make_checkins
+from property_checks import (assert_same_edges, edge_keys, edge_pairs,
+                             graph_of, write_checkins_tsv, write_edges_tsv)
 
 
 def test_parse_checkins_epoch_conversion(tmp_path):
@@ -136,21 +137,23 @@ def test_split_exact_gap_does_not_split():
 def test_build_dataset_directed_expansion(two_user_dataset):
     graph = two_user_dataset.graph
     assert graph.num_users == 2
-    assert graph.directed_edges == {(0, 1), (1, 0)}
+    assert edge_pairs(2, graph.directed_edges) == {(0, 1), (1, 0)}
     assert two_user_dataset.num_locations == 2
     # build_graph: one ascending int64 array per user, edges or none
-    assert lbsn_data.build_graph(0, set()).adjacency == []
+    assert graph_of(0, set()).adjacency == []
     rng = np.random.default_rng(0)
     for num_users in [1, 1, 2, 3, 7, 20, 50]:
         count = int(rng.integers(0, num_users * num_users // 2 + 1))
         edges = set(map(tuple, rng.integers(0, num_users, (count, 2)).tolist()))
-        graph = lbsn_data.build_graph(num_users, list(edges))
-        assert graph.directed_edges == edges
+        keys = edge_keys(num_users, edges)
+        graph = lbsn_data.build_graph(num_users, keys)
+        assert graph.directed_edges is keys
+        assert edge_pairs(num_users, graph.directed_edges) == edges
         assert len(graph.adjacency) == num_users
         for u, row in enumerate(graph.adjacency):
             assert row.dtype == np.int64
             assert row.tolist() == sorted(j for i, j in edges if i == u)
-    assert [a.tolist() for a in lbsn_data.build_graph(4, {(2, 1)}).adjacency] \
+    assert [a.tolist() for a in graph_of(4, {(2, 1)}).adjacency] \
         == [[], [], [1], []]
 
 
@@ -158,7 +161,7 @@ def test_build_dataset_drops_unknown_and_self_edges():
     checkins = make_checkins({"a": [["x"]], "b": [["x"]]})
     ds = build_dataset(checkins, [("a", "ghost"), ("a", "a"), ("a", "b"),
                                   ("b", "a")])
-    assert ds.graph.directed_edges == {(0, 1), (1, 0)}
+    assert edge_pairs(2, ds.graph.directed_edges) == {(0, 1), (1, 0)}
 
 
 def test_build_dataset_vocab_sorted_and_bijective(two_user_dataset):
@@ -210,7 +213,8 @@ def test_make_splits_deterministic():
     b = make_splits(ds, link_train_ratio=0.5, seed=42)
     np.testing.assert_array_equal(a.train_end, b.train_end)
     np.testing.assert_array_equal(a.test_start, b.test_start)
-    assert a.train_edges == b.train_edges and a.test_edges == b.test_edges
+    assert_same_edges(a.train_edges, b.train_edges)
+    assert_same_edges(a.test_edges, b.test_edges)
 
 
 def test_make_splits_links_disjoint_exhaustive_paired():
@@ -219,9 +223,11 @@ def test_make_splits_links_disjoint_exhaustive_paired():
     ds = build_dataset(make_checkins(layout), edges)
     sp = make_splits(ds, link_train_ratio=0.5, seed=7)
     assert len(sp.train_edges) == 4 and len(sp.test_edges) == 4
-    assert sp.train_edges.isdisjoint(sp.test_edges)
-    assert sp.train_edges | sp.test_edges == ds.graph.directed_edges
-    for edges_side in (sp.train_edges, sp.test_edges):
+    train, test = (edge_pairs(5, keys) for keys in (sp.train_edges,
+                                                     sp.test_edges))
+    assert train.isdisjoint(test)
+    assert train | test == edge_pairs(5, ds.graph.directed_edges)
+    for edges_side in (train, test):
         assert all((j, i) in edges_side for i, j in edges_side)
 
 
@@ -276,7 +282,9 @@ def test_dataset_cache_round_trip(tmp_path, two_user_dataset):
     loaded = load_dataset(path)
     assert loaded.user_vocab.ids == two_user_dataset.user_vocab.ids
     assert loaded.location_vocab.ids == two_user_dataset.location_vocab.ids
-    assert loaded.graph.directed_edges == two_user_dataset.graph.directed_edges
+    assert_same_edges(loaded.graph.directed_edges,
+                      two_user_dataset.graph.directed_edges)
+    assert edge_pairs(2, loaded.graph.directed_edges) == {(0, 1), (1, 0)}
     for a, b in zip(loaded.trajectories, two_user_dataset.trajectories):
         np.testing.assert_array_equal(a.locations, b.locations)
         np.testing.assert_array_equal(a.timestamps, b.timestamps)
@@ -319,21 +327,11 @@ def test_dataset_cache_rejects_a_self_loop(tmp_path, two_user_dataset):
 def test_dataset_cache_rejects_an_edge_without_its_reverse(tmp_path,
                                                           two_user_dataset):
     # make_splits would invent the reverse (1, 0) as a test edge
-    two_user_dataset.graph.directed_edges.discard((1, 0))
+    two_user_dataset.graph = graph_of(2, {(0, 1)})
     path = tmp_path / "bad.bin"
     save_dataset(two_user_dataset, path)
     with pytest.raises(lbsn_data.FormatError, match=r"edge \(0, 1\)"):
         load_dataset(path)
-
-
-def cache_with_edges(dataset, path, edges):
-    """Save `dataset` as a cache whose edge section holds `edges`, in this
-    order (save_dataset sorts them); the section ends the file."""
-    save_dataset(dataset, path)
-    stored = 8 + 16 * dataset.graph.num_directed_edges
-    path.write_bytes(path.read_bytes()[:-stored] + struct.pack("<Q", len(edges))
-                     + np.array(edges, dtype="<u8").tobytes())
-    return path
 
 
 @pytest.mark.parametrize("edges, named", [
@@ -354,13 +352,16 @@ def test_dataset_cache_names_the_first_bad_edge_in_storage_order(
         load_dataset(path)
 
 
-def test_dataset_cache_accepts_repeated_and_unsorted_edges(tmp_path):
+def test_dataset_cache_accepts_unsorted_edges(tmp_path):
+    # a repeated edge is refused (tests/test_corrupt_files.py)
     dataset = build_dataset(make_checkins({"a": [["x"]], "b": [["y"]],
                                            "c": [["x"]]}), [("a", "b")])
     path = cache_with_edges(dataset, tmp_path / "ok.bin",
-                            [(1, 0), (0, 1), (1, 0), (2, 1), (1, 2)])
+                            [(1, 0), (2, 1), (0, 1), (1, 2)])
     graph = load_dataset(path).graph
-    assert graph.directed_edges == {(0, 1), (1, 0), (1, 2), (2, 1)}
+    assert graph.directed_edges.tolist() == [1, 3, 5, 7]
+    assert edge_pairs(3, graph.directed_edges) == {(0, 1), (1, 0), (1, 2),
+                                                   (2, 1)}
     assert [a.tolist() for a in graph.adjacency] == [[1], [0, 2], [1]]
 
 
@@ -437,7 +438,7 @@ def test_dataset_cache_check_in_columns_layout(tmp_path, two_user_dataset):
         "<6Q", *[l for t in trajectories for l in t.locations.tolist()])
     assert raw[timestamps:timestamps + 48] == struct.pack(
         "<6q", *[s for t in trajectories for s in t.timestamps.tolist()])
-    edges = sorted(two_user_dataset.graph.directed_edges)
+    edges = sorted(edge_pairs(2, two_user_dataset.graph.directed_edges))
     assert raw[timestamps + 48:] == struct.pack("<Q", 2) + struct.pack(
         "<4Q", *edges[0], *edges[1])
 
@@ -507,7 +508,7 @@ def test_dataset_cache_round_trips_empty_users(tmp_path):
             subtrajectory_bounds=split_into_subtrajectories(ts)))
     users = [f"u{u}" for u in range(len(lengths))]
     dataset = lbsn_data.Dataset(
-        graph=lbsn_data.build_graph(len(users), {(0, 6), (6, 0)}),
+        graph=graph_of(len(users), {(0, 6), (6, 0)}),
         trajectories=trajectories,
         user_vocab=lbsn_data.Vocab.from_sorted_ids(users),
         location_vocab=lbsn_data.Vocab.from_sorted_ids(["x", "y", "z"]))
@@ -518,7 +519,7 @@ def test_dataset_cache_round_trips_empty_users(tmp_path):
         np.testing.assert_array_equal(a.locations, b.locations)
         np.testing.assert_array_equal(a.timestamps, b.timestamps)
         assert a.subtrajectory_bounds == b.subtrajectory_bounds
-    assert loaded.graph.directed_edges == {(0, 6), (6, 0)}
+    assert edge_pairs(7, loaded.graph.directed_edges) == {(0, 6), (6, 0)}
 
 
 def test_tsv_round_trip(tmp_path, two_user_dataset):
@@ -536,4 +537,5 @@ def test_full_train_splits(two_user_dataset):
     sp = full_train_splits(two_user_dataset)
     assert sp.train_end.tolist() == [2, 1]
     assert sp.test_start.tolist() == [2, 1]
-    assert sp.test_edges == set()
+    assert edge_pairs(2, sp.test_edges) == set()
+    assert sp.train_edges is two_user_dataset.graph.directed_edges

@@ -12,9 +12,11 @@ from lbsnrec.evaluation import (eval_friend_rec, eval_next_location,
 from lbsnrec.model import FULL_VARIANT, BASE_VARIANT, ModelParams, VariantMask
 
 from conftest import make_checkins
-from property_checks import (planted_instance, random_params,
-                             reference_eval_friend_rec,
+from property_checks import (edge_keys, edge_pairs, planted_instance,
+                             random_params, reference_eval_friend_rec,
                              reference_eval_next_location, unpack_trace)
+
+NO_EDGES = np.zeros(0, dtype=np.int64)
 
 
 def test_recall_at_k_examples():
@@ -35,8 +37,8 @@ def test_reports_reject_k_below_one(ks):
     layout = {"u0": [["a", "b"]] * 3, "u1": [["b", "a"]] * 3}
     ds = lbsn_data.build_dataset(make_checkins(layout), [("u0", "u1")])
     splits = lbsn_data.Splits(train_end=np.array([2, 2]),
-                              test_start=np.array([2, 2]), train_edges=set(),
-                              test_edges={(0, 1), (1, 0)})
+                              test_start=np.array([2, 2]), train_edges=NO_EDGES,
+                              test_edges=edge_keys(2, {(0, 1), (1, 0)}))
     params = ModelParams.zeros(2, ds.num_locations, 2)
     assert eval_next_location(params, FULL_VARIANT, ds, splits, ks=(1,),
                               part="test").num_events == 4
@@ -61,7 +63,7 @@ def test_perfect_model_recall_one():
     layout = {"u0": [["a", "b", "c"]] * 8 + [["l1", "l1"], ["l1", "l1"]]}
     ds = lbsn_data.build_dataset(make_checkins(layout), [])
     splits = lbsn_data.Splits(train_end=np.array([8]), test_start=np.array([8]),
-                              train_edges=set(), test_edges=set())
+                              train_edges=NO_EDGES, test_edges=NO_EDGES)
     params = ModelParams.zeros(1, ds.num_locations, 2)
     params.U_out[ds.location_vocab.index["l1"]] = 1.0
     params.P[0] = 1.0
@@ -76,7 +78,7 @@ def test_chance_level_recall_with_random_params():
                   [[f"l{(7 * s) % 100:03d}" for _ in range(5)] for s in range(10)]}
     ds = lbsn_data.build_dataset(make_checkins(layout), [])
     splits = lbsn_data.Splits(train_end=np.array([1]), test_start=np.array([1]),
-                              train_edges=set(), test_edges=set())
+                              train_edges=NO_EDGES, test_edges=NO_EDGES)
     values = []
     for seed in range(8):
         rng = np.random.default_rng(seed)
@@ -92,7 +94,7 @@ def test_new_only_skips_revisits():
     layout = {"u0": [["a", "b", "c"], ["d", "e", "f"], ["a", "b"]]}
     ds = lbsn_data.build_dataset(make_checkins(layout), [])
     splits = lbsn_data.Splits(train_end=np.array([2]), test_start=np.array([2]),
-                              train_edges=set(), test_edges=set())
+                              train_edges=NO_EDGES, test_edges=NO_EDGES)
     rng = np.random.default_rng(0)
     params = random_params(rng, 1, ds.num_locations, 3, scale=0.1)
     report = eval_next_location(params, FULL_VARIANT, ds, splits, ks=(1, 5),
@@ -105,7 +107,7 @@ def test_new_only_counts_new_locations_and_restricts_candidates():
     layout = {"u0": [["a", "b"], ["c", "a"]]}
     ds = lbsn_data.build_dataset(make_checkins(layout), [])
     splits = lbsn_data.Splits(train_end=np.array([1]), test_start=np.array([1]),
-                              train_edges=set(), test_edges=set())
+                              train_edges=NO_EDGES, test_edges=NO_EDGES)
     params = ModelParams.zeros(1, 3, 2)
     # give already-visited locations huge scores: they must be excluded from
     # the candidate set, so the new location "c" still ranks first
@@ -136,7 +138,7 @@ def test_cold_start_slice_filters_users():
     ds = lbsn_data.build_dataset(make_checkins(layout), [])
     splits = lbsn_data.Splits(train_end=np.array([6, 3]),
                               test_start=np.array([6, 3]),
-                              train_edges=set(), test_edges=set())
+                              train_edges=NO_EDGES, test_edges=NO_EDGES)
     rng = np.random.default_rng(2)
     params = random_params(rng, 2, ds.num_locations, 2, scale=0.1)
     all_users = eval_next_location(params, FULL_VARIANT, ds, splits, part="test")
@@ -466,8 +468,8 @@ def test_friend_rec_planted_winner():
     ds = _friend_setup(3)
     splits = lbsn_data.Splits(train_end=np.ones(3, dtype=int),
                               test_start=np.ones(3, dtype=int),
-                              train_edges=set(),
-                              test_edges={(0, 1), (1, 0)})
+                              train_edges=NO_EDGES,
+                              test_edges=edge_keys(3, {(0, 1), (1, 0)}))
     params = ModelParams.zeros(3, 1, 2)
     params.F[0] = [3.0, 0.0]
     params.F_ctx[1] = [3.0, 0.0]
@@ -481,8 +483,8 @@ def test_friend_rec_planted_winner():
 def test_friend_rec_zero_params_index_tie_break():
     # all scores equal: candidates rank by ascending index
     ds = _friend_setup(5)
-    test_edges = {(0, 3), (3, 0), (1, 4), (4, 1)}
-    train_edges = {(0, 1), (1, 0)}
+    test_edges = edge_keys(5, {(0, 3), (3, 0), (1, 4), (4, 1)})
+    train_edges = edge_keys(5, {(0, 1), (1, 0)})
     splits = lbsn_data.Splits(train_end=np.ones(5, dtype=int),
                               test_start=np.ones(5, dtype=int),
                               train_edges=train_edges, test_edges=test_edges)
@@ -499,10 +501,10 @@ def test_friend_rec_zero_params_index_tie_break():
 
 def test_friend_rec_two_block_structure():
     ds = _friend_setup(6)
-    test_edges = {(0, 1), (1, 0), (3, 4), (4, 3)}
+    test_edges = edge_keys(6, {(0, 1), (1, 0), (3, 4), (4, 3)})
     splits = lbsn_data.Splits(train_end=np.ones(6, dtype=int),
                               test_start=np.ones(6, dtype=int),
-                              train_edges=set(), test_edges=test_edges)
+                              train_edges=NO_EDGES, test_edges=test_edges)
     params = ModelParams.zeros(6, 1, 2)
     for v in range(6):
         block = 0 if v < 3 else 1
@@ -518,7 +520,8 @@ def test_friend_rec_low_degree_slice():
     train_edges = set()
     for j in range(1, 6):
         train_edges |= {(0, j), (j, 0)}   # user 0 has 5 training friends
-    test_edges = {(0, 6), (6, 0), (1, 7), (7, 1)}
+    train_edges = edge_keys(8, train_edges)
+    test_edges = edge_keys(8, {(0, 6), (6, 0), (1, 7), (7, 1)})
     splits = lbsn_data.Splits(train_end=np.ones(8, dtype=int),
                               test_start=np.ones(8, dtype=int),
                               train_edges=train_edges, test_edges=test_edges)
@@ -534,7 +537,8 @@ def test_friend_rec_skips_users_without_heldout():
     ds = _friend_setup(4)
     splits = lbsn_data.Splits(train_end=np.ones(4, dtype=int),
                               test_start=np.ones(4, dtype=int),
-                              train_edges={(0, 1), (1, 0)}, test_edges=set())
+                              train_edges=edge_keys(4, {(0, 1), (1, 0)}),
+                              test_edges=NO_EDGES)
     params = ModelParams.zeros(4, 1, 2)
     report = eval_friend_rec(params, ds, splits)
     assert report.num_events == 0 and report.recall_at == {}
@@ -806,7 +810,8 @@ def test_friend_rec_groups_match_reference(monkeypatch, users_per_group):
     ds = lbsn_data.build_dataset(
         make_checkins({f"u{v}": [["x"]] for v in range(12)}), edges)
     splits = lbsn_data.make_splits(ds, link_train_ratio=0.5, seed=12)
-    most = max(sum(i == v for i, _ in splits.test_edges)
+    most = max(sum(i == v for i, _ in edge_pairs(ds.num_users,
+                                                 splits.test_edges))
                for v in range(ds.num_users))
     monkeypatch.setattr(lbsn_model, "FORWARD_GROUP_POSITIONS",
                         users_per_group * most / 2)

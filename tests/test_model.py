@@ -14,8 +14,9 @@ from lbsnrec.model import (BASE_VARIANT, FULL_VARIANT, ModelParams, VariantMask,
                            save_checkpoint, tensor_shapes)
 
 from conftest import make_checkins
-from property_checks import (forward_one, gru_step, link_logit, random_params,
-                             reference_contexts, rnn_step, unpack_trace)
+from property_checks import (edge_pairs, forward_one, graph_of, gru_step,
+                             link_logit, random_params, reference_contexts,
+                             rnn_step, unpack_trace)
 
 
 def params_with(rng=None, num_users=3, num_locations=5, dim=2, scale=0.0):
@@ -56,6 +57,7 @@ def test_link_logit_cases():
 
 
 def brute_force_network_loglik(params, graph):
+    edges = edge_pairs(graph.num_users, graph.directed_edges)
     total = 0.0
     for i in range(graph.num_users):
         for j in range(graph.num_users):
@@ -63,13 +65,13 @@ def brute_force_network_loglik(params, graph):
                 continue
             s = float(np.dot(params.F[i], params.F_ctx[j]))
             p = 1.0 / (1.0 + math.exp(-s))
-            total += math.log(p) if (i, j) in graph.directed_edges else math.log(1 - p)
+            total += math.log(p) if (i, j) in edges else math.log(1 - p)
     return total
 
 
 def test_network_loglik_two_users_zero_params():
     params = params_with(num_users=2)
-    graph = lbsn_data.build_graph(2, {(0, 1), (1, 0)})
+    graph = graph_of(2, {(0, 1), (1, 0)})
     value = network_log_likelihood_full(params, graph)
     assert value == pytest.approx(2 * math.log(0.5), abs=1e-12)
     assert value == pytest.approx(brute_force_network_loglik(params, graph), abs=1e-12)
@@ -77,7 +79,7 @@ def test_network_loglik_two_users_zero_params():
 
 def test_network_loglik_empty_graph():
     params = params_with(num_users=3)
-    graph = lbsn_data.build_graph(3, set())
+    graph = graph_of(3, set())
     assert network_log_likelihood_full(params, graph) == pytest.approx(
         6 * math.log(0.5), abs=1e-12)
 
@@ -85,7 +87,7 @@ def test_network_loglik_empty_graph():
 def test_network_loglik_matches_brute_force_random():
     rng = np.random.default_rng(5)
     params = params_with(rng, num_users=4, scale=0.8)
-    graph = lbsn_data.build_graph(4, {(0, 1), (1, 0), (2, 3), (3, 2), (0, 2)})
+    graph = graph_of(4, {(0, 1), (1, 0), (2, 3), (3, 2), (0, 2)})
     assert network_log_likelihood_full(params, graph) == pytest.approx(
         brute_force_network_loglik(params, graph), rel=1e-12)
 
@@ -94,7 +96,7 @@ def test_network_loglik_saturated_limit():
     params = params_with(num_users=2, dim=2)
     params.F[0] = params.F[1] = [30.0, 0.0]
     params.F_ctx[0] = params.F_ctx[1] = [30.0, 0.0]
-    graph = lbsn_data.build_graph(2, {(0, 1), (1, 0)})
+    graph = graph_of(2, {(0, 1), (1, 0)})
     assert network_log_likelihood_full(params, graph) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -464,7 +466,7 @@ def test_joint_loglik_network_only():
 
 
 def test_joint_loglik_empty_everything():
-    empty = lbsn_data.Dataset(graph=lbsn_data.build_graph(0, set()),
+    empty = lbsn_data.Dataset(graph=graph_of(0, set()),
                               trajectories=[],
                               user_vocab=lbsn_data.Vocab([], {}),
                               location_vocab=lbsn_data.Vocab([], {}))

@@ -11,8 +11,8 @@ from lbsnrec.synth import (SynthConfig, chance_baselines, community_block,
                            community_of_user, generate, generate_raw,
                            planted_chains, shared_block)
 
-from property_checks import (community_oracle_recall, write_checkins_tsv,
-                             write_edges_tsv)
+from property_checks import (assert_same_edges, community_oracle_recall,
+                             edge_pairs, write_checkins_tsv, write_edges_tsv)
 
 
 def small_config(**kwargs):
@@ -37,7 +37,7 @@ def test_config_validation():
 def test_disconnected_blocks_without_inter_edges():
     cfg = small_config(inter_edge_prob=0.0, intra_edge_prob=0.6, seed=3)
     ds = generate(cfg)
-    for i, j in ds.graph.directed_edges:
+    for i, j in edge_pairs(cfg.num_users, ds.graph.directed_edges):
         assert community_of_user(cfg, i) == community_of_user(cfg, j)
 
 
@@ -96,8 +96,9 @@ def test_generated_dataset_satisfies_invariants():
         ts = traj.timestamps
         rebuilt = lbsn_data.split_into_subtrajectories(ts)
         assert rebuilt == traj.subtrajectory_bounds
-    for i, j in ds.graph.directed_edges:
-        assert (j, i) in ds.graph.directed_edges
+    edges = edge_pairs(cfg.num_users, ds.graph.directed_edges)
+    for i, j in edges:
+        assert (j, i) in edges
         assert i != j
 
 
@@ -110,7 +111,7 @@ def test_round_trip_through_tsv_pipeline(tmp_path):
     rebuilt = lbsn_data.build_dataset(lbsn_data.parse_checkins(cpath),
                                       lbsn_data.parse_edges(epath))
     direct = generate(cfg)
-    assert rebuilt.graph.directed_edges == direct.graph.directed_edges
+    assert_same_edges(rebuilt.graph.directed_edges, direct.graph.directed_edges)
     for a, b in zip(rebuilt.trajectories, direct.trajectories):
         # vocab may be padded in `direct`; compare by external name
         names_a = [rebuilt.location_vocab.ids[l] for l in a.locations]
@@ -144,9 +145,9 @@ def test_chance_baselines_friend_enumeration():
     # independent enumeration of the candidate structure
     train_deg = defaultdict(int)
     truths = defaultdict(int)
-    for i, _ in splits.train_edges:
+    for i, _ in edge_pairs(ds.num_users, splits.train_edges):
         train_deg[i] += 1
-    for i, _ in splits.test_edges:
+    for i, _ in edge_pairs(ds.num_users, splits.test_edges):
         truths[i] += 1
     num = sum(t * min(1.0, 3 / (ds.num_users - 1 - train_deg[v]))
               for v, t in truths.items())
@@ -171,9 +172,9 @@ def test_community_oracle_recall_identities():
     splits = lbsn_data.make_splits(generate(cfg), link_train_ratio=0.5, seed=11)
     k = 6
     train_adj, test_adj = defaultdict(set), defaultdict(set)
-    for i, j in splits.train_edges:
+    for i, j in edge_pairs(cfg.num_users, splits.train_edges):
         train_adj[i].add(j)
-    for i, j in splits.test_edges:
+    for i, j in edge_pairs(cfg.num_users, splits.test_edges):
         test_adj[i].add(j)
     hits = events = cross = 0
     for v, truth in test_adj.items():
@@ -201,7 +202,7 @@ def test_community_helpers():
 def _assert_same_dataset(loaded, built):
     assert loaded.user_vocab == built.user_vocab
     assert loaded.location_vocab == built.location_vocab
-    assert loaded.graph.directed_edges == built.graph.directed_edges
+    assert_same_edges(loaded.graph.directed_edges, built.graph.directed_edges)
     for a, b in zip(loaded.graph.adjacency, built.graph.adjacency, strict=True):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(loaded.trajectories, built.trajectories, strict=True):

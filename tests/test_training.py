@@ -29,7 +29,7 @@ from lbsnrec.training import (Gradients, OptimizerState, TrainConfig,
                               train)
 
 from conftest import make_checkins
-from property_checks import (planted_instance, random_params,
+from property_checks import (graph_of, planted_instance, random_params,
                              reference_negative_links,
                              reference_rejection_sample)
 
@@ -87,14 +87,14 @@ def test_init_params_zero_range():
 
 def test_sample_negative_links_complete_graph():
     edges = {(i, j) for i in range(4) for j in range(4) if i != j}
-    graph = lbsn_data.build_graph(4, edges)
+    graph = graph_of(4, edges)
     rng = np.random.default_rng(0)
     (negs,) = sample_negative_links(graph, [0], 100, rng)
     assert len(negs) == 0
 
 
 def test_sample_negative_links_edgeless():
-    graph = lbsn_data.build_graph(200, set())
+    graph = graph_of(200, set())
     rng = np.random.default_rng(0)
     (negs,) = sample_negative_links(graph, [7], 100, rng)
     assert len(negs) == 100
@@ -103,7 +103,7 @@ def test_sample_negative_links_edgeless():
 
 
 def test_sample_negative_links_reproducible_and_valid():
-    graph = lbsn_data.build_graph(50, {(0, 1), (1, 0), (0, 2), (2, 0)})
+    graph = graph_of(50, {(0, 1), (1, 0), (0, 2), (2, 0)})
     (a,) = sample_negative_links(graph, [0], 10, np.random.default_rng(42))
     (b,) = sample_negative_links(graph, [0], 10, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
@@ -272,14 +272,14 @@ def varied_degree_graph(num_users, seed):
                             replace=False).tolist():
             if u % 5 and u != v:
                 edges |= {(u, v), (v, u)}
-    return lbsn_data.build_graph(num_users, edges)
+    return graph_of(num_users, edges)
 
 
 @pytest.mark.parametrize("count", [0, 1, 5, 20])
 @pytest.mark.parametrize("kind", ["varied", "edgeless"])
 def test_batch_link_sampler_equals_sequential_draws(kind, count):
     graph = (varied_degree_graph(40, 3) if kind == "varied"
-             else lbsn_data.build_graph(40, set()))
+             else graph_of(40, set()))
     users = np.random.default_rng(1).permutation(40)
     eligible = [40 - len(set(graph.adjacency[u].tolist()) | {int(u)})
                 for u in users]
@@ -291,7 +291,7 @@ def test_batch_link_sampler_equals_sequential_draws(kind, count):
         assert row.dtype == np.int64
         np.testing.assert_array_equal(row, expected)
     assert rng.bit_generator.state == reference.bit_generator.state
-    if graph.num_directed_edges and count:
+    if len(graph.directed_edges) and count:
         # some users enumerate and some draw
         assert min(eligible) <= count < max(eligible)
 
@@ -301,7 +301,7 @@ def test_batch_link_sampler_equals_sequential_draws(kind, count):
 # ---------------------------------------------------------------------------
 
 def test_network_loss_zero_embeddings():
-    graph = lbsn_data.build_graph(6, {(0, 1), (1, 0), (2, 3), (3, 2)})
+    graph = graph_of(6, {(0, 1), (1, 0), (2, 3), (3, 2)})
     params = ModelParams.zeros(6, 4, 3)
     rng = np.random.default_rng(0)
     batch = draw_network_batch(graph, np.arange(6), 2, rng)
@@ -316,7 +316,7 @@ def test_network_loss_zero_embeddings():
 def test_network_loss_grad_coefficients():
     # zero F with random F_ctx: dF[v] = sum (sigma(0)-1) F'_pos + sigma(0) F'_neg
     rng = np.random.default_rng(3)
-    graph = lbsn_data.build_graph(5, {(0, 1), (1, 0), (0, 2), (2, 0)})
+    graph = graph_of(5, {(0, 1), (1, 0), (0, 2), (2, 0)})
     params = ModelParams.zeros(5, 4, 3)
     params.F_ctx[:] = rng.normal(size=(5, 3))
     batch = draw_network_batch(graph, np.array([0]), 2, rng)
@@ -327,7 +327,7 @@ def test_network_loss_grad_coefficients():
 
 
 def test_network_loss_no_edges_no_negatives():
-    graph = lbsn_data.build_graph(1, set())
+    graph = graph_of(1, set())
     params = ModelParams.zeros(1, 2, 2)
     batch = draw_network_batch(graph, np.array([0]), 5, np.random.default_rng(0))
     loss, grads = network_loss_and_grads(params, graph, batch)
@@ -349,7 +349,7 @@ def finite_diff(loss_fn, params, name, idx, h=1e-6):
 def test_network_grads_match_finite_differences():
     # the central difference divides the loss's rounding error by h = 1e-6,
     # so all 40 seeds pass only with a correctly rounded (math.fsum) loss
-    graph = lbsn_data.build_graph(6, {(0, 1), (1, 0), (2, 4), (4, 2), (3, 5), (5, 3)})
+    graph = graph_of(6, {(0, 1), (1, 0), (2, 4), (4, 2), (3, 5), (5, 3)})
     for seed in range(40):
         rng = np.random.default_rng(seed)
         params = random_params(rng, 6, 4, 3, scale=0.7)
@@ -1080,7 +1080,7 @@ def test_gradients_allocate_no_embedding_rows():
     assert buffers == set(TENSOR_NAMES) - EMBEDDING_NAMES
     # every embedding gradient is records, which zero() drops
     params, batch = bk_shaped_batch(28)
-    graph = lbsn_data.build_graph(10, {(0, 1), (1, 0), (2, 3), (3, 2)})
+    graph = graph_of(10, {(0, 1), (1, 0), (2, 3), (3, 2)})
     grads = Gradients.like(params)
     network_loss_and_grads(params, graph, draw_network_batch(
         graph, np.arange(10), 3, np.random.default_rng(28)), grads)
@@ -1146,7 +1146,7 @@ def test_trajectory_loss_and_grads_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_network_loss_and_grads_edgeless_no_negatives():
-    graph = lbsn_data.build_graph(6, set())
+    graph = graph_of(6, set())
     params = ModelParams.zeros(6, 4, 3)
     cfg = toy_config(n1_per_user=0)
     batch = draw_network_batch(graph, np.arange(6), cfg.n1_per_user,
@@ -1157,7 +1157,7 @@ def test_network_loss_and_grads_edgeless_no_negatives():
 
 
 def test_network_loss_and_grads_deterministic():
-    graph = lbsn_data.build_graph(10, {(0, 1), (1, 0), (4, 7), (7, 4)})
+    graph = graph_of(10, {(0, 1), (1, 0), (4, 7), (7, 4)})
     rng = np.random.default_rng(2)
     params = random_params(rng, 10, 4, 3, scale=0.3)
     cfg = toy_config(seed=8)
@@ -1176,7 +1176,7 @@ def test_network_loss_and_grads_deterministic():
 
 def test_network_descent_on_frozen_batch():
     rng = np.random.default_rng(21)
-    graph = lbsn_data.build_graph(8, {(0, 1), (1, 0), (2, 3), (3, 2),
+    graph = graph_of(8, {(0, 1), (1, 0), (2, 3), (3, 2),
                                       (4, 5), (5, 4)})
     params = random_params(rng, 8, 4, 4, scale=0.3)
     batch = draw_network_batch(graph, np.arange(8), 4, rng)
@@ -1345,7 +1345,7 @@ def test_adagrad_from_u_out_records_equals_materialized_bit_for_bit(
     dense_acc = {name: acc.copy() for name, acc in state.accumulators.items()}
 
     # a network pass too, so that every embedding tensor has records
-    graph = lbsn_data.build_graph(4, {(0, 1), (1, 0), (1, 2), (2, 1)})
+    graph = graph_of(4, {(0, 1), (1, 0), (1, 2), (2, 1)})
     recorded = Gradients.like(params)
     network_loss_and_grads(params, graph, draw_network_batch(
         graph, np.arange(4), 2, np.random.default_rng(38)), recorded)
@@ -1551,7 +1551,7 @@ def test_adagrad_norms_equal_the_gradient_norms(monkeypatch, walk):
     num_locations, n2, checkins = RECORD_SHAPES["touched_rows"]
     params, batch = bk_shaped_batch(42, num_locations, d=4, n2=n2, users=4,
                                     checkins=checkins)
-    graph = lbsn_data.build_graph(4, {(0, 1), (1, 0), (1, 2), (2, 1)})
+    graph = graph_of(4, {(0, 1), (1, 0), (1, 2), (2, 1)})
     grads = Gradients.like(params)
     network_loss_and_grads(params, graph, draw_network_batch(
         graph, np.arange(4), 2, np.random.default_rng(43)), grads)
